@@ -80,7 +80,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="runs", help="output root directory")
     p.add_argument("--variant")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--negatives", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
@@ -114,7 +113,6 @@ def build_spec(args):
         social_path=args.social or file_values.get("social"),
         split_seed=args.split_seed,
         out_dir=args.out,
-        threads=args.threads,
         split=args.split,
         run_name=args.run_name,
         eval_seed=int(file_values.get("eval_seed", 0)),

@@ -11,7 +11,6 @@ import itertools
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import data as data_mod
@@ -44,7 +43,6 @@ class ExperimentSpec:
     eval_seed: int = 0
     strata: tuple = DEFAULT_STRATA
     sample: object = "all"
-    threads: int = 1
     checkpoint: str = None
     split: str = "test"
     run_name: str = None
@@ -132,9 +130,9 @@ def _load_and_encode_checkpoint(spec, ds):
     from .graph import build_interaction_laplacian, build_social_laplacian
     from .model import encode
     ms = load_checkpoint(spec.checkpoint)
+    layers = spec.config.layers if ms.num_layers is None else ms.num_layers
     encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
-           ms.num_layers if ms.num_layers else spec.config.layers,
-           spec.config.agg)
+           layers, spec.config.agg)
     return ms
 
 
@@ -171,11 +169,7 @@ def run_ablation(spec, variants=VARIANTS):
             log.exception("variant %s failed", variant)
             return variant, None, err
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            cells = list(pool.map(cell, variants))
-    else:
-        cells = [cell(v) for v in variants]
+    cells = [cell(v) for v in variants]
 
     lines = ["# variant metric cutoff value"]
     table = {}
@@ -238,11 +232,7 @@ def run_sweep(spec):
                                       os.path.join(run_dir, tag), spec.split)
         return overrides, report
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            cells = list(pool.map(cell, combos))
-    else:
-        cells = [cell(c) for c in combos]
+    cells = [cell(c) for c in combos]
 
     lines = ["# axes metric cutoff value"]
     for overrides, report in cells:

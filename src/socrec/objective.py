@@ -18,7 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .model import LEAKY_SLOPE, aggregate_backward, projection_forward
+from .graph import CHUNK, CPUS, for_each_chunk
+from .model import (LEAKY_SLOPE, PARAM_NAMES, aggregate_backward, pack_params,
+                    param_views, projection_forward, reuse)
 
 VARIANTS = ("full", "no_align", "direct_social", "contrastive")
 
@@ -106,15 +108,41 @@ class Batch:
 
 @dataclass(eq=False)
 class GradientSet:
+    """Gradients in the parameter layout: named views of one flat block.
+
+    Built from separate arrays, the set copies them into a new block.
+    `work` keeps the arrays compute_gradients works in, so a set reused
+    across steps allocates nothing.
+    """
+
     E_u: np.ndarray
     E_v: np.ndarray
     T: np.ndarray
     w: np.ndarray
     c: np.ndarray
+    flat: np.ndarray = field(default=None, repr=False)
+    work: dict = field(default_factory=dict, repr=False)  # see reuse()
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = pack_params(self.as_dict())
+            for name, view in param_views(self.flat, len(self.E_u), len(self.E_v),
+                                          self.E_u.shape[1]).items():
+                setattr(self, name, view)
+
+    @classmethod
+    def for_model(cls, ms):
+        flat = np.empty(ms.params.size)
+        return cls(**param_views(flat, ms.num_users, ms.num_items, ms.dim), flat=flat)
+
+    @property
+    def E(self):
+        """Gradient of the (I+J, d) embedding table: E_u rows, then E_v rows."""
+        rows, d = len(self.E_u) + len(self.E_v), self.E_u.shape[1]
+        return self.flat[:rows * d].reshape(rows, d)
 
     def as_dict(self):
-        return {"E_u": self.E_u, "E_v": self.E_v, "T": self.T, "w": self.w,
-                "c": self.c}
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
 def sample_batch(ds, batch_size, rng, need_social=True):
@@ -277,6 +305,23 @@ def _alignment_hinge(proj, a_i, a_j, b_i, b_j):
     return loss, da_i, da_j, db_i, db_j, dT, dw, dc
 
 
+def _scatter_add(target, rows, values):
+    """`np.add.at(target, rows, values)`, row by row in the same order.
+
+    Round k adds the k-th occurrence of every row with one buffered
+    fancy-index add, so each row still sums its values in batch order.
+    """
+    if len(rows) == 0:
+        return
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    counts = np.diff(np.append(starts, len(rows)))
+    for k in range(counts.max()):
+        pick = order[starts[counts > k] + k]
+        target[rows[pick]] += values[pick]
+
+
 def _check_finite(name, value):
     if not np.isfinite(value):
         raise NonFiniteLossError(name, value)
@@ -333,23 +378,29 @@ def joint_loss(batch, ms, cfg):
     return _check_finite("total", total), parts
 
 
-def compute_gradients(batch, ms, cfg):
+def compute_gradients(batch, ms, cfg, out=None):
     """Exact analytic gradients of the joint objective for this batch.
 
     Accumulates per-row gradients on the aggregated embeddings, then pulls
     them back through the L-layer propagation of each view. Repeated batch
-    indices accumulate (unbuffered adds).
+    indices accumulate (unbuffered adds). Writes into `out`, a GradientSet
+    of this model's layout, when given; otherwise into a new one.
     """
     if ms.agg_r is None:
         raise ValueError("encode() must run before compute_gradients")
     I = ms.num_users
     l1, l2 = cfg.effective_weights()
 
-    grad_agg_r = np.zeros_like(ms.agg_r)
-    grad_agg_s = np.zeros_like(ms.agg_s)
-    gT = np.zeros_like(ms.proj.T)
-    gw = np.zeros_like(ms.proj.w)
-    gc = np.zeros_like(ms.proj.c)
+    grads = out
+    if grads is None or grads.flat.size != ms.params.size:
+        grads = GradientSet.for_model(ms)
+    flat = grads.flat
+    for_each_chunk(flat.size, lambda lo, hi, _: flat[lo:hi].fill(0.0))
+    # the interaction-view gradient is built in place in the E_u/E_v rows
+    grad_agg_r = grads.E
+    grad_agg_s = reuse(grads.work, "grad_agg_s", ms.agg_s.shape)
+    grad_agg_s.fill(0.0)
+    gT, gw, gc = grads.T, grads.w, grads.c
 
     if len(batch.rec_triples):
         u, vp, vn = batch.rec_triples.T
@@ -361,11 +412,11 @@ def compute_gradients(batch, ms, cfg):
         x = (uvec * (pv - nv)).sum(axis=1)
         coef = -expit(-x)  # d softplus(-x) / dx
         du = coef[:, None] * (pv - nv)
-        np.add.at(grad_agg_r, u, du)
+        _scatter_add(grad_agg_r, u, du)
         if cfg.social_fusion:
-            np.add.at(grad_agg_s, u, du)
-        np.add.at(grad_agg_r, I + vp, coef[:, None] * uvec)
-        np.add.at(grad_agg_r, I + vn, -coef[:, None] * uvec)
+            _scatter_add(grad_agg_s, u, du)
+        _scatter_add(grad_agg_r, I + vp, coef[:, None] * uvec)
+        _scatter_add(grad_agg_r, I + vn, -coef[:, None] * uvec)
 
     if l1 > 0 and len(batch.soc_triples):
         i, ip, ineg = batch.soc_triples.T
@@ -374,9 +425,9 @@ def compute_gradients(batch, ms, cfg):
         bn = ms.agg_s[ineg]
         x = (bi * (bp - bn)).sum(axis=1)
         coef = -l1 * expit(-x)
-        np.add.at(grad_agg_s, i, coef[:, None] * (bp - bn))
-        np.add.at(grad_agg_s, ip, coef[:, None] * bi)
-        np.add.at(grad_agg_s, ineg, -coef[:, None] * bi)
+        _scatter_add(grad_agg_s, i, coef[:, None] * (bp - bn))
+        _scatter_add(grad_agg_s, ip, coef[:, None] * bi)
+        _scatter_add(grad_agg_s, ineg, -coef[:, None] * bi)
 
     if l2 > 0 and len(batch.ssl_pairs):
         i, j = batch.ssl_pairs.T
@@ -389,52 +440,89 @@ def compute_gradients(batch, ms, cfg):
         else:
             _, da_i, da_j, db_i, db_j, dT, dw, dc = _alignment_hinge(
                 ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
-            np.add.at(grad_agg_r, i, l2 * da_i)
-            np.add.at(grad_agg_r, j, l2 * da_j)
-            np.add.at(grad_agg_s, i, l2 * db_i)
-            np.add.at(grad_agg_s, j, l2 * db_j)
+            _scatter_add(grad_agg_r, i, l2 * da_i)
+            _scatter_add(grad_agg_r, j, l2 * da_j)
+            _scatter_add(grad_agg_s, i, l2 * db_i)
+            _scatter_add(grad_agg_s, j, l2 * db_j)
             gT += l2 * dT
             gw += l2 * dw
             gc += l2 * dc
 
-    g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg)
-    g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg)
+    work_r = [reuse(grads.work, f"back_r{k}", grad_agg_r.shape) for k in (0, 1)]
+    work_s = [reuse(grads.work, f"back_s{k}", grad_agg_s.shape) for k in (0, 1)]
+    g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg, work=work_r)
+    g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg, work=work_s)
 
-    gE_u = g_r0[:I] + g_s0 + 2.0 * cfg.lambda3 * ms.E_u
-    gE_v = g_r0[I:] + 2.0 * cfg.lambda3 * ms.E_v
-    return GradientSet(E_u=gE_u, E_v=gE_v, T=gT, w=gw, c=gc)
+    # E_u: (g_r0 + g_s0) + 2*lambda3*E_u; E_v: g_r0 + 2*lambda3*E_v
+    reg = 2.0 * cfg.lambda3
+    g, e, g_s = g_r0.reshape(-1), ms.E.reshape(-1), g_s0.reshape(-1)
+    scratch = reuse(grads.work, "chunk", (CPUS, CHUNK))
+
+    def assemble(lo, hi, k):
+        s = scratch[k, :hi - lo]
+        if lo < g_s.size:
+            users = min(hi, g_s.size)
+            np.add(g[lo:users], g_s[lo:users], out=g[lo:users])
+        np.multiply(e[lo:hi], reg, out=s)
+        np.add(g[lo:hi], s, out=g[lo:hi])
+
+    for_each_chunk(g.size, assemble)
+    return grads
 
 
 # --- optimizer ----------------------------------------------------------------
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moment buffers, one pair per parameter tensor."""
+    """First/second moments over the flat parameter block, plus the two
+    per-CPU slices of scratch the fused update works in."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.scratch is None:
+            self.scratch = (np.empty((CPUS, CHUNK)), np.empty((CPUS, CHUNK)))
 
     @classmethod
     def for_model(cls, ms):
-        params = ms.copy_params()
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        return cls(m=np.zeros(ms.params.size), v=np.zeros(ms.params.size))
 
 
 def adam_step(ms, grads, opt, t, lr_t):
-    """One Adam update (bias-corrected, step index t >= 1), in place."""
+    """One Adam update (bias-corrected, step index t >= 1), in place.
+
+    One fused pass over the flat parameter block in cache-sized slices,
+    split across CPUs; each element sees the operations of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order.
+    """
     if t < 1:
         raise ValueError("Adam step index is 1-based")
-    gdict = grads.as_dict()
-    targets = {"E_u": ms.E_u, "E_v": ms.E_v, "T": ms.proj.T, "w": ms.proj.w,
-               "c": ms.proj.c}
+    p, g, m, v = ms.params, grads.flat, opt.m, opt.v
+    if not p.size == g.size == m.size == v.size:
+        raise ValueError("parameters, gradients and Adam moments differ in size")
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, param in targets.items():
-        g = gdict[name]
-        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
-        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = opt.m[name] / bc1
-        v_hat = opt.v[name] / bc2
-        param -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    def update(lo, hi, k):
+        s1, s2 = opt.scratch[0][k, :hi - lo], opt.scratch[1][k, :hi - lo]
+        gk, mk, vk, pk = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
+        np.multiply(mk, ADAM_BETA1, out=mk)
+        np.multiply(gk, 1.0 - ADAM_BETA1, out=s1)
+        np.add(mk, s1, out=mk)
+        np.multiply(vk, ADAM_BETA2, out=vk)
+        np.multiply(gk, 1.0 - ADAM_BETA2, out=s1)
+        np.multiply(s1, gk, out=s1)
+        np.add(vk, s1, out=vk)
+        np.divide(mk, bc1, out=s1)
+        np.multiply(s1, lr_t, out=s1)
+        np.divide(vk, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, ADAM_EPS, out=s2)
+        np.divide(s1, s2, out=s1)
+        np.subtract(pk, s1, out=pk)
+
+    for_each_chunk(p.size, update)
     return ms

@@ -61,6 +61,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
     best_val = -np.inf
     bad_epochs = 0
     t_step = 0
+    grads = None  # one gradient block, rewritten every step
 
     for epoch in range(cfg.epochs):
         lr_t = cfg.lr * cfg.lr_decay ** epoch
@@ -71,7 +72,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
                 batch = sample_batch(ds, cfg.batch, rng, need_social=need_social)
                 encode(ms, g_r, g_s, cfg.layers, cfg.agg)
                 total, parts = joint_loss(batch, ms, cfg)
-                grads = compute_gradients(batch, ms, cfg)
+                grads = compute_gradients(batch, ms, cfg, out=grads)
                 t_step += 1
                 adam_step(ms, grads, opt, t_step, lr_t)
                 for k in parts:

@@ -5,7 +5,7 @@ import pytest
 
 from socrec.cli import build_config, main, parse_config_file
 from socrec.experiments import (ExperimentSpec, run_ablation, run_case_study,
-                                run_robustness, run_sweep, run_train)
+                                run_eval, run_robustness, run_sweep, run_train)
 from socrec.objective import TrainConfig
 from socrec.synthetic import planted_clusters, random_tables, write_edge_files
 
@@ -89,6 +89,17 @@ class TestRunTrain:
         for name in ("E_u", "E_v", "T", "w", "c"):
             assert (open(os.path.join(dir_a, "checkpoint", name), "rb").read()
                     == open(os.path.join(dir_b, "checkpoint", name), "rb").read())
+
+    def test_zero_layer_checkpoint_evaluates_as_trained(self, edge_files, tmp_path):
+        spec = fast_spec(edge_files, tmp_path / "runs", run_name="l0",
+                         config=fast_cfg(layers=0, epochs=3))
+        _, report, run_dir = run_train(spec)
+        # the eval config keeps layers=1; the checkpoint's stored L=0 must win
+        ev = fast_spec(edge_files, tmp_path / "runs", run_name="l0-eval",
+                       checkpoint=os.path.join(run_dir, "checkpoint"))
+        back, _ = run_eval(ev)
+        assert back.hr == report.hr
+        assert back.ndcg == report.ndcg
 
     def test_missing_data_source_fatal(self, tmp_path):
         spec = ExperimentSpec(config=fast_cfg(), out_dir=str(tmp_path))
@@ -175,17 +186,6 @@ class TestSweep:
         spec.sweep_axes = {}
         with pytest.raises(ValueError):
             run_sweep(spec)
-
-    def test_threaded_matches_serial(self, edge_files, tmp_path):
-        spec_a = fast_spec(edge_files, tmp_path / "a", run_name="sw")
-        spec_a.sweep_axes = {"layers": [1, 2]}
-        cells_a, _ = run_sweep(spec_a)
-        spec_b = fast_spec(edge_files, tmp_path / "b", run_name="sw")
-        spec_b.sweep_axes = {"layers": [1, 2]}
-        spec_b.threads = 2
-        cells_b, _ = run_sweep(spec_b)
-        for (_, ra), (_, rb) in zip(cells_a, cells_b):
-            assert ra.hr == rb.hr
 
 
 class TestCaseStudy:

@@ -200,6 +200,16 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.proj.c, ms.proj.c)
         assert back.num_layers == ms.num_layers
 
+    def test_zero_layers_stored_and_missing_count_is_none(self, encoded, tmp_path):
+        _, ms, g_r, g_s = encoded
+        encode(ms, g_r, g_s, 0)
+        save_checkpoint(ms, str(tmp_path / "ckpt"))
+        assert load_checkpoint(str(tmp_path / "ckpt")).num_layers == 0
+        shape = tmp_path / "ckpt" / "shape"
+        shape.write_text("".join(line for line in shape.read_text().splitlines(True)
+                                 if not line.startswith("L=")))
+        assert load_checkpoint(str(tmp_path / "ckpt")).num_layers is None
+
     def test_little_endian_layout(self, encoded, tmp_path):
         _, ms, _, _ = encoded
         save_checkpoint(ms, str(tmp_path / "ckpt"))
