@@ -18,6 +18,7 @@ from .objective import TrainConfig
 log = logging.getLogger(__name__)
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_FILE_ONLY_KEYS = ("dataset_dir", "interactions", "social", "eval_seed")
 
 
 def parse_config_file(path):
@@ -36,25 +37,32 @@ def parse_config_file(path):
 
 
 def _coerce(key, val):
-    if key in ("dim", "layers", "batch", "epochs", "patience", "seed",
-               "negatives"):
-        return int(val)
-    if key in ("lr", "lr_decay", "lambda1", "lambda2", "lambda3",
-               "infonce_tau"):
-        return float(val)
-    if key == "cutoffs":
+    """A config value from its string form, by the TrainConfig field type;
+    a tuple field takes comma-separated ints."""
+    kind = _CONFIG_FIELDS[key]
+    if kind is tuple:
         return tuple(int(x) for x in str(val).split(","))
-    return val
+    return kind(val)
+
+
+def _check_keys(keys, allowed, where):
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
 def build_config(file_values, cli_values):
-    """Resolve a TrainConfig: defaults <- config file <- CLI flags."""
+    """Resolve a TrainConfig: defaults <- config file <- CLI flags.
+
+    Every key must name a TrainConfig field; a config file may also hold
+    the non-config keys in _FILE_ONLY_KEYS (read by build_spec).
+    """
+    _check_keys(file_values, (*_CONFIG_FIELDS, *_FILE_ONLY_KEYS), "config file")
+    _check_keys(cli_values, _CONFIG_FIELDS, "command line")
     merged = {}
     for source in (file_values, cli_values):
         for key, val in source.items():
-            if val is None:
-                continue
-            if key in _CONFIG_FIELDS:
+            if val is not None and key in _CONFIG_FIELDS:
                 merged[key] = _coerce(key, val)
     return TrainConfig(**merged)
 
@@ -66,8 +74,8 @@ def _parse_grid(entries):
             raise ValueError(f"--grid expects axis=v1,v2,... got {entry!r}")
         axis, vals = entry.split("=", 1)
         axis = axis.strip()
-        parsed = [_coerce(axis, v) for v in vals.split(",") if v]
-        axes[axis] = parsed
+        _check_keys([axis], _CONFIG_FIELDS, "--grid")
+        axes[axis] = [_coerce(axis, v) for v in vals.split(",") if v]
     return axes
 
 

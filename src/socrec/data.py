@@ -282,9 +282,6 @@ class DegreeStrata:
     def interval_of(self, user):
         return self.boundaries[int(self.assignment[user])]
 
-    def members(self, stratum):
-        return np.flatnonzero(self.assignment == stratum)
-
     def labels(self):
         out = []
         for lo, hi in self.boundaries:

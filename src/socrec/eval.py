@@ -149,26 +149,20 @@ def _tally(ranks, cutoffs):
 
 def evaluate(ms, ds, split="test", num_negatives=99, cutoffs=(5, 10, 20),
              seed=0, social_fusion=False, metadata=None):
-    """Leave-one-out evaluation over one split.
+    """Leave-one-out evaluation over one split, without per-stratum rows.
 
     HR@N is the fraction of evaluated users whose held-out item lands in
     the top N; NDCG@N credits 1/log2(rank+2) for a 0-based rank below N.
     """
-    if ms.agg_r is None:
-        raise ValueError("encode() must run before evaluation")
-    users, ranks, skipped = _user_ranks(ms, ds, split, num_negatives, seed,
-                                        social_fusion)
-    cutoffs = tuple(cutoffs)
-    hits, ndcg_sums = _tally(ranks, cutoffs)
-    return EvalReport(cutoffs=cutoffs, num_users=len(users), hits=hits,
-                      ndcg_sums=ndcg_sums, skipped=skipped,
-                      metadata=dict(metadata or {}))
+    return evaluate_stratified(ms, ds, None, split, num_negatives, cutoffs,
+                               seed, social_fusion, metadata)
 
 
 def evaluate_stratified(ms, ds, strata, split="test", num_negatives=99,
                         cutoffs=(5, 10, 20), seed=0, social_fusion=False,
                         metadata=None):
-    """Evaluation with per-degree-stratum breakdowns.
+    """Evaluation with per-degree-stratum breakdowns (none when `strata`
+    is None).
 
     The same per-user ranks feed both the overall and the stratum metrics,
     so the per-stratum hit counts sum exactly to the overall count. Empty
@@ -183,10 +177,11 @@ def evaluate_stratified(ms, ds, strata, split="test", num_negatives=99,
     report = EvalReport(cutoffs=cutoffs, num_users=len(users), hits=hits,
                         ndcg_sums=ndcg_sums, skipped=skipped,
                         metadata=dict(metadata or {}))
+    if strata is None:
+        return report
 
-    labels = strata.labels()
-    member_stratum = strata.assignment[users] if len(users) else np.zeros(0, int)
-    for s, label in enumerate(labels):
+    member_stratum = strata.assignment[users]
+    for s, label in enumerate(strata.labels()):
         mask = member_stratum == s
         if not mask.any():
             continue

@@ -36,7 +36,6 @@ class ExperimentSpec:
     social_path: str = None
     split_seed: int = 0
     out_dir: str = "runs"
-    task: str = "train"
     noise_ratios: tuple = DEFAULT_NOISE_RATIOS
     noise_seed: int = 1234
     sweep_axes: dict = field(default_factory=dict)
@@ -50,15 +49,12 @@ class ExperimentSpec:
     def validate(self):
         if self.dataset_dir is None and self.interactions_path is None:
             raise ValueError("spec needs dataset_dir or interactions_path")
-        if self.task == "sweep" and not self.sweep_axes:
-            raise ValueError("sweep task needs at least one non-empty grid axis")
 
 
 def load_spec_dataset(spec):
     if spec.dataset_dir:
         return load_dataset(spec.dataset_dir)
     inter = load_edges(spec.interactions_path, "interaction")
-    soc = None
     if spec.social_path:
         soc = load_edges(spec.social_path, "social")
     else:
@@ -66,9 +62,9 @@ def load_spec_dataset(spec):
     return build_dataset(inter, soc, split_seed=spec.split_seed)
 
 
-def make_run_dir(spec, task=None):
+def make_run_dir(spec, task):
     name = spec.run_name or f"{time.strftime('%Y%m%d-%H%M%S')}-{spec.config.seed}"
-    path = os.path.join(spec.out_dir, task or spec.task, name)
+    path = os.path.join(spec.out_dir, task, name)
     os.makedirs(path, exist_ok=True)
     return path
 

@@ -55,23 +55,21 @@ class ProjectionParams:
 
 @dataclass(eq=False)
 class ModelState:
-    """Embedding tables, projection parameters and per-view forward caches.
+    """Embedding tables, projection parameters and per-view aggregations.
 
     Every parameter is a view of one flat float64 block, `params`; built
     from separate arrays, the state copies them into a new block. After
-    `encode` ran, `layers_r`/`layers_s` hold the L+1 per-layer outputs
-    (layer 0 is the parameter table itself) and `agg_r`/`agg_s` their
-    aggregation. The graphs and aggregation mode used for the pass are
-    remembered so gradients can be propagated back through the same
-    operator. The forward caches live in `buffers`, which later calls
-    overwrite.
+    `encode` ran, `agg_r`/`agg_s` hold the aggregated embeddings of the
+    interaction and social view. The graphs and aggregation mode used for
+    the pass are remembered so gradients can be pulled back through the
+    same operator: A+I is symmetric, so `aggregate_backward` serves both
+    passes. The aggregations and each view's work pair (`work_pair`) live
+    in `buffers`, which later calls overwrite.
     """
 
     E_u: np.ndarray  # (I, d)
     E_v: np.ndarray  # (J, d)
     proj: ProjectionParams
-    layers_r: list = field(default=None, repr=False)
-    layers_s: list = field(default=None, repr=False)
     agg_r: np.ndarray = field(default=None, repr=False)
     agg_s: np.ndarray = field(default=None, repr=False)
     g_r: object = field(default=None, repr=False)
@@ -108,6 +106,13 @@ class ModelState:
         """The (I+J, d) embedding table whose row blocks are E_u and E_v."""
         rows = self.num_users + self.num_items
         return self.params[:rows * self.dim].reshape(rows, self.dim)
+
+    def work_pair(self, view):
+        """The two arrays `aggregate_backward` alternates between for view
+        "r" (interaction, I+J rows) or "s" (social, I rows); `encode` and
+        `compute_gradients` share them."""
+        shape = (self.E if view == "r" else self.E_u).shape
+        return tuple(reuse(self.buffers, f"work_{view}{k}", shape) for k in (0, 1))
 
     def named_params(self):
         """Name -> view of the live parameter block."""
@@ -150,35 +155,16 @@ def init_model(num_users, num_items, dim, seed=0):
     return ms
 
 
-def _sum_layers(layers, out, agg):
-    """out = ((L0 + L1) + L2) + ..., divided by L+1 for "mean": the order of
-    additions of `np.sum(layers, axis=0)`, in cache-sized slices."""
-    flat = [layer.reshape(-1) for layer in layers]
-    dst = out.reshape(-1)
-
-    def chunk(lo, hi, _):
-        o = dst[lo:hi]
-        if len(flat) == 1:
-            o[...] = flat[0][lo:hi]
-        else:
-            np.add(flat[0][lo:hi], flat[1][lo:hi], out=o)
-        for layer in flat[2:]:
-            np.add(o, layer[lo:hi], out=o)
-        if agg == "mean":
-            np.divide(o, len(flat), out=o)
-
-    for_each_chunk(dst.size, chunk)
-    return out
-
-
 def encode(ms, g_r, g_s, num_layers, agg="sum"):
     """Run both lightweight GCN encoders and aggregate all layer outputs.
 
     Interaction view starts from the stacked user/item tables, social view
     from the user table alone; each layer applies the normalized adjacency
     plus self-loop. Aggregation sums the L+1 layers ("mean" divides by L+1).
-    Pure function of (parameters, graphs, num_layers): caches are rebuilt
-    from scratch on every call, into buffers the model keeps.
+    Each view's table is copied into its aggregation buffer and run through
+    `aggregate_backward`, the operator the backward pass uses too. Pure
+    function of (parameters, graphs, num_layers), computed into buffers the
+    model keeps.
     """
     if agg not in ("sum", "mean"):
         raise ValueError(f"unknown aggregation {agg!r}")
@@ -188,16 +174,11 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
     if g_s.num_nodes != I:
         raise ValueError(f"social graph has {g_s.num_nodes} nodes, expected {I}")
 
-    layers_r = [ms.E]
-    layers_s = [ms.E_u]
-    shape_r, shape_s = layers_r[0].shape, layers_s[0].shape
-    for k in range(1, num_layers + 1):
-        layers_r.append(propagate(g_r, layers_r[-1], out=reuse(ms.buffers, f"r{k}", shape_r)))
-        layers_s.append(propagate(g_s, layers_s[-1], out=reuse(ms.buffers, f"s{k}", shape_s)))
-
-    ms.layers_r, ms.layers_s = layers_r, layers_s
-    ms.agg_r = _sum_layers(layers_r, reuse(ms.buffers, "agg_r", shape_r), agg)
-    ms.agg_s = _sum_layers(layers_s, reuse(ms.buffers, "agg_s", shape_s), agg)
+    for view, g, table in (("r", g_r, ms.E), ("s", g_s, ms.E_u)):
+        out = reuse(ms.buffers, f"agg_{view}", table.shape)
+        np.copyto(out, table)
+        aggregate_backward(g, out, num_layers, agg, work=ms.work_pair(view))
+    ms.agg_r, ms.agg_s = ms.buffers["agg_r"], ms.buffers["agg_s"]
     ms.g_r, ms.g_s = g_r, g_s
     ms.num_layers = num_layers
     ms.agg = agg
@@ -205,13 +186,14 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
 
 
 def aggregate_backward(g, grad_agg, num_layers, agg="sum", work=None):
-    """Pull a gradient on the aggregated embeddings back to layer 0.
+    """The sum-of-powers operator X -> sum_k (A+I)^k X, k = 0..L, in place.
 
-    The encoder is linear, so the backward operator is the same
-    sum-of-powers propagation applied to the incoming gradient (the
-    normalized adjacency is symmetric). Accumulates in place into
-    `grad_agg` and returns it; `work` is a pair of arrays shaped like it
-    that the layers alternate between (new ones when None).
+    Accumulates ((X + (A+I)X) + (A+I)^2 X) + ... into `grad_agg`, divided
+    by L+1 for "mean", and returns it. The normalized adjacency A is
+    symmetric, so the same operator encodes the tables (forward) and pulls
+    a gradient on the aggregated embeddings back to layer 0 (backward).
+    `work` is a pair of arrays shaped like `grad_agg` that the layers
+    alternate between (new ones when None).
     """
     if not grad_agg.flags.c_contiguous:
         raise ValueError("grad_agg must be C-contiguous")
@@ -262,20 +244,6 @@ def social_similarity(ms, i, j):
     """Social-view affinity: dot product of aggregated social embeddings."""
     _require_encoded(ms)
     return float(ms.agg_s[i] @ ms.agg_s[j])
-
-
-def user_vectors(ms, users, social_fusion=False):
-    """Interaction-view user rows, optionally fused with the social view."""
-    _require_encoded(ms)
-    vecs = ms.agg_r[users]
-    if social_fusion:
-        vecs = vecs + ms.agg_s[users]
-    return vecs
-
-
-def item_vectors(ms, items):
-    _require_encoded(ms)
-    return ms.agg_r[ms.num_users + np.asarray(items)]
 
 
 def predict_interaction(ms, u, v, social_fusion=False):

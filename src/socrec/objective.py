@@ -111,8 +111,9 @@ class GradientSet:
     """Gradients in the parameter layout: named views of one flat block.
 
     Built from separate arrays, the set copies them into a new block.
-    `work` keeps the arrays compute_gradients works in, so a set reused
-    across steps allocates nothing.
+    `work` keeps the social-view gradient and the assembly scratch
+    compute_gradients works in (the pull-back borrows the model's work
+    pairs), so a set reused across steps allocates nothing.
     """
 
     E_u: np.ndarray
@@ -448,10 +449,10 @@ def compute_gradients(batch, ms, cfg, out=None):
             gw += l2 * dw
             gc += l2 * dc
 
-    work_r = [reuse(grads.work, f"back_r{k}", grad_agg_r.shape) for k in (0, 1)]
-    work_s = [reuse(grads.work, f"back_s{k}", grad_agg_s.shape) for k in (0, 1)]
-    g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg, work=work_r)
-    g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg, work=work_s)
+    g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg,
+                              work=ms.work_pair("r"))
+    g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg,
+                              work=ms.work_pair("s"))
 
     # E_u: (g_r0 + g_s0) + 2*lambda3*E_u; E_v: g_r0 + 2*lambda3*E_v
     reg = 2.0 * cfg.lambda3

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -59,6 +60,26 @@ class TestConfigParsing:
         cfg_path.write_text("lr 0.005\n")
         with pytest.raises(ValueError):
             parse_config_file(str(cfg_path))
+
+    @pytest.mark.parametrize("field", dataclasses.fields(TrainConfig),
+                             ids=lambda f: f.name)
+    def test_every_field_coerces_from_string(self, field):
+        default = field.default
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        for file_values, cli_values in (({field.name: text}, {}),
+                                        ({}, {field.name: text})):
+            value = getattr(build_config(file_values, cli_values), field.name)
+            assert type(value) is type(default) and value == default
+
+    def test_misspelled_file_key_rejected(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("lamda2=0.5\ndataset_dir=d\ninteractions=i\n"
+                            "social=s\neval_seed=3\n")
+        with pytest.raises(ValueError, match="lamda2"):
+            build_config(parse_config_file(str(cfg_path)), {})
+        cfg_path.write_text("lambda2=0.5\ndataset_dir=d\ninteractions=i\n"
+                            "social=s\neval_seed=3\n")
+        assert build_config(parse_config_file(str(cfg_path)), {}).lambda2 == 0.5
 
 
 class TestRunTrain:
@@ -245,6 +266,17 @@ class TestMainEntry:
                    "--set", "cutoffs=5,10", "--set", "patience=999"])
         assert rc == 0
         assert os.path.exists(tmp_path / "runs" / "sweep" / "sw" / "sweep.dat")
+
+    @pytest.mark.parametrize("command,flag", [("train", "--set"),
+                                              ("sweep", "--grid")])
+    def test_misspelled_flag_key_rejected(self, edge_files, tmp_path, command,
+                                          flag):
+        inter_path, soc_path = edge_files
+        args = [command, "--interactions", inter_path, "--social", soc_path,
+                "--out", str(tmp_path / "runs"), flag, "lamda2=0.5"]
+        with pytest.raises(ValueError, match="lamda2"):
+            main(args)
+        assert not os.path.exists(tmp_path / "runs")
 
     def test_config_file_with_flag_override(self, edge_files, tmp_path):
         inter_path, soc_path = edge_files

@@ -1,0 +1,33 @@
+"""Smoke tests of the public entry points: every demo script and the
+`check` subcommand run to completion."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import socrec
+from socrec.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    src = str(pathlib.Path(socrec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 4
+
+
+def test_check_subcommand_passes():
+    assert main(["check"]) == 0

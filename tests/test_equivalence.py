@@ -137,7 +137,6 @@ def test_encode_matches_stacked_sum(ds, L, agg):
         encode(ms, g_r, g_s, L, agg)
         np.testing.assert_array_equal(ms.agg_r, want_r)
         np.testing.assert_array_equal(ms.agg_s, want_s)
-    assert len(ms.layers_r) == len(ms.layers_s) == L + 1
 
 
 @pytest.mark.parametrize("agg", ["sum", "mean"])
@@ -219,6 +218,30 @@ def test_gradients_match_seed_assembly(ds, variant, agg):
                   compute_gradients(batch, ms, cfg, out=stale)):
         for got, ref in zip((grads.E_u, grads.E_v, grads.T), want):
             np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean"])
+def test_shared_work_pair_aliases_nothing_live(ds, agg):
+    """encode and compute_gradients share one work pair per view: two
+    rounds on one model and one GradientSet match a fresh model's."""
+    cfg = TrainConfig(dim=96, layers=3, batch=256, lambda2=1e-2, lambda3=1e-3,
+                      agg=agg)
+    g_r, g_s = build_interaction_laplacian(ds), build_social_laplacian(ds)
+    ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=6)
+    grads, opt = GradientSet.for_model(ms), AdamState.for_model(ms)
+    for t in (1, 2):
+        batch = sample_batch(ds, cfg.batch, np.random.default_rng(t))
+        encode(ms, g_r, g_s, cfg.layers, cfg.agg)
+        compute_gradients(batch, ms, cfg, out=grads)
+        fresh = init_model(ds.num_users, ds.num_items, cfg.dim, seed=0)
+        fresh.set_params(ms.copy_params())
+        encode(fresh, g_r, g_s, cfg.layers, cfg.agg)
+        want_r, want_s = fresh.agg_r.copy(), fresh.agg_s.copy()
+        want = compute_gradients(batch, fresh, cfg)
+        np.testing.assert_array_equal(ms.agg_r, want_r)
+        np.testing.assert_array_equal(ms.agg_s, want_s)
+        np.testing.assert_array_equal(grads.flat, want.flat)
+        adam_step(ms, grads, opt, t, 1e-2)
 
 
 def test_in_place_adam_matches_seed_formula():

@@ -129,6 +129,21 @@ class TestStratified:
             assert rep.per_stratum[label]["hits"][5] == hits[5]
             assert rep.per_stratum[label]["num_users"] == int(mask.sum())
 
+    @pytest.mark.parametrize("negatives", [5, 20])  # 20 skips some users
+    def test_overall_matches_unstratified(self, negatives):
+        ds = random_dataset(20, 25, min_items=3, max_items=7, seed=17)
+        ms, _, _ = make_encoded(ds, dim=4, layers=1)
+        strata = stratify_by_degree(ds, ((0, 3), (3, 5), (5, math.inf)))
+        args = ("test", negatives, (3, 10), 1)
+        plain = evaluate(ms, ds, *args)
+        rep = evaluate_stratified(ms, ds, strata, *args)
+        assert plain.per_stratum == {}
+        assert rep.per_stratum
+        for name in ("hits", "ndcg_sums", "skipped", "num_users"):
+            assert getattr(rep, name) == getattr(plain, name)
+        if negatives == 20:
+            assert 0 < rep.skipped and 0 < rep.num_users
+
     def test_empty_stratum_absent(self, encoded):
         ds, ms, _, _ = encoded
         strata = stratify_by_degree(ds, ((0, 1000), (1000, math.inf)))

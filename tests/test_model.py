@@ -70,11 +70,13 @@ class TestEncode:
         np.testing.assert_allclose(ms.agg_r, ref_r, atol=1e-10)
         np.testing.assert_allclose(ms.agg_s, ref_s, atol=1e-10)
 
-    def test_layer_cache_length(self, encoded):
-        _, ms, _, _ = encoded
-        assert len(ms.layers_r) == ms.num_layers + 1
-        assert len(ms.layers_s) == ms.num_layers + 1
-        np.testing.assert_allclose(ms.agg_r, np.sum(ms.layers_r, axis=0))
+    def test_buffers_do_not_grow_with_layers(self, encoded):
+        _, ms, g_r, g_s = encoded
+        encode(ms, g_r, g_s, 1)
+        held = {name: buf.shape for name, buf in ms.buffers.items()}
+        encode(ms, g_r, g_s, 4)
+        assert {name: buf.shape for name, buf in ms.buffers.items()} == held
+        assert len(held) == 6  # per view: the aggregation and one work pair
 
     def test_repeat_encode_identical(self, encoded):
         _, ms, g_r, g_s = encoded
