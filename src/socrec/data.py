@@ -3,7 +3,7 @@
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,57 +89,76 @@ class Dataset:
 
     train/val/test are pairwise disjoint and their union is the full
     deduplicated interaction set. Social edges are stored with both
-    directions present. `degree` counts train interactions per user.
+    directions present. Everything else is derived from these fields:
+    `degree` (train interactions per user) when the dataset is built,
+    the id maps and per-user sets on first use, so a
+    `dataclasses.replace` copy derives its own.
     """
 
     num_users: int
     num_items: int
     user_ids: list            # dense index -> external id
     item_ids: list
-    user_index: dict          # external id -> dense index
-    item_index: dict
     train_edges: np.ndarray   # (n, 2) int64 (user, item)
     val_edges: np.ndarray
     test_edges: np.ndarray
     social_edges: np.ndarray  # (m, 2) int64, symmetric
-    degree: np.ndarray        # (num_users,) train interaction count
     split_seed: int = 0
-    _user_items: list = field(default=None, repr=False, compare=False)
-    _user_known: list = field(default=None, repr=False, compare=False)
-    _user_ties: list = field(default=None, repr=False, compare=False)
+    degree: np.ndarray = field(init=False, repr=False)  # (num_users,) int64
+    _cache: dict = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.degree = np.bincount(self.train_edges[:, 0], minlength=self.num_users)
+
+    def _derived(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def density(self):
         n = len(self.train_edges) + len(self.val_edges) + len(self.test_edges)
         return n / (self.num_users * self.num_items)
 
+    @property
+    def user_index(self):
+        """External user id -> dense index."""
+        return self._derived("user_index",
+                             lambda: {ext: i for i, ext in enumerate(self.user_ids)})
+
+    @property
+    def item_index(self):
+        """External item id -> dense index."""
+        return self._derived("item_index",
+                             lambda: {ext: i for i, ext in enumerate(self.item_ids)})
+
     def user_train_items(self):
         """Per-user sets of train item indices (cached)."""
-        if self._user_items is None:
-            sets = [set() for _ in range(self.num_users)]
-            for u, v in self.train_edges:
-                sets[u].add(int(v))
-            self._user_items = sets
-        return self._user_items
+        return self._derived("train", lambda: _per_user_sets(
+            self.num_users, self.train_edges))
 
     def user_known_items(self):
         """Per-user sets of items seen in any split (cached)."""
-        if self._user_known is None:
-            sets = [set() for _ in range(self.num_users)]
-            for arr in (self.train_edges, self.val_edges, self.test_edges):
-                for u, v in arr:
-                    sets[u].add(int(v))
-            self._user_known = sets
-        return self._user_known
+        return self._derived("known", lambda: _per_user_sets(
+            self.num_users, np.concatenate([self.train_edges, self.val_edges,
+                                            self.test_edges])))
 
     def user_ties(self):
         """Per-user sets of social neighbours (cached)."""
-        if self._user_ties is None:
-            sets = [set() for _ in range(self.num_users)]
-            for a, b in self.social_edges:
-                sets[a].add(int(b))
-            self._user_ties = sets
-        return self._user_ties
+        return self._derived("ties", lambda: _per_user_sets(
+            self.num_users, self.social_edges))
+
+
+def _per_user_sets(num_users, edges):
+    """For each user u < num_users, the set of b over edges (u, b).
+
+    Each set is filled in edge order, so its iteration order is that of
+    adding the edges one by one.
+    """
+    order = np.argsort(edges[:, 0], kind="stable")
+    ends = np.searchsorted(edges[order, 0], np.arange(num_users + 1)).tolist()
+    others = edges[order, 1].tolist()
+    return [set(others[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def _edge_array(pairs):
@@ -207,22 +226,15 @@ def build_dataset(inter, soc=None, split_seed=0):
             if j not in held:
                 train.append((u, v))
 
-    train_edges = _edge_array(train)
-    degree = np.bincount(train_edges[:, 0], minlength=num_users).astype(np.int64) \
-        if len(train_edges) else np.zeros(num_users, dtype=np.int64)
-
     return Dataset(
         num_users=num_users,
         num_items=num_items,
         user_ids=user_ids,
         item_ids=item_ids,
-        user_index=user_index,
-        item_index=item_index,
-        train_edges=train_edges,
+        train_edges=_edge_array(train),
         val_edges=_edge_array(val),
         test_edges=_edge_array(test),
         social_edges=_edge_array(sorted(set(social_pairs))),
-        degree=degree,
         split_seed=split_seed,
     )
 
@@ -254,22 +266,7 @@ def inject_noise(ds, ratio, seed):
         existing.add((u, v))
         fake.append((u, v))
 
-    train_edges = np.concatenate([ds.train_edges, _edge_array(fake)], axis=0)
-    degree = np.bincount(train_edges[:, 0], minlength=ds.num_users).astype(np.int64)
-    return Dataset(
-        num_users=ds.num_users,
-        num_items=ds.num_items,
-        user_ids=ds.user_ids,
-        item_ids=ds.item_ids,
-        user_index=ds.user_index,
-        item_index=ds.item_index,
-        train_edges=train_edges,
-        val_edges=ds.val_edges,
-        test_edges=ds.test_edges,
-        social_edges=ds.social_edges,
-        degree=degree,
-        split_seed=ds.split_seed,
-    )
+    return replace(ds, train_edges=np.concatenate([ds.train_edges, _edge_array(fake)]))
 
 
 @dataclass(eq=False)
@@ -358,20 +355,14 @@ def load_dataset(in_dir):
                     pairs.append((int(toks[0]), int(toks[1])))
         return _edge_array(pairs)
 
-    train_edges = read_pairs("train.txt")
-    degree = np.bincount(train_edges[:, 0], minlength=num_users).astype(np.int64) \
-        if len(train_edges) else np.zeros(num_users, dtype=np.int64)
     return Dataset(
         num_users=num_users,
         num_items=num_items,
         user_ids=list(range(num_users)),
         item_ids=list(range(num_items)),
-        user_index={i: i for i in range(num_users)},
-        item_index={i: i for i in range(num_items)},
-        train_edges=train_edges,
+        train_edges=read_pairs("train.txt"),
         val_edges=read_pairs("val.txt"),
         test_edges=read_pairs("test.txt"),
         social_edges=read_pairs("social.txt"),
-        degree=degree,
         split_seed=int(meta.get("split_seed", 0)),
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import projection_forward
+from .model import _require_encoded, projection_forward
 
 log = logging.getLogger(__name__)
 
@@ -168,8 +168,7 @@ def evaluate_stratified(ms, ds, strata, split="test", num_negatives=99,
     so the per-stratum hit counts sum exactly to the overall count. Empty
     strata are omitted rather than reported as zero.
     """
-    if ms.agg_r is None:
-        raise ValueError("encode() must run before evaluation")
+    _require_encoded(ms)
     users, ranks, skipped = _user_ranks(ms, ds, split, num_negatives, seed,
                                         social_fusion)
     cutoffs = tuple(cutoffs)
@@ -212,8 +211,7 @@ class RelevanceWeightExport:
 
 def export_relevance_weights(ms, ds, sample="all", seed=0):
     """z and zhat for each (optionally sampled) undirected social tie."""
-    if ms.agg_r is None:
-        raise ValueError("encode() must run before exporting weights")
+    _require_encoded(ms)
     ties = ds.social_edges[ds.social_edges[:, 0] < ds.social_edges[:, 1]]
     if sample != "all":
         count = min(int(sample), len(ties))

@@ -92,8 +92,8 @@ class NormalizedGraph:
         return self.matrix.shape[0]
 
 
-def _normalized_csr(rows, cols, deg_row, deg_col, n):
-    vals = 1.0 / np.sqrt(deg_row[rows] * deg_col[cols])
+def _normalized_csr(rows, cols, deg, n):
+    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
     m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
     m = m.tocsr()
     m.sort_indices()
@@ -107,9 +107,6 @@ def build_interaction_laplacian(ds):
     contribute; the diagonal blocks are zero.
     """
     I, J = ds.num_users, ds.num_items
-    if len(ds.train_edges) == 0:
-        return NormalizedGraph(sp.csr_matrix((I + J, I + J), dtype=np.float64),
-                               "interaction")
     u = ds.train_edges[:, 0]
     v = ds.train_edges[:, 1]
     deg_u = np.bincount(u, minlength=I).astype(np.float64)
@@ -117,19 +114,16 @@ def build_interaction_laplacian(ds):
     deg = np.concatenate([deg_u, deg_v])
     rows = np.concatenate([u, I + v])
     cols = np.concatenate([I + v, u])
-    return NormalizedGraph(_normalized_csr(rows, cols, deg, deg, I + J),
-                           "interaction")
+    return NormalizedGraph(_normalized_csr(rows, cols, deg, I + J), "interaction")
 
 
 def build_social_laplacian(ds):
     """Normalized user-user adjacency over I nodes from symmetric ties."""
     I = ds.num_users
-    if len(ds.social_edges) == 0:
-        return NormalizedGraph(sp.csr_matrix((I, I), dtype=np.float64), "social")
     a = ds.social_edges[:, 0]
     b = ds.social_edges[:, 1]
     deg = np.bincount(a, minlength=I).astype(np.float64)
-    return NormalizedGraph(_normalized_csr(a, b, deg, deg, I), "social")
+    return NormalizedGraph(_normalized_csr(a, b, deg, I), "social")
 
 
 def propagate(g, E, out=None):

@@ -214,7 +214,7 @@ def aggregate_backward(g, grad_agg, num_layers, agg="sum", work=None):
 
 def _require_encoded(ms):
     if ms.agg_r is None or ms.agg_s is None:
-        raise ValueError("encode() must run before similarities or predictions")
+        raise ValueError("encode() must run before reading the aggregations")
 
 
 def projection_forward(proj, e_i, e_j):

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import CHUNK, CPUS, for_each_chunk
-from .model import (LEAKY_SLOPE, PARAM_NAMES, aggregate_backward, pack_params,
-                    param_views, projection_forward, reuse)
+from .model import (LEAKY_SLOPE, PARAM_NAMES, _require_encoded, aggregate_backward,
+                    pack_params, param_views, projection_forward, reuse)
 
 VARIANTS = ("full", "no_align", "direct_social", "contrastive")
 
@@ -149,60 +149,52 @@ class GradientSet:
 def sample_batch(ds, batch_size, rng, need_social=True):
     """Draw BPR triples for both views plus uniformly random user pairs.
 
-    Rec triples: user drawn from the train-edge endpoints, positive
-    uniform among that user's train items, negative rejection-sampled
-    among non-interacted items. Social triples mirror that over ties.
+    Rec triples come from the train edges and the users' train items,
+    social triples from the ties and the users' tie sets (see
+    `_bpr_triples`); then the uniformly random alignment pairs.
     """
-    n_train = len(ds.train_edges)
-    if n_train == 0:
+    if len(ds.train_edges) == 0:
         raise ValueError("cannot sample from a dataset without train edges")
-    I, J = ds.num_users, ds.num_items
-    item_sets = ds.user_train_items()
-    items_per_user = [None] * I
-
-    rec = np.empty((batch_size, 3), dtype=np.int64)
-    edge_idx = rng.integers(n_train, size=batch_size)
-    for row, e in enumerate(edge_idx):
-        u = int(ds.train_edges[e, 0])
-        pos_set = item_sets[u]
-        if len(pos_set) >= J:
-            raise ValueError(f"user {u} interacts with every item; "
-                             "negative sampling cannot terminate")
-        if items_per_user[u] is None:
-            items_per_user[u] = np.fromiter(pos_set, dtype=np.int64, count=len(pos_set))
-        choices = items_per_user[u]
-        v_pos = int(choices[rng.integers(len(choices))])
-        while True:
-            v_neg = int(rng.integers(J))
-            if v_neg not in pos_set:
-                break
-        rec[row] = (u, v_pos, v_neg)
-
+    rec = _bpr_triples(ds.train_edges, ds.user_train_items(), ds.num_items,
+                       batch_size, rng, exclude_anchor=False)
     if need_social:
-        n_soc = len(ds.social_edges)
-        if n_soc == 0:
+        if len(ds.social_edges) == 0:
             raise ValueError("social triples requested but dataset has no ties")
-        tie_sets = ds.user_ties()
-        soc = np.empty((batch_size, 3), dtype=np.int64)
-        tie_idx = rng.integers(n_soc, size=batch_size)
-        for row, e in enumerate(tie_idx):
-            i = int(ds.social_edges[e, 0])
-            ties = tie_sets[i]
-            if len(ties) >= I - 1:
-                raise ValueError(f"user {i} is tied to every other user; "
-                                 "negative sampling cannot terminate")
-            nbrs = np.fromiter(ties, dtype=np.int64, count=len(ties))
-            i_pos = int(nbrs[rng.integers(len(nbrs))])
-            while True:
-                i_neg = int(rng.integers(I))
-                if i_neg != i and i_neg not in ties:
-                    break
-            soc[row] = (i, i_pos, i_neg)
+        soc = _bpr_triples(ds.social_edges, ds.user_ties(), ds.num_users,
+                           batch_size, rng, exclude_anchor=True)
     else:
         soc = np.zeros((0, 3), dtype=np.int64)
-
-    ssl = rng.integers(I, size=(batch_size, 2)).astype(np.int64)
+    ssl = rng.integers(ds.num_users, size=(batch_size, 2)).astype(np.int64)
     return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
+
+
+def _bpr_triples(edges, neighbours, num_candidates, count, rng, exclude_anchor):
+    """`count` (anchor, positive, negative) rows over an edge list.
+
+    The anchor is the source of a uniformly drawn edge, the positive
+    uniform among the anchor's neighbours (in set iteration order), the
+    negative uniform over [0, num_candidates), redrawn while it is a
+    neighbour or, with `exclude_anchor`, the anchor itself. All edge
+    draws come first, then one positive and the negative draws per row.
+    """
+    out = np.empty((count, 3), dtype=np.int64)
+    listed = {}  # anchor -> its neighbours as an array
+    for row, e in enumerate(rng.integers(len(edges), size=count)):
+        a = int(edges[e, 0])
+        nbrs = neighbours[a]
+        if len(nbrs) + exclude_anchor >= num_candidates:
+            raise ValueError(f"user {a} leaves no negative among {num_candidates} "
+                             "candidates; negative sampling cannot terminate")
+        if a not in listed:
+            listed[a] = np.fromiter(nbrs, dtype=np.int64, count=len(nbrs))
+        choices = listed[a]
+        pos = int(choices[rng.integers(len(choices))])
+        while True:
+            neg = int(rng.integers(num_candidates))
+            if neg not in nbrs and not (exclude_anchor and neg == a):
+                break
+        out[row] = (a, pos, neg)
+    return out
 
 
 # --- loss terms ---------------------------------------------------------------
@@ -335,8 +327,7 @@ def joint_loss(batch, ms, cfg):
     Returns (total, parts) where parts holds the raw (unweighted)
     component values under keys rec/social/align/reg.
     """
-    if ms.agg_r is None:
-        raise ValueError("encode() must run before joint_loss")
+    _require_encoded(ms)
     I = ms.num_users
     l1, l2 = cfg.effective_weights()
 
@@ -387,8 +378,7 @@ def compute_gradients(batch, ms, cfg, out=None):
     indices accumulate (unbuffered adds). Writes into `out`, a GradientSet
     of this model's layout, when given; otherwise into a new one.
     """
-    if ms.agg_r is None:
-        raise ValueError("encode() must run before compute_gradients")
+    _require_encoded(ms)
     I = ms.num_users
     l1, l2 = cfg.effective_weights()
 

@@ -152,12 +152,15 @@ def test_criterion_6_denoising_property():
     assert ok_b, f"z separation held in only {sep_wins}/5 seeds"
 
 
-def _min_time(fn, reps=5):
-    best = math.inf
+def _min_times(fns, reps=15):
+    """Fastest time of each fn. Every repetition times all of them in
+    turn, so a slow spell of a busy host hits each about alike."""
+    best = [math.inf] * len(fns)
     for _ in range(reps):
-        tic = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - tic)
+        for k, fn in enumerate(fns):
+            tic = time.perf_counter()
+            fn()
+            best[k] = min(best[k], time.perf_counter() - tic)
     return best
 
 
@@ -181,10 +184,8 @@ def test_criterion_7_cost_scaling():
 
     hinge_runner(512)()  # warm-up
     nce_runner(256)()
-    t_hinge_1 = _min_time(hinge_runner(2048))
-    t_hinge_2 = _min_time(hinge_runner(4096))
-    t_nce_1 = _min_time(nce_runner(1024))
-    t_nce_2 = _min_time(nce_runner(2048))
+    t_hinge_1, t_hinge_2 = _min_times([hinge_runner(2048), hinge_runner(4096)])
+    t_nce_1, t_nce_2 = _min_times([nce_runner(1024), nce_runner(2048)])
     hinge_ratio = t_hinge_2 / t_hinge_1
     nce_ratio = t_nce_2 / t_nce_1
     ok_linear = 1.3 <= hinge_ratio <= 2.8

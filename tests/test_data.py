@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,32 @@ class TestInjectNoise:
         noisy = inject_noise(ds, 0.5, seed=2)
         expect = np.bincount(noisy.train_edges[:, 0], minlength=ds.num_users)
         np.testing.assert_array_equal(noisy.degree, expect)
+
+
+class TestDerivedFields:
+    def test_copies_derive_their_own(self):
+        inter, soc = random_tables(10, 40, seed=2)
+        ds = build_dataset(inter, soc)
+        ds.user_train_items(), ds.user_index  # fill the caches first
+        copies = [inject_noise(ds, 0.5, seed=7),
+                  replace(ds, train_edges=ds.train_edges[::2]),
+                  replace(ds, user_ids=[f"x{k}" for k in range(ds.num_users)])]
+        for copy in copies:
+            np.testing.assert_array_equal(
+                copy.degree, np.bincount(copy.train_edges[:, 0], minlength=ds.num_users))
+            want = [set() for _ in range(ds.num_users)]
+            for u, v in copy.train_edges:
+                want[u].add(int(v))
+            assert copy.user_train_items() == want
+            assert copy.user_index == {ext: i for i, ext in enumerate(copy.user_ids)}
+        assert "x0" not in ds.user_index  # the original keeps its own
+
+    def test_empty_train_has_zero_degrees(self):
+        inter = InteractionTable(edges=[("u", "a"), ("v", "b")])
+        ds = build_dataset(inter, SocialTable(edges=[]))
+        empty = replace(ds, train_edges=ds.train_edges[:0])
+        np.testing.assert_array_equal(empty.degree, [0, 0])
+        assert empty.user_train_items() == [set(), set()]
 
 
 class TestStratify:

@@ -1,5 +1,5 @@
-"""Smoke tests of the public entry points: every demo script and the
-`check` subcommand run to completion."""
+"""Smoke tests of the public entry points: every demo script, the `check`
+subcommand and the artifact digest tool run to completion."""
 
 import os
 import pathlib
@@ -31,3 +31,20 @@ def test_demos_found():
 
 def test_check_subcommand_passes():
     assert main(["check"]) == 0
+
+
+def test_artifact_digest_is_reproducible(tmp_path):
+    """Two digests of the same tree are equal and cover every artifact
+    kind except the wall-clock timing files."""
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    tool = [sys.executable, str(ROOT / "tools" / "artifact_digest.py"), str(ROOT)]
+    runs = [subprocess.run(tool, cwd=tmp_path, env=env, capture_output=True,
+                           text=True, timeout=300) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    assert runs[0].stdout == runs[1].stdout
+    names = {line.split("/")[-1] for line in runs[0].stdout.splitlines()}
+    assert {"report.dat", "history.txt", "config", "report.txt", "ablation.dat",
+            "robustness.dat", "sweep.dat", "relevance_weights.txt", "E_u",
+            "shape"} <= names
+    assert "timing.txt" not in names

@@ -1,5 +1,5 @@
-"""Bit-for-bit equivalence of the blocked, in-place kernels with the plain
-numpy formulas they replace.
+"""Bit-for-bit equivalence of the blocked, in-place kernels, the per-user
+set builder and the BPR sampler with the plain code they replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
@@ -7,16 +7,18 @@ machine with two or more CPUs the multi-worker paths run too.
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from socrec import graph
+from socrec.data import inject_noise
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
 from socrec.model import aggregate_backward, encode, init_model
-from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
                               GradientSet, TrainConfig, _alignment_hinge,
                               _scatter_add, adam_step, compute_gradients,
                               sample_batch)
@@ -299,3 +301,91 @@ class TestParameterBlock:
         snap = ms.copy_params()
         ms.E_u[:] = 0.0
         assert snap["E_u"].any()
+
+
+def seed_user_sets(num_users, *edge_arrays):
+    """The original per-user set loop: one add per edge, in edge order."""
+    sets = [set() for _ in range(num_users)]
+    for arr in edge_arrays:
+        for u, v in arr:
+            sets[u].add(int(v))
+    return sets
+
+
+def seed_sample_batch(ds, batch_size, rng, need_social=True):
+    """The original sampler: separate interaction and social loops."""
+    I, J = ds.num_users, ds.num_items
+    item_sets = seed_user_sets(I, ds.train_edges)
+    items_per_user = [None] * I
+    rec = np.empty((batch_size, 3), dtype=np.int64)
+    edge_idx = rng.integers(len(ds.train_edges), size=batch_size)
+    for row, e in enumerate(edge_idx):
+        u = int(ds.train_edges[e, 0])
+        pos_set = item_sets[u]
+        if items_per_user[u] is None:
+            items_per_user[u] = np.fromiter(pos_set, dtype=np.int64, count=len(pos_set))
+        choices = items_per_user[u]
+        v_pos = int(choices[rng.integers(len(choices))])
+        while True:
+            v_neg = int(rng.integers(J))
+            if v_neg not in pos_set:
+                break
+        rec[row] = (u, v_pos, v_neg)
+    soc = np.zeros((0, 3), dtype=np.int64)
+    if need_social:
+        tie_sets = seed_user_sets(I, ds.social_edges)
+        soc = np.empty((batch_size, 3), dtype=np.int64)
+        tie_idx = rng.integers(len(ds.social_edges), size=batch_size)
+        for row, e in enumerate(tie_idx):
+            i = int(ds.social_edges[e, 0])
+            ties = tie_sets[i]
+            nbrs = np.fromiter(ties, dtype=np.int64, count=len(ties))
+            i_pos = int(nbrs[rng.integers(len(nbrs))])
+            while True:
+                i_neg = int(rng.integers(I))
+                if i_neg != i and i_neg not in ties:
+                    break
+            soc[row] = (i, i_pos, i_neg)
+    ssl = rng.integers(I, size=(batch_size, 2)).astype(np.int64)
+    return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
+
+
+def _variants(ds):
+    """The fixture, with noise edges appended out of user order, with
+    users that have no edges at all, and without ties."""
+    noisy = inject_noise(ds, 1.0, seed=5)
+    return {"plain": ds, "noisy": noisy,
+            "edgeless_users": replace(noisy, num_users=ds.num_users + 7),
+            "no_ties": replace(ds, social_edges=np.zeros((0, 2), dtype=np.int64))}
+
+
+@pytest.mark.parametrize("case", ["plain", "noisy", "edgeless_users", "no_ties"])
+def test_user_sets_match_loop_in_iteration_order(ds, case):
+    d = _variants(ds)[case]
+    n = d.num_users
+    cases = [(d.user_train_items(), seed_user_sets(n, d.train_edges)),
+             (d.user_known_items(),
+              seed_user_sets(n, d.train_edges, d.val_edges, d.test_edges)),
+             (d.user_ties(), seed_user_sets(n, d.social_edges))]
+    for got, want in cases:
+        assert [list(s) for s in got] == [list(s) for s in want]
+        assert all(type(v) is int for s in got for v in s)
+    # the check can see order: some sets do not iterate in sorted order
+    assert any(list(s) != sorted(s) for s in cases[1][1])
+    if case == "edgeless_users":
+        assert d.user_known_items()[-7:] == [set()] * 7
+    if case == "no_ties":
+        assert d.user_ties() == [set()] * n
+
+
+@pytest.mark.parametrize("case", ["plain", "noisy", "edgeless_users"])
+@pytest.mark.parametrize("need_social", [True, False])
+def test_sample_batch_matches_seed_sampler(ds, case, need_social):
+    d = _variants(ds)[case]
+    for seed in range(3):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_batch(d, 700, got_rng, need_social)
+        want = seed_sample_batch(d, 700, want_rng, need_social)
+        for name in ("rec_triples", "soc_triples", "ssl_pairs"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)

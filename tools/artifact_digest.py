@@ -1,0 +1,89 @@
+"""SHA-256 of every artifact a fixed-seed CLI suite writes.
+
+Runs `socrec train` (four variant/layer/aggregation settings), `ablate`,
+`robust`, `sweep`, `eval` and `case-study` on the pinned fixture in
+`tests/fixtures/pinned`, with the socrec package of a source tree, and
+prints one `<sha256>  <path>` line per file written, sorted by path.
+`timing.txt` files hold wall-clock times and are left out.
+
+    python tools/artifact_digest.py [ROOT]
+
+ROOT is the source tree whose `src/` is run (default: the tree holding
+this script). Two trees write the same artifacts when their digests are
+equal, for example:
+
+    diff <(python tools/artifact_digest.py ../parent) <(python tools/artifact_digest.py)
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+FIXTURE = REPO / "tests" / "fixtures" / "pinned"
+
+COMMON = ["--interactions", str(FIXTURE / "interactions.txt"),
+          "--social", str(FIXTURE / "social.txt"),
+          "--seed", "3", "--epochs", "2", "--dim", "16", "--batch", "256",
+          "--negatives", "49"]
+
+TRAIN = [
+    ("full", ["--variant", "full", "--layers", "2", "--set", "agg=sum"]),
+    ("direct_social", ["--variant", "direct_social", "--layers", "3", "--set", "agg=mean"]),
+    ("contrastive", ["--variant", "contrastive", "--layers", "1", "--set", "agg=sum"]),
+    ("no_align", ["--variant", "no_align", "--layers", "0", "--set", "agg=mean"]),
+]
+
+
+def suite(out):
+    """The CLI argument lists of the suite, writing under `out`."""
+    common = COMMON + ["--out", out]
+    runs = [["train", *common, *flags, "--run-name", name] for name, flags in TRAIN]
+    checkpoint = os.path.join(out, "train", "full", "checkpoint")
+    runs += [
+        ["ablate", *common, "--run-name", "ablate"],
+        ["robust", *common, "--ratios", "0,0.2", "--run-name", "robust"],
+        ["sweep", *common, "--grid", "lambda2=0,0.01", "--grid", "layers=1,2",
+         "--run-name", "sweep"],
+        ["eval", *common, "--checkpoint", checkpoint, "--run-name", "eval"],
+        ["case-study", *common, "--checkpoint", checkpoint, "--run-name", "case_ckpt"],
+        ["case-study", *common, "--sample", "50", "--run-name", "case_train"],
+    ]
+    return runs
+
+
+RUNNER = """\
+import json, sys
+from socrec.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"socrec {argv[0]} failed")
+"""
+
+
+def digest(root):
+    """Sorted (relative path, sha256) of every artifact the suite writes
+    when run with `root/src`."""
+    with tempfile.TemporaryDirectory() as out:
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(root, "src")))
+        proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(suite(out))],
+                              cwd=out, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"suite failed:\n{proc.stderr[-4000:]}")
+        rows = []
+        for path in sorted(pathlib.Path(out).rglob("*")):
+            if path.is_file() and path.name != "timing.txt":
+                rows.append((path.relative_to(out).as_posix(),
+                             hashlib.sha256(path.read_bytes()).hexdigest()))
+        return rows
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit(__doc__)
+    for path, sha in digest(sys.argv[1] if len(sys.argv) > 1 else REPO):
+        print(f"{sha}  {path}")
