@@ -19,6 +19,14 @@ log = logging.getLogger(__name__)
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _FILE_ONLY_KEYS = ("dataset_dir", "interactions", "social", "eval_seed")
+# config keys with a `--KEY VALUE` flag, shorthand for `--set KEY=VALUE`
+_FLAG_KEYS = ("seed", "variant", "negatives", "epochs", "batch", "layers", "dim", "lr")
+_TASKS = (("train", "train and evaluate one model"),
+          ("eval", "evaluate an existing checkpoint"),
+          ("ablate", "train all model variants"),
+          ("robust", "noise-injection robustness study"),
+          ("sweep", "hyperparameter grid sweep"),
+          ("case-study", "export learned tie weights"))
 
 
 def parse_config_file(path):
@@ -40,9 +48,13 @@ def _coerce(key, val):
     """A config value from its string form, by the TrainConfig field type;
     a tuple field takes comma-separated ints."""
     kind = _CONFIG_FIELDS[key]
-    if kind is tuple:
-        return tuple(int(x) for x in str(val).split(","))
-    return kind(val)
+    try:
+        if kind is tuple:
+            return tuple(int(x) for x in str(val).split(","))
+        return kind(val)
+    except ValueError:
+        raise ValueError(f"config key {key}: cannot read {val!r} "
+                         f"as {kind.__name__}") from None
 
 
 def _check_keys(keys, allowed, where):
@@ -85,15 +97,9 @@ def _add_common(p):
     p.add_argument("--social", help="raw social edge file")
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="runs", help="output root directory")
-    p.add_argument("--variant")
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--lr", type=float)
+    for key in _FLAG_KEYS:
+        p.add_argument(f"--{key}", help=f"same as --set {key}=VALUE")
     p.add_argument("--split", default="test", choices=["val", "test"])
     p.add_argument("--run-name", help="fixed run directory name")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -102,11 +108,7 @@ def _add_common(p):
 
 def build_spec(args):
     file_values = parse_config_file(args.config) if args.config else {}
-    cli_values = {
-        "seed": args.seed, "variant": args.variant, "negatives": args.negatives,
-        "epochs": args.epochs, "batch": args.batch, "layers": args.layers,
-        "dim": args.dim, "lr": args.lr,
-    }
+    cli_values = {key: getattr(args, key) for key in _FLAG_KEYS}
     for entry in args.set:
         if "=" not in entry:
             raise ValueError(f"--set expects KEY=VALUE, got {entry!r}")
@@ -136,39 +138,30 @@ def build_spec(args):
     return spec
 
 
+def _headline(report, metrics=("hr",)):
+    """`HR@n=...` (then each further metric) at the second cutoff, or at
+    the only one, for the one-line task summaries."""
+    cut = report.cutoffs[min(1, len(report.cutoffs) - 1)]
+    return " ".join(f"{m.upper()}@{cut}={getattr(report, m)[cut]:.4f}" for m in metrics)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="socrec",
         description="Dual-view social recommender with denoised "
                     "cross-view self-supervision")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train and evaluate one model")
-    _add_common(p_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate an existing checkpoint")
-    _add_common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
-
-    p_abl = sub.add_parser("ablate", help="train all model variants")
-    _add_common(p_abl)
-
-    p_rob = sub.add_parser("robust", help="noise-injection robustness study")
-    _add_common(p_rob)
-    p_rob.add_argument("--ratios",
-                       default=",".join(str(r) for r in DEFAULT_NOISE_RATIOS))
-
-    p_sweep = sub.add_parser("sweep", help="hyperparameter grid sweep")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--grid", action="append", default=[],
-                         metavar="AXIS=V1,V2,...")
-
-    p_case = sub.add_parser("case-study", help="export learned tie weights")
-    _add_common(p_case)
-    p_case.add_argument("--checkpoint")
-    p_case.add_argument("--sample", default="all",
-                        help="number of ties to export, or 'all'")
-
+    tasks = {name: sub.add_parser(name, help=text) for name, text in _TASKS}
+    for p in tasks.values():
+        _add_common(p)
+    tasks["eval"].add_argument("--checkpoint", required=True)
+    tasks["robust"].add_argument(
+        "--ratios", default=",".join(str(r) for r in DEFAULT_NOISE_RATIOS))
+    tasks["sweep"].add_argument("--grid", action="append", default=[],
+                                metavar="AXIS=V1,V2,...")
+    tasks["case-study"].add_argument("--checkpoint")
+    tasks["case-study"].add_argument("--sample", default="all",
+                                     help="number of ties to export, or 'all'")
     sub.add_parser("check", help="run the built-in verification suites")
 
     args = parser.parse_args(argv)
@@ -183,38 +176,27 @@ def main(argv=None):
     if args.command == "train":
         _, report, run_dir = run_train(spec)
         print(report.to_table())
-        print(f"artifacts: {run_dir}")
     elif args.command == "eval":
         report, run_dir = run_eval(spec)
         print(report.to_table())
-        print(f"artifacts: {run_dir}")
     elif args.command == "ablate":
         table, run_dir = run_ablation(spec)
         for variant, report in table.items():
-            if report is None:
-                print(f"{variant:>14}: FAILED")
-            else:
-                cut = report.cutoffs[min(1, len(report.cutoffs) - 1)]
-                print(f"{variant:>14}: HR@{cut}={report.hr[cut]:.4f} "
-                      f"NDCG@{cut}={report.ndcg[cut]:.4f}")
-        print(f"artifacts: {run_dir}")
+            summary = "FAILED" if report is None else _headline(report, ("hr", "ndcg"))
+            print(f"{variant:>14}: {summary}")
     elif args.command == "robust":
         reports, run_dir = run_robustness(spec)
         for ratio, report in reports.items():
-            cut = report.cutoffs[min(1, len(report.cutoffs) - 1)]
-            print(f"ratio {ratio:g}: HR@{cut}={report.hr[cut]:.4f}")
-        print(f"artifacts: {run_dir}")
+            print(f"ratio {ratio:g}: {_headline(report)}")
     elif args.command == "sweep":
         cells, run_dir = run_sweep(spec)
         for overrides, report in cells:
-            cut = report.cutoffs[min(1, len(report.cutoffs) - 1)]
             tag = ", ".join(f"{k}={v}" for k, v in overrides.items())
-            print(f"{tag}: HR@{cut}={report.hr[cut]:.4f}")
-        print(f"artifacts: {run_dir}")
-    elif args.command == "case-study":
+            print(f"{tag}: {_headline(report)}")
+    else:
         export, run_dir = run_case_study(spec)
         print(f"{len(export.rows)} ties exported")
-        print(f"artifacts: {run_dir}")
+    print(f"artifacts: {run_dir}")
     return 0
 
 

@@ -83,7 +83,7 @@ def load_edges(path, kind):
     return InteractionTable(edges=edges, malformed=malformed)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Dataset:
     """ID-remapped interaction/social edges with leave-one-out splits.
 
@@ -91,8 +91,9 @@ class Dataset:
     deduplicated interaction set. Social edges are stored with both
     directions present. Everything else is derived from these fields:
     `degree` (train interactions per user) when the dataset is built,
-    the id maps and per-user sets on first use, so a
-    `dataclasses.replace` copy derives its own.
+    the id maps and per-user sets on first use. The fields are read-only,
+    so what is derived stays true; a variant is a `dataclasses.replace`
+    copy, which derives its own.
     """
 
     num_users: int
@@ -108,7 +109,8 @@ class Dataset:
     _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.degree = np.bincount(self.train_edges[:, 0], minlength=self.num_users)
+        object.__setattr__(self, "degree", np.bincount(self.train_edges[:, 0],
+                                                       minlength=self.num_users))
 
     def _derived(self, key, build):
         if key not in self._cache:

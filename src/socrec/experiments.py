@@ -13,7 +13,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from . import data as data_mod
 from .data import (DEFAULT_STRATA, build_dataset, inject_noise, load_dataset,
                    load_edges, stratify_by_degree)
 from .eval import evaluate, evaluate_stratified, export_relevance_weights
@@ -46,19 +45,16 @@ class ExperimentSpec:
     split: str = "test"
     run_name: str = None
 
-    def validate(self):
-        if self.dataset_dir is None and self.interactions_path is None:
-            raise ValueError("spec needs dataset_dir or interactions_path")
-
 
 def load_spec_dataset(spec):
+    """The spec's dataset; every task ingests through here, so a spec
+    without a data source fails before any run directory exists."""
     if spec.dataset_dir:
         return load_dataset(spec.dataset_dir)
+    if spec.interactions_path is None:
+        raise ValueError("spec needs dataset_dir or interactions_path")
     inter = load_edges(spec.interactions_path, "interaction")
-    if spec.social_path:
-        soc = load_edges(spec.social_path, "social")
-    else:
-        soc = data_mod.SocialTable(edges=[])
+    soc = load_edges(spec.social_path, "social") if spec.social_path else None
     return build_dataset(inter, soc, split_seed=spec.split_seed)
 
 
@@ -87,14 +83,14 @@ def write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _train_and_report(ds, cfg, eval_seed, strata_bounds, run_dir, split="test"):
+def _train_and_report(spec, ds, cfg, run_dir):
     """Shared train-evaluate-persist cell used by every task."""
-    result = train_model(ds, cfg, eval_seed=eval_seed)
-    strata = stratify_by_degree(ds, strata_bounds)
+    result = train_model(ds, cfg, eval_seed=spec.eval_seed)
+    strata = stratify_by_degree(ds, spec.strata)
     report = evaluate_stratified(
-        result.model, ds, strata, split=split, num_negatives=cfg.negatives,
-        cutoffs=cfg.cutoffs, seed=eval_seed, social_fusion=cfg.social_fusion,
-        metadata={"variant": cfg.variant, "seed": cfg.seed, "split": split},
+        result.model, ds, strata, split=spec.split, num_negatives=cfg.negatives,
+        cutoffs=cfg.cutoffs, seed=spec.eval_seed, social_fusion=cfg.social_fusion,
+        metadata={"variant": cfg.variant, "seed": cfg.seed, "split": spec.split},
     )
     os.makedirs(run_dir, exist_ok=True)
     write_lines(os.path.join(run_dir, "config"), config_lines(cfg))
@@ -111,13 +107,17 @@ def _train_and_report(ds, cfg, eval_seed, strata_bounds, run_dir, split="test"):
     return result, report
 
 
+def _metric_rows(tag, report):
+    """The `hr` and `ndcg` rows of one cell of a task table, per cutoff."""
+    return [f"{tag} {metric} {n} {getattr(report, metric)[n]:.12g}"
+            for n in report.cutoffs for metric in ("hr", "ndcg")]
+
+
 def run_train(spec):
     """Train once, evaluate on the requested split, persist artifacts."""
-    spec.validate()
     ds = load_spec_dataset(spec)
     run_dir = make_run_dir(spec, "train")
-    result, report = _train_and_report(ds, spec.config, spec.eval_seed,
-                                       spec.strata, run_dir, spec.split)
+    result, report = _train_and_report(spec, ds, spec.config, run_dir)
     log.info("train run complete: %s", run_dir)
     return result, report, run_dir
 
@@ -150,50 +150,33 @@ def run_eval(spec):
 
 def run_ablation(spec, variants=VARIANTS):
     """Train every variant on shared seeds/splits; failures stay isolated."""
-    spec.validate()
     ds = load_spec_dataset(spec)
     run_dir = make_run_dir(spec, "ablation")
-
-    def cell(variant):
+    lines, table = ["# variant metric cutoff value"], {}
+    for variant in variants:
         cfg = spec.config.with_overrides(variant=variant)
         try:
-            _, report = _train_and_report(ds, cfg, spec.eval_seed, spec.strata,
-                                          os.path.join(run_dir, variant),
-                                          spec.split)
-            return variant, report, None
-        except Exception as err:  # per-variant isolation
+            _, report = _train_and_report(spec, ds, cfg, os.path.join(run_dir, variant))
+        except Exception:  # per-variant isolation
             log.exception("variant %s failed", variant)
-            return variant, None, err
-
-    cells = [cell(v) for v in variants]
-
-    lines = ["# variant metric cutoff value"]
-    table = {}
-    for variant, report, err in cells:
-        if err is not None:
             lines.append(f"{variant} error - -")
-            table[variant] = None
-            continue
+            report = None
+        else:
+            lines += _metric_rows(variant, report)
         table[variant] = report
-        for n in report.cutoffs:
-            lines.append(f"{variant} hr {n} {report.hr[n]:.12g}")
-            lines.append(f"{variant} ndcg {n} {report.ndcg[n]:.12g}")
     write_lines(os.path.join(run_dir, "ablation.dat"), lines)
     return table, run_dir
 
 
 def run_robustness(spec):
     """Retrain per noise ratio; report metrics and relative degradation."""
-    spec.validate()
     ds = load_spec_dataset(spec)
     run_dir = make_run_dir(spec, "robustness")
     reports = {}
     for ratio in spec.noise_ratios:
         noisy = inject_noise(ds, ratio, spec.noise_seed)
-        sub = os.path.join(run_dir, f"ratio_{ratio:g}")
-        _, report = _train_and_report(noisy, spec.config, spec.eval_seed,
-                                      spec.strata, sub, spec.split)
-        reports[ratio] = report
+        cell_dir = os.path.join(run_dir, f"ratio_{ratio:g}")
+        _, reports[ratio] = _train_and_report(spec, noisy, spec.config, cell_dir)
 
     base = reports.get(0.0) or reports[min(reports)]
     lines = ["# ratio metric cutoff value degradation"]
@@ -210,32 +193,21 @@ def run_robustness(spec):
 
 def run_sweep(spec):
     """Cartesian grid over TrainConfig axes; emits axis/value/metric rows."""
-    spec.validate()
-    ds = load_spec_dataset(spec)
-    run_dir = make_run_dir(spec, "sweep")
     axes = {k: list(v) for k, v in spec.sweep_axes.items() if v}
     if not axes:
         raise ValueError("sweep needs non-empty grid axes")
+    ds = load_spec_dataset(spec)
+    run_dir = make_run_dir(spec, "sweep")
     names = sorted(axes)
-    combos = list(itertools.product(*(axes[k] for k in names)))
-
-    def cell(combo):
+    lines, cells = ["# axes metric cutoff value"], []
+    for combo in itertools.product(*(axes[k] for k in names)):
         overrides = dict(zip(names, combo))
         cfg = spec.config.with_overrides(**overrides)
-        tag = "_".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                       for k, v in overrides.items())
-        _, report = _train_and_report(ds, cfg, spec.eval_seed, spec.strata,
-                                      os.path.join(run_dir, tag), spec.split)
-        return overrides, report
-
-    cells = [cell(c) for c in combos]
-
-    lines = ["# axes metric cutoff value"]
-    for overrides, report in cells:
-        tag = ",".join(f"{k}={overrides[k]}" for k in names)
-        for n in report.cutoffs:
-            lines.append(f"{tag} hr {n} {report.hr[n]:.12g}")
-            lines.append(f"{tag} ndcg {n} {report.ndcg[n]:.12g}")
+        cell_dir = "_".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                            for k, v in overrides.items())
+        _, report = _train_and_report(spec, ds, cfg, os.path.join(run_dir, cell_dir))
+        cells.append((overrides, report))
+        lines += _metric_rows(",".join(f"{k}={v}" for k, v in overrides.items()), report)
     write_lines(os.path.join(run_dir, "sweep.dat"), lines)
     return cells, run_dir
 

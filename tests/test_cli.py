@@ -128,6 +128,18 @@ class TestRunTrain:
             run_train(spec)
 
 
+@pytest.mark.parametrize("task", [run_train, run_eval, run_ablation,
+                                  run_robustness, run_sweep, run_case_study],
+                         ids=lambda f: f.__name__)
+def test_every_task_needs_a_data_source(task, tmp_path):
+    spec = ExperimentSpec(config=fast_cfg(), out_dir=str(tmp_path / "runs"),
+                          checkpoint=str(tmp_path / "ckpt"),
+                          sweep_axes={"layers": [1]})
+    with pytest.raises(ValueError, match="dataset_dir or interactions_path"):
+        task(spec)
+    assert not os.path.exists(tmp_path / "runs")
+
+
 class TestAblation:
     def test_four_variants_reported(self, edge_files, tmp_path):
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="abl")
@@ -207,6 +219,7 @@ class TestSweep:
         spec.sweep_axes = {}
         with pytest.raises(ValueError):
             run_sweep(spec)
+        assert not os.path.exists(tmp_path / "runs")
 
 
 class TestCaseStudy:
@@ -275,6 +288,22 @@ class TestMainEntry:
         args = [command, "--interactions", inter_path, "--social", soc_path,
                 "--out", str(tmp_path / "runs"), flag, "lamda2=0.5"]
         with pytest.raises(ValueError, match="lamda2"):
+            main(args)
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("channel,key,value", [
+        ("config file", "batch", ""), ("--set", "lr", "abc"),
+        ("flag", "epochs", "x"), ("--grid", "layers", "x")])
+    def test_bad_value_names_key(self, edge_files, tmp_path, channel, key, value):
+        inter_path, soc_path = edge_files
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"{key}={value}\n" if channel == "config file" else "")
+        extra = {"config file": [], "--set": ["--set", f"{key}={value}"],
+                 "flag": [f"--{key}", value], "--grid": ["--grid", f"{key}=1,{value}"]}
+        args = ["sweep", "--interactions", inter_path, "--social", soc_path,
+                "--out", str(tmp_path / "runs"), "--config", str(cfg_path),
+                "--grid", "lambda2=0", *extra[channel]]
+        with pytest.raises(ValueError, match=f"{key}.*{value!r}"):
             main(args)
         assert not os.path.exists(tmp_path / "runs")
 

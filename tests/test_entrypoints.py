@@ -35,7 +35,7 @@ def test_check_subcommand_passes():
 
 def test_artifact_digest_is_reproducible(tmp_path):
     """Two digests of the same tree are equal and cover every artifact
-    kind except the wall-clock timing files."""
+    kind except the wall-clock timing files, and each command's stdout."""
     env = dict(os.environ, TMPDIR=str(tmp_path))
     tool = [sys.executable, str(ROOT / "tools" / "artifact_digest.py"), str(ROOT)]
     runs = [subprocess.run(tool, cwd=tmp_path, env=env, capture_output=True,
@@ -48,3 +48,5 @@ def test_artifact_digest_is_reproducible(tmp_path):
             "robustness.dat", "sweep.dat", "relevance_weights.txt", "E_u",
             "shape"} <= names
     assert "timing.txt" not in names
+    stdouts = [line for line in runs[0].stdout.splitlines() if "  stdout/" in line]
+    assert len(stdouts) == 10  # one per command of the suite

@@ -56,8 +56,8 @@ class TestPropagateBlocks:
             np.testing.assert_array_equal(out, want)
 
     def test_empty_graph(self):
-        ds = random_dataset(30, 40, tie_prob=0.0, seed=1)
-        ds.social_edges = np.zeros((0, 2), dtype=np.int64)
+        ds = replace(random_dataset(30, 40, tie_prob=0.0, seed=1),
+                     social_edges=np.zeros((0, 2), dtype=np.int64))
         g = build_social_laplacian(ds)
         E = np.random.default_rng(1).normal(size=(g.num_nodes, 5))
         for gb in [g] + _blocked(g):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,17 @@ def train_only_ds(pairs, num_users, num_items):
     inter = InteractionTable(edges=[(f"u{u}", f"i{v}") for u, v in pairs])
     ds = build_dataset(inter, SocialTable(edges=[]))
     # route every edge into train: rebuild edges directly
-    ds.train_edges = np.array(pairs, dtype=np.int64)
-    ds.val_edges = np.zeros((0, 2), dtype=np.int64)
-    ds.test_edges = np.zeros((0, 2), dtype=np.int64)
-    ds.num_users = num_users
-    ds.num_items = num_items
-    return ds
+    return dataclasses.replace(ds, train_edges=np.array(pairs, dtype=np.int64),
+                               val_edges=np.zeros((0, 2), dtype=np.int64),
+                               test_edges=np.zeros((0, 2), dtype=np.int64),
+                               num_users=num_users, num_items=num_items)
+
+
+def test_dataset_fields_are_read_only():
+    ds = train_only_ds([(0, 0), (0, 1), (1, 1)], 2, 2)
+    np.testing.assert_array_equal(ds.degree, [2, 1])  # train edges per user
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.train_edges = np.zeros((0, 2), dtype=np.int64)
 
 
 class TestInteractionLaplacian:

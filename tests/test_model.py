@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -181,8 +183,8 @@ class TestPredictions:
 
     def test_reduces_to_matrix_factorization(self):
         # zero layers and no social graph: score is the raw dot product
-        ds = random_dataset(5, 6, seed=8)
-        ds.social_edges = np.zeros((0, 2), dtype=np.int64)
+        ds = dataclasses.replace(random_dataset(5, 6, seed=8),
+                                 social_edges=np.zeros((0, 2), dtype=np.int64))
         ms, _, _ = make_encoded(ds, dim=4, layers=0)
         for u in range(ds.num_users):
             for v in range(ds.num_items):

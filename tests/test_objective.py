@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,9 +103,9 @@ class TestSampleBatch:
     def test_negative_distribution_uniform(self):
         # single user, 3 train items out of 10: v_neg uniform over the other 7
         items = [("u", f"i{k}") for k in range(5)]
-        ds = build_dataset(InteractionTable(edges=items), SocialTable(edges=[]),
-                           split_seed=0)
-        ds.num_items = 10
+        ds = dataclasses.replace(build_dataset(InteractionTable(edges=items),
+                                               SocialTable(edges=[]), split_seed=0),
+                                 num_items=10)
         assert len(ds.user_train_items()[0]) == 3
         rng = np.random.default_rng(999)
         draws = sample_batch(ds, 100_000, rng, need_social=False).rec_triples[:, 2]

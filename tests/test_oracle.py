@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,8 @@ class TestFiniteDifference:
 class TestDenseForward:
     def test_empty_graphs_identity(self, rng):
         inter = InteractionTable(edges=[("u0", "a"), ("u1", "b")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
-        ds.train_edges = np.zeros((0, 2), dtype=np.int64)
+        ds = dataclasses.replace(build_dataset(inter, SocialTable(edges=[])),
+                                 train_edges=np.zeros((0, 2), dtype=np.int64))
         E_u = rng.normal(size=(ds.num_users, 3))
         E_v = rng.normal(size=(ds.num_items, 3))
         agg_r, agg_s = dense_forward(ds, E_u, E_v, 3)

@@ -4,7 +4,10 @@ Runs `socrec train` (four variant/layer/aggregation settings), `ablate`,
 `robust`, `sweep`, `eval` and `case-study` on the pinned fixture in
 `tests/fixtures/pinned`, with the socrec package of a source tree, and
 prints one `<sha256>  <path>` line per file written, sorted by path.
-`timing.txt` files hold wall-clock times and are left out.
+`timing.txt` files hold wall-clock times and are left out. The standard
+output of each command is digested too, as `stdout/<command>-<run name>`,
+with the output root replaced by `<out>` so the temporary directory does
+not show.
 
     python tools/artifact_digest.py [ROOT]
 
@@ -57,29 +60,39 @@ def suite(out):
 
 
 RUNNER = """\
-import json, sys
+import contextlib, io, json, sys
 from socrec.cli import main
+stdouts = []
 for argv in json.loads(sys.argv[1]):
-    if main(argv) != 0:
-        sys.exit(f"socrec {argv[0]} failed")
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        if main(argv) != 0:
+            sys.exit(f"socrec {argv[0]} failed")
+    stdouts.append(buf.getvalue())
+json.dump(stdouts, sys.stdout)
 """
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def digest(root):
     """Sorted (relative path, sha256) of every artifact the suite writes
-    when run with `root/src`."""
+    and of each command's stdout, when run with `root/src`."""
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(root, "src")))
-        proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(suite(out))],
+        runs = suite(out)
+        proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(runs)],
                               cwd=out, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"suite failed:\n{proc.stderr[-4000:]}")
-        rows = []
-        for path in sorted(pathlib.Path(out).rglob("*")):
+        rows = [(f"stdout/{argv[0]}-{argv[argv.index('--run-name') + 1]}",
+                 sha256(text.replace(out, "<out>").encode()))
+                for argv, text in zip(runs, json.loads(proc.stdout))]
+        for path in pathlib.Path(out).rglob("*"):
             if path.is_file() and path.name != "timing.txt":
-                rows.append((path.relative_to(out).as_posix(),
-                             hashlib.sha256(path.read_bytes()).hexdigest()))
-        return rows
+                rows.append((path.relative_to(out).as_posix(), sha256(path.read_bytes())))
+        return sorted(rows)
 
 
 if __name__ == "__main__":
