@@ -44,10 +44,10 @@ def parse_config_file(path):
     return out
 
 
-def _coerce(key, val):
-    """A config value from its string form, by the TrainConfig field type;
-    a tuple field takes comma-separated ints."""
-    kind = _CONFIG_FIELDS[key]
+def _coerce(key, val, kind=None):
+    """A value from its string form, by `kind` or else the TrainConfig
+    field type; a tuple field takes comma-separated ints."""
+    kind = kind or _CONFIG_FIELDS[key]
     try:
         if kind is tuple:
             return tuple(int(x) for x in str(val).split(","))
@@ -125,10 +125,11 @@ def build_spec(args):
         out_dir=args.out,
         split=args.split,
         run_name=args.run_name,
-        eval_seed=int(file_values.get("eval_seed", 0)),
+        eval_seed=_coerce("eval_seed", file_values.get("eval_seed", 0), int),
     )
     if getattr(args, "ratios", None):
-        spec.noise_ratios = tuple(float(x) for x in args.ratios.split(","))
+        spec.noise_ratios = tuple(_coerce("ratios", x, float)
+                                  for x in args.ratios.split(","))
     if getattr(args, "grid", None):
         spec.sweep_axes = _parse_grid(args.grid)
     if getattr(args, "checkpoint", None):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _require_encoded, projection_forward
+from .model import _require_encoded, projection_forward, user_vectors
 
 log = logging.getLogger(__name__)
 
@@ -127,8 +127,7 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
                       u, num_negatives)
             continue
         cand = np.concatenate([[held], negs])
-        uvec = ms.agg_r[u] + (ms.agg_s[u] if social_fusion else 0.0)
-        scores = ms.agg_r[I + cand] @ uvec
+        scores = ms.agg_r[I + cand] @ user_vectors(ms, u, social_fusion)
         users.append(u)
         ranks.append(held_out_rank(scores, cand))
     if skipped:

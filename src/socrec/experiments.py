@@ -212,8 +212,22 @@ def run_sweep(spec):
     return cells, run_dir
 
 
+def _tie_sample(sample):
+    """The case-study `sample`: "all", or a count of ties as an int >= 0."""
+    if sample == "all":
+        return sample
+    try:
+        count = int(str(sample))
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"sample: cannot read {sample!r} as 'all' or an integer >= 0")
+    return count
+
+
 def run_case_study(spec):
     """Export learned pair-relevance weights for social ties."""
+    sample = _tie_sample(spec.sample)
     ds = load_spec_dataset(spec)
     run_dir = make_run_dir(spec, "case_study")
     if spec.checkpoint:
@@ -223,8 +237,7 @@ def run_case_study(spec):
         ms = result.model
         save_checkpoint(ms, os.path.join(run_dir, "checkpoint"),
                         config_lines(spec.config))
-    export = export_relevance_weights(ms, ds, sample=spec.sample,
-                                      seed=spec.eval_seed)
+    export = export_relevance_weights(ms, ds, sample=sample, seed=spec.eval_seed)
     write_lines(os.path.join(run_dir, "relevance_weights.txt"),
                 export.to_lines() or ["# no ties"])
     return export, run_dir

@@ -9,56 +9,75 @@ import numpy as np
 from .graph import for_each_chunk, propagate
 
 LEAKY_SLOPE = 0.01  # LeakyReLU negative slope used by the similarity projection
-PARAM_NAMES = ("E_u", "E_v", "T", "w", "c")
 
 
-def param_views(flat, num_users, num_items, dim):
-    """Name -> view of a flat float64 block laid out as E_u, E_v, T, w, c.
+class ParamBlock:
+    """The trainable parameters as named views of one flat array, `flat`.
 
-    E_u and E_v are the row blocks [0, I) and [I, I+J) of one (I+J, d)
-    table; gradients and Adam moments use the same layout.
+    The layout, in order: E_u (I, d), E_v (J, d), T (d, 2d), w (d,), c (d,).
+    E_u and E_v are the row blocks [0, I) and [I, I+J) of the (I+J, d)
+    table `E`. Parameters, gradients (`GradientSet`), both Adam moments
+    and checkpoints all use this layout; `DTYPE` is its element type. A
+    new block over no `flat` gets a new, unfilled array.
     """
-    shapes = ((num_users, dim), (num_items, dim), (dim, 2 * dim), (dim,), (dim,))
-    views, start = {}, 0
-    for name, shape in zip(PARAM_NAMES, shapes):
-        size = math.prod(shape)
-        views[name] = flat[start:start + size].reshape(shape)
-        start += size
-    if start != flat.size:
-        raise ValueError(f"parameter block holds {flat.size} values, layout needs {start}")
-    return views
+
+    NAMES = ("E_u", "E_v", "T", "w", "c")
+    DTYPE = np.float64
+
+    def __init__(self, num_users, num_items, dim, flat=None):
+        shapes = ((num_users, dim), (num_items, dim), (dim, 2 * dim), (dim,), (dim,))
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat is None:
+            flat = np.empty(sum(sizes), self.DTYPE)
+        if (flat.shape != (sum(sizes),) or flat.dtype != self.DTYPE
+                or not flat.flags.c_contiguous):
+            raise ValueError(f"parameter block holds {flat.size} {flat.dtype} values "
+                             f"in shape {flat.shape}, layout needs {sum(sizes)} "
+                             f"contiguous {np.dtype(self.DTYPE)} values")
+        self.flat, self.layout = flat, (num_users, num_items, dim)
+        self.num_users, self.num_items, self.dim = self.layout
+        start = 0
+        for name, shape, size in zip(self.NAMES, shapes, sizes):
+            setattr(self, name, flat[start:start + size].reshape(shape))
+            start += size
+        self.E = flat[:sizes[0] + sizes[1]].reshape(num_users + num_items, dim)
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        """A new block holding copies of the named arrays."""
+        num_users, dim = np.shape(arrays["E_u"])
+        block = cls(num_users, len(arrays["E_v"]), dim)
+        block.assign(arrays)
+        return block
+
+    def as_dict(self):
+        """Name -> view, in layout order."""
+        return {name: getattr(self, name) for name in self.NAMES}
+
+    def assign(self, arrays):
+        """Copy named arrays into the views; every shape must match."""
+        for name, view in self.as_dict().items():
+            if np.shape(arrays[name]) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(arrays[name])}, "
+                                 f"expected {view.shape}")
+            view[...] = arrays[name]
 
 
 def reuse(store, name, shape):
-    """The float64 array `store[name]`, replaced by a new one when its shape
-    differs; its contents are whatever the last user left."""
+    """The array `store[name]` of the block's dtype, replaced by a new one
+    when its shape differs; its contents are whatever the last user left."""
     buf = store.get(name)
     if buf is None or buf.shape != shape:
-        buf = store[name] = np.empty(shape)
+        buf = store[name] = np.empty(shape, ParamBlock.DTYPE)
     return buf
-
-
-def pack_params(arrays):
-    """One new flat float64 block holding the named arrays in layout order."""
-    return np.concatenate([np.ravel(arrays[name]) for name in PARAM_NAMES],
-                          dtype=np.float64)
-
-
-@dataclass(eq=False)
-class ProjectionParams:
-    """Learnable similarity projection: z = sigm(w . leaky(T [e;e'] + e + e' + c))."""
-
-    T: np.ndarray  # (d, 2d)
-    w: np.ndarray  # (d,)
-    c: np.ndarray  # (d,)
 
 
 @dataclass(eq=False)
 class ModelState:
-    """Embedding tables, projection parameters and per-view aggregations.
+    """A parameter block, per-view aggregations and the model's work arrays.
 
-    Every parameter is a view of one flat float64 block, `params`; built
-    from separate arrays, the state copies them into a new block. After
+    The embedding tables and the layout read through to `params`; `proj`
+    is the block too, as read for its projection part (T, w, c). After
     `encode` ran, `agg_r`/`agg_s` hold the aggregated embeddings of the
     interaction and social view. The graphs and aggregation mode used for
     the pass are remembered so gradients can be pulled back through the
@@ -67,45 +86,22 @@ class ModelState:
     in `buffers`, which later calls overwrite.
     """
 
-    E_u: np.ndarray  # (I, d)
-    E_v: np.ndarray  # (J, d)
-    proj: ProjectionParams
+    params: ParamBlock
     agg_r: np.ndarray = field(default=None, repr=False)
     agg_s: np.ndarray = field(default=None, repr=False)
     g_r: object = field(default=None, repr=False)
     g_s: object = field(default=None, repr=False)
     num_layers: int = 0
     agg: str = "sum"
-    params: np.ndarray = field(default=None, repr=False)  # the flat block
     buffers: dict = field(default_factory=dict, repr=False)  # see reuse()
 
-    def __post_init__(self):
-        if self.params is None:
-            proj = self.proj
-            self.params = pack_params({"E_u": self.E_u, "E_v": self.E_v, "T": proj.T,
-                                       "w": proj.w, "c": proj.c})
-            views = param_views(self.params, len(self.E_u), len(self.E_v),
-                                self.E_u.shape[1])
-            self.E_u, self.E_v = views["E_u"], views["E_v"]
-            self.proj = ProjectionParams(views["T"], views["w"], views["c"])
-
-    @property
-    def num_users(self):
-        return self.E_u.shape[0]
-
-    @property
-    def num_items(self):
-        return self.E_v.shape[0]
-
-    @property
-    def dim(self):
-        return self.E_u.shape[1]
-
-    @property
-    def E(self):
-        """The (I+J, d) embedding table whose row blocks are E_u and E_v."""
-        rows = self.num_users + self.num_items
-        return self.params[:rows * self.dim].reshape(rows, self.dim)
+    num_users = property(lambda self: self.params.num_users)
+    num_items = property(lambda self: self.params.num_items)
+    dim = property(lambda self: self.params.dim)
+    E = property(lambda self: self.params.E)
+    E_u = property(lambda self: self.params.E_u)
+    E_v = property(lambda self: self.params.E_v)
+    proj = property(lambda self: self.params)
 
     def work_pair(self, view):
         """The two arrays `aggregate_backward` alternates between for view
@@ -114,30 +110,13 @@ class ModelState:
         shape = (self.E if view == "r" else self.E_u).shape
         return tuple(reuse(self.buffers, f"work_{view}{k}", shape) for k in (0, 1))
 
-    def named_params(self):
-        """Name -> view of the live parameter block."""
-        return param_views(self.params, self.num_users, self.num_items, self.dim)
-
     def copy_params(self):
         """Name -> array snapshot of every parameter (views of one copy)."""
-        return param_views(self.params.copy(), self.num_users, self.num_items, self.dim)
+        return ParamBlock(*self.params.layout, self.params.flat.copy()).as_dict()
 
     def set_params(self, params):
         """Copy named arrays into the parameter block; views stay valid."""
-        for name, view in self.named_params().items():
-            if np.shape(params[name]) != view.shape:
-                raise ValueError(f"{name} has shape {np.shape(params[name])}, "
-                                 f"expected {view.shape}")
-            view[...] = params[name]
-
-
-def _empty_model(num_users, num_items, dim):
-    """A ModelState over a new, unfilled parameter block."""
-    params = np.empty((num_users + num_items) * dim + 2 * dim * (dim + 1))
-    views = param_views(params, num_users, num_items, dim)
-    return ModelState(E_u=views["E_u"], E_v=views["E_v"],
-                      proj=ProjectionParams(views["T"], views["w"], views["c"]),
-                      params=params)
+        self.params.assign(params)
 
 
 def init_model(num_users, num_items, dim, seed=0):
@@ -147,12 +126,12 @@ def init_model(num_users, num_items, dim, seed=0):
         raise ValueError("embedding dimension must be positive")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
-    ms = _empty_model(num_users, num_items, dim)
-    views = ms.named_params()
+    params = ParamBlock(num_users, num_items, dim)
     for name in ("E_u", "E_v", "T", "w"):  # draw order fixes the values
-        views[name][...] = rng.uniform(-scale, scale, size=views[name].shape)
-    views["c"][...] = 0.0
-    return ms
+        view = getattr(params, name)
+        view[...] = rng.uniform(-scale, scale, size=view.shape)
+    params.c[...] = 0.0
+    return ModelState(params)
 
 
 def encode(ms, g_r, g_s, num_layers, agg="sum"):
@@ -217,8 +196,9 @@ def _require_encoded(ms):
         raise ValueError("encode() must run before reading the aggregations")
 
 
-def projection_forward(proj, e_i, e_j):
-    """Similarity-projection forward pass for row-aligned user pairs.
+def projection_forward(params, e_i, e_j):
+    """Similarity-projection forward pass for row-aligned user pairs, with
+    T, w and c read from the parameter block `params`.
 
     Returns (z, intermediates) where intermediates carry what the backward
     pass needs. Inputs may be (d,) vectors or (n, d) batches.
@@ -226,11 +206,20 @@ def projection_forward(proj, e_i, e_j):
     e_i = np.atleast_2d(e_i)
     e_j = np.atleast_2d(e_j)
     x = np.concatenate([e_i, e_j], axis=1)           # (n, 2d)
-    pre = x @ proj.T.T + e_i + e_j + proj.c          # (n, d)
+    pre = x @ params.T.T + e_i + e_j + params.c      # (n, d)
     h = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
-    act = h @ proj.w                                 # (n,)
+    act = h @ params.w                               # (n,)
     z = 1.0 / (1.0 + np.exp(-act))
     return z, (x, pre, h)
+
+
+def user_vectors(ms, users, social_fusion=False):
+    """The user rows that score items: agg_r[users], plus agg_s[users]
+    under social fusion."""
+    vec = ms.agg_r[users]
+    if social_fusion:
+        vec = vec + ms.agg_s[users]
+    return vec
 
 
 def interaction_similarity(ms, i, j):
@@ -252,8 +241,7 @@ def predict_interaction(ms, u, v, social_fusion=False):
     I = ms.num_users
     if not (0 <= u < I and 0 <= v < ms.num_items):
         raise IndexError(f"index out of range: user {u}, item {v}")
-    vec = ms.agg_r[u] + (ms.agg_s[u] if social_fusion else 0.0)
-    return float(vec @ ms.agg_r[I + v])
+    return float(user_vectors(ms, u, social_fusion) @ ms.agg_r[I + v])
 
 
 def predict_social(ms, i, j):
@@ -267,14 +255,17 @@ def predict_social(ms, i, j):
 
 # --- checkpoint IO -----------------------------------------------------------
 
+CHECKPOINT_DTYPE = np.dtype(ParamBlock.DTYPE).newbyteorder("<")
+
+
 def save_checkpoint(ms, out_dir, config_lines=()):
-    """Write parameters as flat little-endian float64 arrays plus a shape file."""
+    """Write each parameter as a flat little-endian array, plus a shape file."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "shape"), "w") as fh:
         fh.write(f"I={ms.num_users}\nJ={ms.num_items}\nd={ms.dim}\nL={ms.num_layers}\n")
-    for name, view in ms.named_params().items():
+    for name, view in ms.params.as_dict().items():
         with open(os.path.join(out_dir, name), "wb") as fh:
-            np.ascontiguousarray(view, dtype="<f8").tofile(fh)
+            np.ascontiguousarray(view, dtype=CHECKPOINT_DTYPE).tofile(fh)
     if config_lines:
         with open(os.path.join(out_dir, "config"), "w") as fh:
             fh.write("\n".join(config_lines) + "\n")
@@ -283,15 +274,21 @@ def save_checkpoint(ms, out_dir, config_lines=()):
 def load_checkpoint(in_dir):
     """Rebuild a ModelState (parameters only) from save_checkpoint output.
 
-    `num_layers` is the stored L, or None for a checkpoint without one.
+    Each parameter file is read into its view of a new block; a file whose
+    size disagrees with the shape file is an error. `num_layers` is the
+    stored L, or None for a checkpoint without one.
     """
     shape = {}
     with open(os.path.join(in_dir, "shape")) as fh:
         for line in fh:
             k, v = line.strip().split("=", 1)
             shape[k] = int(v)
-    ms = _empty_model(shape["I"], shape["J"], shape["d"])
-    for name, view in ms.named_params().items():
-        view[...] = np.fromfile(os.path.join(in_dir, name), dtype="<f8").reshape(view.shape)
-    ms.num_layers = shape.get("L")
-    return ms
+    params = ParamBlock(shape["I"], shape["J"], shape["d"])
+    for name, view in params.as_dict().items():
+        path = os.path.join(in_dir, name)
+        found = os.path.getsize(path) / CHECKPOINT_DTYPE.itemsize
+        if found != view.size:
+            raise ValueError(f"checkpoint file {path} holds {found:g} values, "
+                             f"its shape file needs {view.size}")
+        view[...] = np.fromfile(path, dtype=CHECKPOINT_DTYPE).reshape(view.shape)
+    return ModelState(params, num_layers=shape.get("L"))

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import CHUNK, CPUS, for_each_chunk
-from .model import (LEAKY_SLOPE, PARAM_NAMES, _require_encoded, aggregate_backward,
-                    pack_params, param_views, projection_forward, reuse)
+from .model import (LEAKY_SLOPE, ParamBlock, _require_encoded, aggregate_backward,
+                    projection_forward, reuse, user_vectors)
 
 VARIANTS = ("full", "no_align", "direct_social", "contrastive")
 
@@ -106,44 +106,16 @@ class Batch:
     ssl_pairs: np.ndarray    # (k, 2) user pair for cross-view alignment
 
 
-@dataclass(eq=False)
-class GradientSet:
-    """Gradients in the parameter layout: named views of one flat block.
-
-    Built from separate arrays, the set copies them into a new block.
-    `work` keeps the social-view gradient and the assembly scratch
-    compute_gradients works in (the pull-back borrows the model's work
-    pairs), so a set reused across steps allocates nothing.
+class GradientSet(ParamBlock):
+    """Gradients in the parameter layout. `work` keeps the social-view
+    gradient and the assembly scratch compute_gradients works in (the
+    pull-back borrows the model's work pairs), so a set reused across
+    steps allocates nothing.
     """
 
-    E_u: np.ndarray
-    E_v: np.ndarray
-    T: np.ndarray
-    w: np.ndarray
-    c: np.ndarray
-    flat: np.ndarray = field(default=None, repr=False)
-    work: dict = field(default_factory=dict, repr=False)  # see reuse()
-
-    def __post_init__(self):
-        if self.flat is None:
-            self.flat = pack_params(self.as_dict())
-            for name, view in param_views(self.flat, len(self.E_u), len(self.E_v),
-                                          self.E_u.shape[1]).items():
-                setattr(self, name, view)
-
-    @classmethod
-    def for_model(cls, ms):
-        flat = np.empty(ms.params.size)
-        return cls(**param_views(flat, ms.num_users, ms.num_items, ms.dim), flat=flat)
-
-    @property
-    def E(self):
-        """Gradient of the (I+J, d) embedding table: E_u rows, then E_v rows."""
-        rows, d = len(self.E_u) + len(self.E_v), self.E_u.shape[1]
-        return self.flat[:rows * d].reshape(rows, d)
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+    def __init__(self, num_users, num_items, dim, flat=None):
+        super().__init__(num_users, num_items, dim, flat)
+        self.work = {}  # see reuse()
 
 
 def sample_batch(ds, batch_size, rng, need_social=True):
@@ -259,14 +231,14 @@ def _infonce_grads(A, B, tau):
     return loss, dA, dB
 
 
-def _alignment_hinge(proj, a_i, a_j, b_i, b_j):
+def _alignment_hinge(params, a_i, a_j, b_i, b_j):
     """Hinge alignment over gathered pair rows; returns loss and row grads.
 
-    a_* are interaction-view rows, b_* social-view rows. Output gradients
-    are unweighted; pairs whose product already clears the margin
-    contribute exactly zero.
+    a_* are interaction-view rows, b_* social-view rows; T, w and c come
+    from the parameter block `params`. Output gradients are unweighted;
+    pairs whose product already clears the margin contribute exactly zero.
     """
-    z, (x, pre, h) = projection_forward(proj, a_i, a_j)
+    z, (x, pre, h) = projection_forward(params, a_i, a_j)
     zhat = (b_i * b_j).sum(axis=1)
     margin = 1.0 - z * zhat
     active = margin > 0
@@ -277,9 +249,9 @@ def _alignment_hinge(proj, a_i, a_j, b_i, b_j):
     da_j = np.zeros_like(da_i)
     db_i = np.zeros_like(np.atleast_2d(b_i))
     db_j = np.zeros_like(db_i)
-    dT = np.zeros_like(proj.T)
-    dw = np.zeros_like(proj.w)
-    dc = np.zeros_like(proj.c)
+    dT = np.zeros_like(params.T)
+    dw = np.zeros_like(params.w)
+    dc = np.zeros_like(params.c)
     if active.any():
         za, zha = z[active], zhat[active]
         # zhat side (the adaptive pull of Eq.-style -z * e_j)
@@ -289,10 +261,10 @@ def _alignment_hinge(proj, a_i, a_j, b_i, b_j):
         dact = -zha * za * (1.0 - za)
         ha, prea, xa = h[active], pre[active], x[active]
         dw += ha.T @ dact
-        dpre = dact[:, None] * proj.w[None, :] * np.where(prea > 0, 1.0, LEAKY_SLOPE)
+        dpre = dact[:, None] * params.w[None, :] * np.where(prea > 0, 1.0, LEAKY_SLOPE)
         dc += dpre.sum(axis=0)
         dT += dpre.T @ xa
-        dx = dpre @ proj.T
+        dx = dpre @ params.T
         da_i[active] = dx[:, :d] + dpre
         da_j[active] = dx[:, d:] + dpre
     return loss, da_i, da_j, db_i, db_j, dT, dw, dc
@@ -334,9 +306,7 @@ def joint_loss(batch, ms, cfg):
     rec = 0.0
     if len(batch.rec_triples):
         u, vp, vn = batch.rec_triples.T
-        uvec = ms.agg_r[u]
-        if cfg.social_fusion:
-            uvec = uvec + ms.agg_s[u]
+        uvec = user_vectors(ms, u, cfg.social_fusion)
         pos = (uvec * ms.agg_r[I + vp]).sum(axis=1)
         neg = (uvec * ms.agg_r[I + vn]).sum(axis=1)
         rec = bpr_loss(pos, neg)
@@ -383,8 +353,8 @@ def compute_gradients(batch, ms, cfg, out=None):
     l1, l2 = cfg.effective_weights()
 
     grads = out
-    if grads is None or grads.flat.size != ms.params.size:
-        grads = GradientSet.for_model(ms)
+    if grads is None or grads.layout != ms.params.layout:
+        grads = GradientSet(*ms.params.layout)
     flat = grads.flat
     for_each_chunk(flat.size, lambda lo, hi, _: flat[lo:hi].fill(0.0))
     # the interaction-view gradient is built in place in the E_u/E_v rows
@@ -395,9 +365,7 @@ def compute_gradients(batch, ms, cfg, out=None):
 
     if len(batch.rec_triples):
         u, vp, vn = batch.rec_triples.T
-        uvec = ms.agg_r[u]
-        if cfg.social_fusion:
-            uvec = uvec + ms.agg_s[u]
+        uvec = user_vectors(ms, u, cfg.social_fusion)
         pv = ms.agg_r[I + vp]
         nv = ms.agg_r[I + vn]
         x = (uvec * (pv - nv)).sum(axis=1)
@@ -465,8 +433,9 @@ def compute_gradients(batch, ms, cfg, out=None):
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moments over the flat parameter block, plus the two
-    per-CPU slices of scratch the fused update works in."""
+    """First/second moments, each a flat array sized and typed like the
+    parameter block's, plus the two per-CPU slices of scratch the fused
+    update works in."""
 
     m: np.ndarray
     v: np.ndarray
@@ -478,7 +447,7 @@ class AdamState:
 
     @classmethod
     def for_model(cls, ms):
-        return cls(m=np.zeros(ms.params.size), v=np.zeros(ms.params.size))
+        return cls(m=np.zeros_like(ms.params.flat), v=np.zeros_like(ms.params.flat))
 
 
 def adam_step(ms, grads, opt, t, lr_t):
@@ -491,7 +460,7 @@ def adam_step(ms, grads, opt, t, lr_t):
     """
     if t < 1:
         raise ValueError("Adam step index is 1-based")
-    p, g, m, v = ms.params, grads.flat, opt.m, opt.v
+    p, g, m, v = ms.params.flat, grads.flat, opt.m, opt.v
     if not p.size == g.size == m.size == v.size:
         raise ValueError("parameters, gradients and Adam moments differ in size")
     bc1 = 1.0 - ADAM_BETA1 ** t

@@ -7,7 +7,7 @@ import numpy as np
 
 from .eval import _tally
 from .graph import build_interaction_laplacian, build_social_laplacian
-from .model import ModelState, ProjectionParams, encode, init_model, projection_forward
+from .model import ModelState, ParamBlock, encode, init_model, projection_forward
 from .objective import Batch, TrainConfig, compute_gradients, joint_loss, sample_batch
 from .oracle import dense_forward, finite_difference
 from .synthetic import random_dataset
@@ -52,8 +52,7 @@ def instance_loss_fn(cfg, batch, graphs):
     g_r, g_s = graphs
 
     def loss_fn(params):
-        ms = ModelState(E_u=params["E_u"], E_v=params["E_v"],
-                        proj=ProjectionParams(params["T"], params["w"], params["c"]))
+        ms = ModelState(ParamBlock.from_arrays(params))
         encode(ms, g_r, g_s, cfg.layers, cfg.agg)
         total, _ = joint_loss(batch, ms, cfg)
         return total

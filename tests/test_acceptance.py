@@ -19,7 +19,7 @@ import pytest
 from socrec.data import build_dataset, load_edges
 from socrec.eval import evaluate, export_relevance_weights
 from socrec.experiments import ExperimentSpec, run_robustness, run_train
-from socrec.model import ProjectionParams
+from socrec.model import ParamBlock
 from socrec.objective import (TrainConfig, _alignment_hinge, _infonce_grads)
 from socrec.selfcheck import (forward_equivalence_check, gradient_check,
                               metric_oracle_check)
@@ -167,8 +167,9 @@ def _min_times(fns, reps=15):
 def test_criterion_7_cost_scaling():
     rng = np.random.default_rng(0)
     d = 64
-    proj = ProjectionParams(T=rng.normal(size=(d, 2 * d)) * 0.1,
-                            w=rng.normal(size=d) * 0.1, c=np.zeros(d))
+    proj = ParamBlock.from_arrays({"E_u": np.zeros((0, d)), "E_v": np.zeros((0, d)),
+                                   "T": rng.normal(size=(d, 2 * d)) * 0.1,
+                                   "w": rng.normal(size=d) * 0.1, "c": np.zeros(d)})
 
     def hinge_runner(B):
         a_i = rng.normal(size=(B, d))

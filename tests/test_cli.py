@@ -243,6 +243,19 @@ class TestCaseStudy:
         assert len(export.rows) == 3
 
 
+    @pytest.mark.parametrize("sample", ["x", "-1", "2.5"])
+    def test_bad_sample_fatal_before_any_work(self, edge_files, tmp_path, sample):
+        spec = fast_spec(edge_files, tmp_path / "runs", run_name="cs", sample=sample)
+        with pytest.raises(ValueError, match=f"sample: cannot read {sample!r}"):
+            run_case_study(spec)
+        inter_path, soc_path = edge_files
+        with pytest.raises(ValueError, match=f"sample: cannot read {sample!r}"):
+            main(["case-study", "--interactions", inter_path, "--social", soc_path,
+                  "--out", str(tmp_path / "runs"), "--epochs", "1", "--dim", "4",
+                  "--sample", sample])
+        assert not os.path.exists(tmp_path / "runs")
+
+
 class TestMainEntry:
     def test_train_subcommand(self, edge_files, tmp_path, capsys):
         inter_path, soc_path = edge_files
@@ -305,6 +318,20 @@ class TestMainEntry:
                 "--grid", "lambda2=0", *extra[channel]]
         with pytest.raises(ValueError, match=f"{key}.*{value!r}"):
             main(args)
+        assert not os.path.exists(tmp_path / "runs")
+
+    def test_task_value_names_key(self, edge_files, tmp_path):
+        inter_path, soc_path = edge_files
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("eval_seed=x\n")
+        source = ["--interactions", inter_path, "--social", soc_path,
+                  "--out", str(tmp_path / "runs"), "--epochs", "1", "--dim", "4"]
+        for args, key, kind in ((["train", *source, "--config", str(cfg_path)],
+                                 "eval_seed", "int"),
+                                (["robust", *source, "--ratios", "0,x"], "ratios", "float")):
+            with pytest.raises(ValueError,
+                               match=f"config key {key}: cannot read 'x' as {kind}"):
+                main(args)
         assert not os.path.exists(tmp_path / "runs")
 
     def test_config_file_with_flag_override(self, edge_files, tmp_path):

@@ -49,4 +49,4 @@ def test_artifact_digest_is_reproducible(tmp_path):
             "shape"} <= names
     assert "timing.txt" not in names
     stdouts = [line for line in runs[0].stdout.splitlines() if "  stdout/" in line]
-    assert len(stdouts) == 10  # one per command of the suite
+    assert len(stdouts) == 12  # one per command of the suite

@@ -17,7 +17,7 @@ from socrec import graph
 from socrec.data import inject_noise
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
-from socrec.model import aggregate_backward, encode, init_model
+from socrec.model import ParamBlock, aggregate_backward, encode, init_model
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
                               GradientSet, TrainConfig, _alignment_hinge,
                               _scatter_add, adam_step, compute_gradients,
@@ -214,7 +214,7 @@ def test_gradients_match_seed_assembly(ds, variant, agg):
     batch = sample_batch(ds, cfg.batch, np.random.default_rng(7),
                          need_social=not cfg.social_fusion)
     want = seed_gradients(batch, ms, cfg)
-    stale = GradientSet.for_model(ms)
+    stale = GradientSet(*ms.params.layout)
     stale.flat[:] = np.nan
     for grads in (compute_gradients(batch, ms, cfg),
                   compute_gradients(batch, ms, cfg, out=stale)):
@@ -230,7 +230,7 @@ def test_shared_work_pair_aliases_nothing_live(ds, agg):
                       agg=agg)
     g_r, g_s = build_interaction_laplacian(ds), build_social_laplacian(ds)
     ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=6)
-    grads, opt = GradientSet.for_model(ms), AdamState.for_model(ms)
+    grads, opt = GradientSet(*ms.params.layout), AdamState.for_model(ms)
     for t in (1, 2):
         batch = sample_batch(ds, cfg.batch, np.random.default_rng(t))
         encode(ms, g_r, g_s, cfg.layers, cfg.agg)
@@ -248,7 +248,7 @@ def test_shared_work_pair_aliases_nothing_live(ds, agg):
 
 def test_in_place_adam_matches_seed_formula():
     ms = init_model(400, 800, 64, seed=8)
-    assert ms.params.size > 2 * CHUNK
+    assert ms.params.flat.size > 2 * CHUNK
     names = ("E_u", "E_v", "T", "w", "c")
     params = ms.copy_params()
     m = {k: np.zeros_like(p) for k, p in params.items()}
@@ -258,13 +258,13 @@ def test_in_place_adam_matches_seed_formula():
     for t in range(1, 6):
         lr = 1e-2 * 0.9 ** t
         g = {k: rng.normal(size=p.shape) for k, p in params.items()}
-        adam_step(ms, GradientSet(**g), opt, t, lr)
+        adam_step(ms, GradientSet.from_arrays(g), opt, t, lr)
         bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
         for k in names:
             m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g[k]
             v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g[k] * g[k]
             params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPS)
-    for k, got in ms.named_params().items():
+    for k, got in ms.params.as_dict().items():
         np.testing.assert_array_equal(got, params[k])
     np.testing.assert_array_equal(opt.m, np.concatenate([m[k].ravel() for k in names]))
     np.testing.assert_array_equal(opt.v, np.concatenate([v[k].ravel() for k in names]))
@@ -278,15 +278,15 @@ class TestParameterBlock:
 
     def test_set_params_keeps_views_of_one_block(self):
         ms = init_model(5, 7, 3, seed=1)
-        block = ms.params
+        block = ms.params.flat
         other = init_model(5, 7, 3, seed=2).copy_params()
         ms.set_params(other)
-        assert ms.params is block
+        assert ms.params.flat is block
         assert self._is_view_of(ms.E_u, block, 0)
         assert self._is_view_of(ms.E_v, block, 5 * 3)
         assert self._is_view_of(ms.proj.T, block, 12 * 3)
         np.testing.assert_array_equal(ms.E, np.vstack([other["E_u"], other["E_v"]]))
-        for name, view in ms.named_params().items():
+        for name, view in ms.params.as_dict().items():
             np.testing.assert_array_equal(view, other[name])
 
     def test_set_params_shape_mismatch_fatal(self):
@@ -295,6 +295,35 @@ class TestParameterBlock:
         params["E_v"] = params["E_v"][:3]
         with pytest.raises(ValueError):
             ms.set_params(params)
+
+    def test_parameters_gradients_and_moments_share_one_layout(self, ds):
+        cfg = TrainConfig(dim=8, layers=1, batch=64)
+        ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=3)
+        encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
+               cfg.layers)
+        grads = compute_gradients(sample_batch(ds, cfg.batch, np.random.default_rng(0)),
+                                  ms, cfg)
+        opt = AdamState.for_model(ms)
+        blocks = [ms.params, grads, *(ParamBlock(*ms.params.layout, moment)
+                                      for moment in (opt.m, opt.v))]
+        I, J, d = ms.params.layout
+        rows = (I + J) * d
+        want = {"E_u": 0, "E_v": I * d, "T": rows, "w": rows + 2 * d * d,
+                "c": rows + 2 * d * d + d}
+        for block in blocks:
+            assert block.flat.size == ms.params.flat.size == rows + 2 * d * d + 2 * d
+            for name, view in block.as_dict().items():
+                assert self._is_view_of(view, block.flat, want[name]), name
+            assert self._is_view_of(block.E, block.flat, 0)
+            assert block.E.shape == (I + J, d)
+
+    def test_block_rejects_flat_array_of_wrong_size(self):
+        size = ParamBlock(5, 7, 3).flat.size
+        for flat in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size)),
+                     np.zeros(size, np.float32), np.zeros(2 * size)[::2]):
+            with pytest.raises(ValueError, match=f"layout needs {size} contiguous"):
+                ParamBlock(5, 7, 3, flat)
+        assert ParamBlock(5, 7, 3, np.zeros(size)).flat.size == size
 
     def test_snapshot_is_independent(self):
         ms = init_model(5, 7, 3, seed=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ class TestPredictions:
 
 class TestCheckpoint:
     def test_roundtrip(self, encoded, tmp_path):
-        _, ms, _, _ = encoded
+        _, ms, g_r, g_s = encoded
         save_checkpoint(ms, str(tmp_path / "ckpt"), ["variant=full"])
         back = load_checkpoint(str(tmp_path / "ckpt"))
         np.testing.assert_array_equal(back.E_u, ms.E_u)
@@ -203,6 +204,26 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.proj.w, ms.proj.w)
         np.testing.assert_array_equal(back.proj.c, ms.proj.c)
         assert back.num_layers == ms.num_layers
+        for layers in (0, 2):  # save -> load -> save writes the same bytes
+            encode(ms, g_r, g_s, layers)
+            first, again = tmp_path / f"L{layers}", tmp_path / f"L{layers}-again"
+            save_checkpoint(ms, str(first), ["variant=full"])
+            save_checkpoint(load_checkpoint(str(first)), str(again), ["variant=full"])
+            names = sorted(path.name for path in first.iterdir())
+            assert sorted(path.name for path in again.iterdir()) == names
+            for name in names:
+                assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_mismatched_file_names_itself(self, encoded, tmp_path):
+        _, ms, _, _ = encoded
+        save_checkpoint(ms, str(tmp_path / "ckpt"))
+        path = tmp_path / "ckpt" / "w"
+        raw = path.read_bytes()
+        for data, found in ((raw[:-8], ms.dim - 1), (raw + raw[:8], ms.dim + 1)):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path} holds {found} values, its shape file needs {ms.dim}")):
+                load_checkpoint(str(tmp_path / "ckpt"))
 
     def test_zero_layers_stored_and_missing_count_is_none(self, encoded, tmp_path):
         _, ms, g_r, g_s = encoded

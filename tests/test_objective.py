@@ -353,11 +353,11 @@ class TestAdam:
 
     def _zero_grads(self, ms):
         from socrec.objective import GradientSet
-        return GradientSet(E_u=np.zeros_like(ms.E_u),
-                           E_v=np.zeros_like(ms.E_v),
-                           T=np.zeros_like(ms.proj.T),
-                           w=np.zeros_like(ms.proj.w),
-                           c=np.zeros_like(ms.proj.c))
+        return GradientSet.from_arrays({"E_u": np.zeros_like(ms.E_u),
+                                        "E_v": np.zeros_like(ms.E_v),
+                                        "T": np.zeros_like(ms.proj.T),
+                                        "w": np.zeros_like(ms.proj.w),
+                                        "c": np.zeros_like(ms.proj.c)})
 
     def test_zero_gradient_no_change(self):
         ms = self._model()

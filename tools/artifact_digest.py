@@ -1,13 +1,14 @@
 """SHA-256 of every artifact a fixed-seed CLI suite writes.
 
 Runs `socrec train` (four variant/layer/aggregation settings), `ablate`,
-`robust`, `sweep`, `eval` and `case-study` on the pinned fixture in
-`tests/fixtures/pinned`, with the socrec package of a source tree, and
-prints one `<sha256>  <path>` line per file written, sorted by path.
-`timing.txt` files hold wall-clock times and are left out. The standard
-output of each command is digested too, as `stdout/<command>-<run name>`,
-with the output root replaced by `<out>` so the temporary directory does
-not show.
+`robust`, `sweep`, `eval` (on the `full`, `direct_social` and `no_align`
+checkpoints, each with the flags it trained with) and `case-study` on the
+pinned fixture in `tests/fixtures/pinned`, with the socrec package of a
+source tree, and prints one `<sha256>  <path>` line per file written,
+sorted by path. `timing.txt` files hold wall-clock times and are left out.
+The standard output of each command is digested too, as
+`stdout/<command>-<run name>`, with the output root replaced by `<out>` so
+the temporary directory does not show.
 
     python tools/artifact_digest.py [ROOT]
 
@@ -47,6 +48,9 @@ def suite(out):
     common = COMMON + ["--out", out]
     runs = [["train", *common, *flags, "--run-name", name] for name, flags in TRAIN]
     checkpoint = os.path.join(out, "train", "full", "checkpoint")
+    runs += [["eval", *common, *flags, "--checkpoint",
+              os.path.join(out, "train", name, "checkpoint"), "--run-name", f"eval_{name}"]
+             for name, flags in TRAIN if name in ("direct_social", "no_align")]
     runs += [
         ["ablate", *common, "--run-name", "ablate"],
         ["robust", *common, "--ratios", "0,0.2", "--run-name", "robust"],
