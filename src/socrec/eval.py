@@ -71,7 +71,9 @@ def _split_edges(ds, split):
 
 
 def _sample_negatives(rng, num_items, known, count):
-    """Distinct non-interacted items; None when the pool is too small."""
+    """The first `count` distinct unknown items `rng` draws (None when too
+    few are unknown; below 4*count, a shuffle of them instead). A round's
+    bulk draw of the still-needed k is the stream of k scalar draws."""
     pool = num_items - len(known)
     if pool < count:
         return None
@@ -80,17 +82,12 @@ def _sample_negatives(rng, num_items, known, count):
                            dtype=np.int64)
         rng.shuffle(allowed)
         return allowed[:count]
-    picked = set()
-    out = np.empty(count, dtype=np.int64)
-    k = 0
-    while k < count:
-        v = int(rng.integers(num_items))
-        if v in known or v in picked:
-            continue
-        picked.add(v)
-        out[k] = v
-        k += 1
-    return out
+    picked = {}  # insertion-ordered: draw order of first occurrences
+    while len(picked) < count:
+        for v in rng.integers(num_items, size=count - len(picked)).tolist():
+            if v not in known:
+                picked.setdefault(v)
+    return np.array(list(picked), dtype=np.int64)
 
 
 def held_out_rank(scores, cand):
@@ -114,11 +111,8 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     edges = _split_edges(ds, split)
     I = ds.num_users
     known = ds.user_known_items()
-    users = []
-    ranks = []
-    skipped = 0
-    for u, held in edges:
-        u, held = int(u), int(held)
+    users, ranks, skipped = [], [], 0
+    for u, held in edges.tolist():
         rng = np.random.default_rng([seed, u])
         negs = _sample_negatives(rng, ds.num_items, known[u], num_negatives)
         if negs is None:
@@ -202,10 +196,8 @@ class RelevanceWeightExport:
     rows: list  # (user_i, user_j, z, zhat)
 
     def to_lines(self):
-        out = ["# user_i user_j z zhat"]
-        for i, j, z, zhat in self.rows:
-            out.append(f"{i} {j} {z:.12g} {zhat:.12g}")
-        return out
+        return ["# user_i user_j z zhat"] + [f"{i} {j} {z:.12g} {zhat:.12g}"
+                                             for i, j, z, zhat in self.rows]
 
 
 def export_relevance_weights(ms, ds, sample="all", seed=0):

@@ -274,15 +274,22 @@ def save_checkpoint(ms, out_dir, config_lines=()):
 def load_checkpoint(in_dir):
     """Rebuild a ModelState (parameters only) from save_checkpoint output.
 
-    Each parameter file is read into its view of a new block; a file whose
-    size disagrees with the shape file is an error. `num_layers` is the
+    Each parameter file is read into its view of a new block; a shape file
+    line that is not key=<integer>, a missing I, J or d, and a file whose
+    size disagrees with the shape file are errors. `num_layers` is the
     stored L, or None for a checkpoint without one.
     """
+    path = os.path.join(in_dir, "shape")
     shape = {}
-    with open(os.path.join(in_dir, "shape")) as fh:
-        for line in fh:
-            k, v = line.strip().split("=", 1)
-            shape[k] = int(v)
+    with open(path) as fh:
+        for line in filter(str.strip, fh):
+            key, _, value = line.strip().partition("=")
+            if not value.isdecimal():
+                raise ValueError(f"{path}: line {line.strip()!r} is not key=<integer>")
+            shape[key] = int(value)
+    for key in ("I", "J", "d"):
+        if key not in shape:
+            raise ValueError(f"{path} has no {key}= line; a checkpoint needs I, J and d")
     params = ParamBlock(shape["I"], shape["J"], shape["d"])
     for name, view in params.as_dict().items():
         path = os.path.join(in_dir, name)

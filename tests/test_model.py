@@ -225,6 +225,32 @@ class TestCheckpoint:
                     f"{path} holds {found} values, its shape file needs {ms.dim}")):
                 load_checkpoint(str(tmp_path / "ckpt"))
 
+    def test_shape_file_without_a_dimension_names_it(self, encoded, tmp_path):
+        _, ms, _, _ = encoded
+        save_checkpoint(ms, str(tmp_path / "ckpt"))
+        shape = tmp_path / "ckpt" / "shape"
+        lines = shape.read_text().splitlines(True)
+        for key in ("I", "J", "d"):
+            shape.write_text("".join(line for line in lines
+                                     if not line.startswith(f"{key}=")))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{shape} has no {key}= line; a checkpoint needs I, J and d")):
+                load_checkpoint(str(tmp_path / "ckpt"))
+
+    def test_malformed_shape_line_names_it(self, encoded, tmp_path):
+        _, ms, _, _ = encoded
+        save_checkpoint(ms, str(tmp_path / "ckpt"))
+        shape = tmp_path / "ckpt" / "shape"
+        text = shape.read_text()
+        d, L = f"d={ms.dim}", f"L={ms.num_layers}"
+        for good, bad in ((d, f"d{ms.dim}"), (d, f"{d}x"), (L, "L=None")):
+            shape.write_text(text.replace(good + "\n", bad + "\n"))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{shape}: line {bad!r} is not key=<integer>")):
+                load_checkpoint(str(tmp_path / "ckpt"))
+        shape.write_text(text + "\n\n")  # blank lines are ignored
+        assert load_checkpoint(str(tmp_path / "ckpt")).dim == ms.dim
+
     def test_zero_layers_stored_and_missing_count_is_none(self, encoded, tmp_path):
         _, ms, g_r, g_s = encoded
         encode(ms, g_r, g_s, 0)

@@ -2,7 +2,9 @@
 
 Runs `socrec train` (four variant/layer/aggregation settings), `ablate`,
 `robust`, `sweep`, `eval` (on the `full`, `direct_social` and `no_align`
-checkpoints, each with the flags it trained with) and `case-study` on the
+checkpoints, each with the flags it trained with, and on `full` again with
+280 negatives, which takes the small-pool candidate branch for every user
+where the suite's 49 take the rejection branch) and `case-study` on the
 pinned fixture in `tests/fixtures/pinned`, with the socrec package of a
 source tree, and prints one `<sha256>  <path>` line per file written,
 sorted by path. `timing.txt` files hold wall-clock times and are left out.
@@ -57,6 +59,10 @@ def suite(out):
         ["sweep", *common, "--grid", "lambda2=0,0.01", "--grid", "layers=1,2",
          "--run-name", "sweep"],
         ["eval", *common, "--checkpoint", checkpoint, "--run-name", "eval"],
+        # 280 of 300 items: every user's pool is under 4*280, so candidates
+        # come from the shuffle branch, and users with < 280 left are skipped
+        ["eval", *common, "--negatives", "280", "--checkpoint", checkpoint,
+         "--run-name", "eval_shuffle"],
         ["case-study", *common, "--checkpoint", checkpoint, "--run-name", "case_ckpt"],
         ["case-study", *common, "--sample", "50", "--run-name", "case_train"],
     ]
