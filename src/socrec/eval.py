@@ -24,17 +24,16 @@ class EvalReport:
     num_users: int
     hits: dict                   # cutoff -> int
     ndcg_sums: dict              # cutoff -> float
-    hr: dict = field(default_factory=dict)
-    ndcg: dict = field(default_factory=dict)
+    hr: dict = field(init=False)
+    ndcg: dict = field(init=False)
     per_stratum: dict = field(default_factory=dict)  # label -> sub-report dict
     skipped: int = 0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.hr:
-            denom = max(self.num_users, 1)
-            self.hr = {n: self.hits[n] / denom for n in self.cutoffs}
-            self.ndcg = {n: self.ndcg_sums[n] / denom for n in self.cutoffs}
+        denom = max(self.num_users, 1)
+        self.hr = {n: self.hits[n] / denom for n in self.cutoffs}
+        self.ndcg = {n: self.ndcg_sums[n] / denom for n in self.cutoffs}
 
     def to_lines(self):
         """Line-delimited `metric cutoff stratum value` rows for plotting."""
@@ -72,8 +71,8 @@ def _split_edges(ds, split):
 
 def _sample_negatives(rng, num_items, known, count):
     """The first `count` distinct unknown items `rng` draws (None when too
-    few are unknown; below 4*count, a shuffle of them instead). A round's
-    bulk draw of the still-needed k is the stream of k scalar draws."""
+    few are unknown; when at most 4*count are, a shuffle of them instead).
+    A round's bulk draw of the still-needed k is the stream of k scalars."""
     pool = num_items - len(known)
     if pool < count:
         return None
@@ -196,8 +195,10 @@ class RelevanceWeightExport:
     rows: list  # (user_i, user_j, z, zhat)
 
     def to_lines(self):
-        return ["# user_i user_j z zhat"] + [f"{i} {j} {z:.12g} {zhat:.12g}"
-                                             for i, j, z, zhat in self.rows]
+        out = ["# user_i user_j z zhat"]
+        for i, j, z, zhat in self.rows:
+            out.append(f"{i} {j} {z:.12g} {zhat:.12g}")
+        return out
 
 
 def export_relevance_weights(ms, ds, sample="all", seed=0):

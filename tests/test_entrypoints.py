@@ -1,6 +1,7 @@
 """Smoke tests of the public entry points: every demo script, the `check`
 subcommand and the artifact digest tool run to completion."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -50,3 +51,37 @@ def test_artifact_digest_is_reproducible(tmp_path):
     assert "timing.txt" not in names
     stdouts = [line for line in runs[0].stdout.splitlines() if "  stdout/" in line]
     assert len(stdouts) == 13  # one per command of the suite
+
+
+def _record(workload, sha, seed, eval_users_per_s, digest):
+    end_to_end = {m: 1.0 for m in ("setup_s", "train_s", "train_triples_per_s",
+                                   "peak_rss_mb", "test_hr10", "test_ndcg10")}
+    end_to_end["eval_users_per_s"] = eval_users_per_s
+    provenance = {"nproc": 2, "cpu_model": "cpu", "python": "3", "numpy": "2",
+                  "scipy": "1", "blas_pin": {"OPENBLAS_NUM_THREADS": "2"},
+                  "blas_threads_in_effect": 2, "git_sha": sha, "seed": seed}
+    return {"workload": workload, "seed": seed, "trace": 0, "seconds": 55.0,
+            "provenance": provenance, "end_to_end": end_to_end,
+            "operations": [{"sha256": {"report.dat": digest}}] * 2,
+            "attempted": 2, "failed": 0}
+
+
+def test_bench_summary_groups_by_workload_and_sha(tmp_path):
+    runs = [_record("w", "parent", seed, rate, "r1")
+            for seed, rate in ((1, 10.0), (2, 30.0), (3, 20.0))]
+    runs += [_record("w", "change", 1, 40.0, "r1"), _record("w", "change", 1, 50.0, "r2")]
+    captured = tmp_path / "captured.out"
+    captured.write_text("".join(f"noise\nrecord {json.dumps(r)}\n{{}}\n" for r in runs))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_summary.py"),
+                           str(captured)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    groups = json.loads(proc.stdout)["workloads"]["w"]
+    parent, change = groups["parent"], groups["change"]
+    assert parent["seeds"] == [1, 2, 3] and parent["attempted"] == 6
+    assert parent["end_to_end"]["eval_users_per_s"]["median"] == 20.0
+    assert set(parent["end_to_end"]) == {"setup_s", "train_s", "train_triples_per_s",
+                                         "eval_users_per_s", "peak_rss_mb",
+                                         "test_hr10", "test_ndcg10"}
+    assert parent["outputs_sha256"] == {str(s): {"report.dat": ["r1"]} for s in (1, 2, 3)}
+    assert change["outputs_sha256"] == {"1": {"report.dat": ["r1", "r2"]}}
+    assert change["provenance"]["numpy"] == "2" and "git_sha" not in change["provenance"]

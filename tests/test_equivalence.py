@@ -1,5 +1,6 @@
 """Bit-for-bit equivalence of the blocked, in-place kernels, the per-user
-set builder and the BPR sampler with the plain code they replace.
+set builder, the BPR sampler and the bulk-drawn evaluation candidates with
+the plain code they replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
@@ -11,18 +12,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from socrec import graph
 from socrec.data import inject_noise
+from socrec.eval import _sample_negatives, _user_ranks, held_out_rank
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
-from socrec.model import ParamBlock, aggregate_backward, encode, init_model
+from socrec.model import (ParamBlock, aggregate_backward, encode, init_model,
+                          user_vectors)
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
                               GradientSet, TrainConfig, _alignment_hinge,
                               _scatter_add, adam_step, compute_gradients,
                               sample_batch)
 from socrec.synthetic import random_dataset
+
+from conftest import make_encoded
 
 
 @pytest.fixture(scope="module")
@@ -418,3 +425,129 @@ def test_sample_batch_matches_seed_sampler(ds, case, need_social):
         for name in ("rec_triples", "soc_triples", "ssl_pairs"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+
+
+def seed_sample_negatives(rng, num_items, known, count):
+    """The original candidate draw: one scalar rng.integers per draw."""
+    pool = num_items - len(known)
+    if pool < count:
+        return None
+    if pool <= 4 * max(count, 1):
+        allowed = np.array([v for v in range(num_items) if v not in known],
+                           dtype=np.int64)
+        rng.shuffle(allowed)
+        return allowed[:count]
+    picked = set()
+    out = np.empty(count, dtype=np.int64)
+    k = 0
+    while k < count:
+        v = int(rng.integers(num_items))
+        if v in known or v in picked:
+            continue
+        picked.add(v)
+        out[k] = v
+        k += 1
+    return out
+
+
+def seed_user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
+    """The original per-user ranking loop over the scalar draw."""
+    edges = ds.val_edges if split == "val" else ds.test_edges
+    known = ds.user_known_items()
+    users, ranks, skipped = [], [], 0
+    for u, held in edges:
+        u, held = int(u), int(held)
+        rng = np.random.default_rng([seed, u])
+        negs = seed_sample_negatives(rng, ds.num_items, known[u], num_negatives)
+        if negs is None:
+            skipped += 1
+            continue
+        cand = np.concatenate([[held], negs])
+        scores = ms.agg_r[ds.num_users + cand] @ user_vectors(ms, u, social_fusion)
+        users.append(u)
+        ranks.append(held_out_rank(scores, cand))
+    return np.array(users, dtype=np.int64), np.array(ranks, dtype=np.int64), skipped
+
+
+# (num_items, known items, count): which branch of _sample_negatives runs
+NEGATIVE_CASES = {
+    "rejection": (5000, 40, 99),
+    "rejection_heavy": (450, 50, 99),   # pool 400: many repeats and known draws
+    "shuffle": (300, 60, 99),
+    "pool_is_4_count": (130, 30, 25),   # shuffle at the boundary
+    "pool_is_4_count_plus_1": (131, 30, 25),  # rejection at the boundary
+    "pool_is_count": (60, 35, 25),
+    "pool_below_count": (60, 36, 25),
+    "count_zero": (5000, 40, 0),
+    "count_zero_small_pool": (6, 3, 0),
+}
+
+
+def _known(num_items, num_known, seed):
+    order = np.random.default_rng(seed + 100).permutation(num_items)
+    return {int(v) for v in order[:num_known]}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_CASES))
+def test_negatives_match_scalar_draws(case):
+    num_items, num_known, count = NEGATIVE_CASES[case]
+    for seed in range(20):
+        known = _known(num_items, num_known, seed)
+        got_rng = np.random.default_rng([seed, 7])
+        want_rng = np.random.default_rng([seed, 7])
+        got = _sample_negatives(got_rng, num_items, known, count)
+        want = seed_sample_negatives(want_rng, num_items, known, count)
+        if case == "pool_below_count":
+            assert got is None and want is None
+            continue
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        # both stopped at the same point of the stream
+        assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+
+
+def test_rejection_cases_see_repeats_and_known_draws():
+    """The rejection cases exercise both reasons to discard a draw."""
+    num_items, num_known, count = NEGATIVE_CASES["rejection_heavy"]
+    known = _known(num_items, num_known, 0)
+    draws = np.random.default_rng([0, 7]).integers(num_items, size=count).tolist()
+    unknown = [v for v in draws if v not in known]
+    assert len(unknown) < len(draws)
+    assert len(set(unknown)) < len(unknown)
+
+
+@pytest.mark.parametrize("social_fusion", [False, True])
+@pytest.mark.parametrize("negatives", [30, 115, 140])
+def test_user_ranks_match_scalar_loop(social_fusion, negatives):
+    # pools of 110-147 items: at 30 negatives some users take the rejection
+    # branch and the rest the shuffle branch; at 115 and 140 every user
+    # takes the shuffle branch or is skipped
+    ds = random_dataset(60, 150, min_items=3, max_items=40, tie_prob=0.1, seed=6)
+    ms, _, _ = make_encoded(ds, dim=8, layers=2)
+    for split, seed in (("test", 0), ("val", 3)):
+        got = _user_ranks(ms, ds, split, negatives, seed, social_fusion)
+        want = seed_user_ranks(ms, ds, split, negatives, seed, social_fusion)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        assert len(got[0]) > 0
+        assert (got[2] > 0) == (negatives > 110)
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=2**31 + 5, seed=1, chunks=[37, 37, 26])
+@example(n=2**32 + 7, seed=2, chunks=[37, 37, 26])
+@example(n=98_875, seed=3, chunks=[37, 37, 26])
+@given(n=st.integers(1, 1 << 40), seed=st.integers(0, 2**32 - 1),
+       chunks=st.lists(st.integers(0, 60), min_size=1, max_size=6))
+def test_bulk_draws_equal_scalar_draws(n, seed, chunks):
+    """rng.integers(n, size=k), whole or in chunks, is the stream of k
+    scalar rng.integers(n) draws; the bulk candidate draw rests on it."""
+    k = sum(chunks)
+    scalar_rng = np.random.default_rng(seed)
+    scalar = [int(scalar_rng.integers(n)) for _ in range(k)]
+    bulk_rng = np.random.default_rng(seed)
+    assert bulk_rng.integers(n, size=k).tolist() == scalar
+    chunk_rng = np.random.default_rng(seed)
+    assert [v for c in chunks for v in chunk_rng.integers(n, size=c).tolist()] == scalar
+    assert scalar_rng.integers(1 << 62) == bulk_rng.integers(1 << 62)

@@ -1,0 +1,85 @@
+"""Summarise captured `bench/run.py` output as one JSON benchmark file.
+
+    python tools/bench_summary.py captured.out [more.out ...] > BENCH_<tag>.json
+
+Each input holds the standard output of one or more `bench/run.py` runs;
+only their `record {...}` lines are read. Runs are grouped by workload and
+then by the git SHA of the checkout that ran them, so the output of a
+parent and a change, captured into one file or two, sits side by side.
+Per group it writes:
+
+- the seeds, the run count, and the operations attempted and failed;
+- median, q1 and q3 of every end-to-end metric `BENCHMARK.json` lists,
+  with its unit (quartiles as `bench/compare.py` computes them);
+- the distinct SHA-256 of each operation's `report.dat` and
+  `history.txt`, per seed, so two groups show whether they wrote the same
+  bytes;
+- provenance: numpy/scipy/python versions, CPU count and model, and the
+  BLAS thread pin, which must agree across the group's runs.
+"""
+
+import json
+import pathlib
+import sys
+from collections import defaultdict
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "bench"))
+from compare import load_records, quartiles  # noqa: E402
+
+PROVENANCE = ("nproc", "cpu_model", "python", "numpy", "scipy", "blas_pin",
+              "blas_threads_in_effect")
+
+
+def summarise(records, metrics):
+    """{workload: {git_sha: group summary}} over untraced run records."""
+    groups = defaultdict(list)
+    for rec in records:
+        if not rec["trace"]:
+            groups[rec["workload"], rec["provenance"]["git_sha"]].append(rec)
+    out = defaultdict(dict)
+    for (workload, sha), recs in groups.items():
+        provenance = {key: recs[0]["provenance"][key] for key in PROVENANCE}
+        for rec in recs:
+            if any(rec["provenance"][key] != provenance[key] for key in PROVENANCE):
+                sys.exit(f"error: runs of {workload} at {sha} differ in provenance")
+        end_to_end = {}
+        for m in metrics:
+            q1, median, q3 = quartiles([rec["end_to_end"][m["name"]] for rec in recs])
+            end_to_end[m["name"]] = {"median": median, "q1": q1, "q3": q3,
+                                     "unit": m["unit"]}
+        outputs = defaultdict(lambda: defaultdict(set))
+        for rec in recs:
+            for op in rec["operations"]:
+                for name, digest in op.get("sha256", {}).items():
+                    outputs[str(rec["seed"])][name].add(digest)
+        out[workload][str(sha)] = {
+            "seeds": sorted(rec["seed"] for rec in recs),
+            "runs": len(recs),
+            "attempted": sum(rec["attempted"] for rec in recs),
+            "failed": sum(rec["failed"] for rec in recs),
+            "seconds": sorted({rec["seconds"] for rec in recs}),
+            "end_to_end": end_to_end,
+            "outputs_sha256": {seed: {name: sorted(d) for name, d in names.items()}
+                               for seed, names in outputs.items()},
+            "provenance": provenance,
+        }
+    return out
+
+
+def main(paths):
+    if not paths:
+        sys.exit(__doc__)
+    records = [rec for path in paths for rec in load_records(path)]
+    if not records:
+        sys.exit("error: no `record` lines in the input")
+    with open(REPO / "BENCHMARK.json") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    json.dump({"workloads": summarise(records, metrics)}, sys.stdout, indent=1,
+              sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
