@@ -111,7 +111,7 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     I = ds.num_users
     known = ds.user_known_items()
     users, ranks, skipped = [], [], 0
-    for u, held in edges.tolist():
+    for u, held in zip(*edges.T.tolist()):  # no per-row list for the GC to count
         rng = np.random.default_rng([seed, u])
         negs = _sample_negatives(rng, ds.num_items, known[u], num_negatives)
         if negs is None:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -85,6 +86,32 @@ class TestEvaluate:
         ds, ms, _, _ = encoded
         with pytest.raises(ValueError):
             evaluate(ms, ds, "holdout")
+
+    def test_ranking_sets_off_no_garbage_collection(self):
+        # Per-user objects that outlive their iteration (one list per edge
+        # row, say) hand the collector thousands of tracked objects per
+        # call; they set off collections, now and then a full one, inside
+        # the evaluation. With the known-item sets cached, ranking a split
+        # must not reach a collection.
+        ds = random_dataset(1600, 400, min_items=3, max_items=6, tie_prob=0.002,
+                            seed=3)
+        ms, _, _ = make_encoded(ds, dim=8)
+        assert len(ds.test_edges) > 2 * gc.get_threshold()[0]
+        ds.user_known_items()
+        started = []
+
+        def note(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(note)
+        try:
+            rep = evaluate(ms, ds, "test", num_negatives=20, cutoffs=(10,), seed=0)
+        finally:
+            gc.callbacks.remove(note)
+        assert rep.num_users == len(ds.test_edges)
+        assert started == []
 
 
 class TestStratified:
