@@ -150,6 +150,47 @@ class Dataset:
         return self._derived("ties", lambda: _per_user_sets(
             self.num_users, self.social_edges))
 
+    def train_item_lists(self):
+        """`user_train_items()` as NeighbourLists over the items (cached)."""
+        return self._derived("train_lists", lambda: NeighbourLists.of(
+            self.user_train_items(), self.num_items))
+
+    def tie_lists(self):
+        """`user_ties()` as NeighbourLists over the users (cached)."""
+        return self._derived("tie_lists", lambda: NeighbourLists.of(
+            self.user_ties(), self.num_users))
+
+
+@dataclass(eq=False, frozen=True)
+class NeighbourLists:
+    """Per-anchor neighbour sets over `width` candidates, also as arrays.
+
+    `items[indptr[a]:indptr[a + 1]]` lists `sets[a]` in its iteration
+    order; `keys` holds `a * width + b` of every pair, sorted, then one
+    sentinel above them all, for testing many pairs at once.
+    """
+
+    sets: list
+    width: int
+    indptr: np.ndarray
+    items: np.ndarray
+    keys: np.ndarray
+
+    @classmethod
+    def of(cls, sets, width):
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        items = np.fromiter((b for s in sets for b in s), dtype=np.int64,
+                            count=int(indptr[-1]))
+        keys = np.sort(np.repeat(np.arange(len(sets)), sizes) * width + items)
+        return cls(sets, width, indptr, items,
+                   np.append(keys, np.iinfo(np.int64).max))
+
+    def holds(self, anchors, others):
+        """Whether each `others[k]` is in `sets[anchors[k]]`."""
+        query = anchors * self.width + others
+        return self.keys[np.searchsorted(self.keys, query)] == query
+
 
 def _per_user_sets(num_users, edges):
     """For each user u < num_users, the set of b over edges (u, b).

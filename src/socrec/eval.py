@@ -215,5 +215,6 @@ def export_relevance_weights(ms, ds, sample="all", seed=0):
     z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
     zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
     order = np.argsort(z, kind="stable")
-    rows = [(int(i[k]), int(j[k]), float(z[k]), float(zhat[k])) for k in order]
+    rows = list(zip(i[order].tolist(), j[order].tolist(), z[order].tolist(),
+                    zhat[order].tolist()))
     return RelevanceWeightExport(rows=rows)

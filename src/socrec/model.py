@@ -259,10 +259,12 @@ CHECKPOINT_DTYPE = np.dtype(ParamBlock.DTYPE).newbyteorder("<")
 
 
 def save_checkpoint(ms, out_dir, config_lines=()):
-    """Write each parameter as a flat little-endian array, plus a shape file."""
+    """Write each parameter as a flat little-endian array, plus a shape file
+    (with no L= line for a model whose layer count is unknown)."""
     os.makedirs(out_dir, exist_ok=True)
+    layers = "" if ms.num_layers is None else f"L={ms.num_layers}\n"
     with open(os.path.join(out_dir, "shape"), "w") as fh:
-        fh.write(f"I={ms.num_users}\nJ={ms.num_items}\nd={ms.dim}\nL={ms.num_layers}\n")
+        fh.write(f"I={ms.num_users}\nJ={ms.num_items}\nd={ms.dim}\n{layers}")
     for name, view in ms.params.as_dict().items():
         with open(os.path.join(out_dir, name), "wb") as fh:
             np.ascontiguousarray(view, dtype=CHECKPOINT_DTYPE).tofile(fh)

@@ -127,45 +127,95 @@ def sample_batch(ds, batch_size, rng, need_social=True):
     """
     if len(ds.train_edges) == 0:
         raise ValueError("cannot sample from a dataset without train edges")
-    rec = _bpr_triples(ds.train_edges, ds.user_train_items(), ds.num_items,
-                       batch_size, rng, exclude_anchor=False)
+    rec = _bpr_triples(ds.train_edges, ds.train_item_lists(), batch_size, rng,
+                       exclude_anchor=False)
     if need_social:
         if len(ds.social_edges) == 0:
             raise ValueError("social triples requested but dataset has no ties")
-        soc = _bpr_triples(ds.social_edges, ds.user_ties(), ds.num_users,
-                           batch_size, rng, exclude_anchor=True)
+        soc = _bpr_triples(ds.social_edges, ds.tie_lists(), batch_size, rng,
+                           exclude_anchor=True)
     else:
         soc = np.zeros((0, 3), dtype=np.int64)
     ssl = rng.integers(ds.num_users, size=(batch_size, 2)).astype(np.int64)
     return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
 
 
-def _bpr_triples(edges, neighbours, num_candidates, count, rng, exclude_anchor):
+# A block spans about BLOCK_REJECTS expected rejected rows; where that is
+# under MIN_BLOCK rows, the next SCALAR_RUN rows are drawn one at a time.
+BLOCK_REJECTS = 2.0
+MIN_BLOCK = 16
+SCALAR_RUN = 64
+
+
+def _bpr_triples(edges, lists, count, rng, exclude_anchor):
     """`count` (anchor, positive, negative) rows over an edge list.
 
     The anchor is the source of a uniformly drawn edge, the positive
-    uniform among the anchor's neighbours (in set iteration order), the
-    negative uniform over [0, num_candidates), redrawn while it is a
-    neighbour or, with `exclude_anchor`, the anchor itself. All edge
+    uniform among the anchor's neighbours in `lists` (in set iteration
+    order), the negative uniform over [0, lists.width), redrawn while it is
+    a neighbour or, with `exclude_anchor`, the anchor itself. All edge
     draws come first, then one positive and the negative draws per row.
+
+    Rows are drawn in blocks, with one `rng.integers(0, bounds)` over the
+    bounds [deg(a0), width, deg(a1), width, ...]: that is the stream of one
+    scalar draw per bound. At the first rejected negative the generator is
+    rewound to the block's start and the prefix up to that draw redrawn,
+    and the row finishes with scalar redraws. Blocks are sized from each
+    row's chance of a rejected first negative, (degree + exclude_anchor) /
+    width, so rewinds stay few at any rejection rate.
     """
+    N = lists.width
     out = np.empty((count, 3), dtype=np.int64)
-    listed = {}  # anchor -> its neighbours as an array
-    for row, e in enumerate(rng.integers(len(edges), size=count)):
-        a = int(edges[e, 0])
-        nbrs = neighbours[a]
-        if len(nbrs) + exclude_anchor >= num_candidates:
-            raise ValueError(f"user {a} leaves no negative among {num_candidates} "
-                             "candidates; negative sampling cannot terminate")
-        if a not in listed:
-            listed[a] = np.fromiter(nbrs, dtype=np.int64, count=len(nbrs))
-        choices = listed[a]
-        pos = int(choices[rng.integers(len(choices))])
-        while True:
-            neg = int(rng.integers(num_candidates))
-            if neg not in nbrs and not (exclude_anchor and neg == a):
-                break
-        out[row] = (a, pos, neg)
+    anchors = out[:, 0]
+    anchors[:] = edges[rng.integers(len(edges), size=count), 0]
+    degree = lists.indptr[anchors + 1] - lists.indptr[anchors]
+    full = degree + exclude_anchor >= N
+    if full.any():
+        raise ValueError(f"user {anchors[full.argmax()]} leaves no negative among "
+                         f"{N} candidates; negative sampling cannot terminate")
+    rejects = np.cumsum((degree + exclude_anchor) / N)
+    bounds = np.empty(2 * count, dtype=np.int64)
+    bounds[0::2], bounds[1::2] = degree, N
+
+    def negative(a, neg):
+        nbrs = lists.sets[a]
+        while neg in nbrs or (exclude_anchor and neg == a):
+            neg = int(rng.integers(N))
+        return neg
+
+    row = 0
+    while row < count:
+        before = rejects[row - 1] if row else 0.0
+        stop = min(int(np.searchsorted(rejects, before + BLOCK_REJECTS)) + 1, count)
+        if stop - row < MIN_BLOCK:
+            stop = min(row + SCALAR_RUN, count)
+            picks, negs = [], []
+            for a, at, d in zip(anchors[row:stop].tolist(),
+                                lists.indptr[anchors[row:stop]].tolist(),
+                                degree[row:stop].tolist()):
+                picks.append(at + int(rng.integers(d)))
+                negs.append(negative(a, int(rng.integers(N))))
+            out[row:stop, 1] = lists.items[picks]
+            out[row:stop, 2] = negs
+            row = stop
+            continue
+        state = rng.bit_generator.state
+        draws = rng.integers(0, bounds[2 * row:2 * stop])
+        neg = draws[1::2]
+        rejected = lists.holds(anchors[row:stop], neg)
+        if exclude_anchor:
+            rejected |= neg == anchors[row:stop]
+        k = int(rejected.argmax())
+        end = row + k + 1 if rejected[k] else stop  # rows this block settles
+        out[row:end, 1] = lists.items[lists.indptr[anchors[row:end]]
+                                      + draws[0:2 * (end - row):2]]
+        out[row:end, 2] = neg[:end - row]
+        if rejected[k]:
+            if end < stop:
+                rng.bit_generator.state = state
+                rng.integers(0, bounds[2 * row:2 * end])
+            out[end - 1, 2] = negative(int(anchors[end - 1]), int(neg[k]))
+        row = end
     return out
 
 
