@@ -53,30 +53,40 @@ def test_artifact_digest_is_reproducible(tmp_path):
     assert len(stdouts) == 13  # one per command of the suite
 
 
-def _record(workload, sha, seed, eval_users_per_s, digest):
+def _record(workload, sha, seed, eval_users_per_s, digest, sample_batch_s=None):
+    """A `bench/run.py` record; traced when `sample_batch_s` is given."""
     end_to_end = {m: 1.0 for m in ("setup_s", "train_s", "train_triples_per_s",
                                    "peak_rss_mb", "test_hr10", "test_ndcg10")}
     end_to_end["eval_users_per_s"] = eval_users_per_s
     provenance = {"nproc": 2, "cpu_model": "cpu", "python": "3", "numpy": "2",
                   "scipy": "1", "blas_pin": {"OPENBLAS_NUM_THREADS": "2"},
                   "blas_threads_in_effect": 2, "git_sha": sha, "seed": seed}
-    return {"workload": workload, "seed": seed, "trace": 0, "seconds": 55.0,
-            "provenance": provenance, "end_to_end": end_to_end,
-            "operations": [{"sha256": {"report.dat": digest}}] * 2,
-            "attempted": 2, "failed": 0}
+    record = {"workload": workload, "seed": seed, "trace": 0, "seconds": 55.0,
+              "provenance": provenance, "end_to_end": end_to_end,
+              "operations": [{"sha256": {"report.dat": digest}}] * 2,
+              "attempted": 2, "failed": 0}
+    if sample_batch_s is not None:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        record["trace"] = 1
+        record["per_layer"] = {m["name"]: 2.0 for m in spec["per_layer"]}
+        record["per_layer"]["objective.sample_batch_s"] = sample_batch_s
+    return record
 
 
 def test_bench_summary_groups_by_workload_and_sha(tmp_path):
     runs = [_record("w", "parent", seed, rate, "r1")
             for seed, rate in ((1, 10.0), (2, 30.0), (3, 20.0))]
     runs += [_record("w", "change", 1, 40.0, "r1"), _record("w", "change", 1, 50.0, "r2")]
+    # traced runs give the per-layer figures and stay out of the end-to-end ones
+    runs += [_record("w", "parent", 4, 1e6, "r3", sample_batch_s=s) for s in (3.0, 5.0, 4.0)]
+    runs += [_record("v", "change", 1, 1e6, "r3", sample_batch_s=0.5)]
     captured = tmp_path / "captured.out"
     captured.write_text("".join(f"noise\nrecord {json.dumps(r)}\n{{}}\n" for r in runs))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_summary.py"),
                            str(captured)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    groups = json.loads(proc.stdout)["workloads"]["w"]
-    parent, change = groups["parent"], groups["change"]
+    workloads = json.loads(proc.stdout)["workloads"]
+    parent, change = workloads["w"]["parent"], workloads["w"]["change"]
     assert parent["seeds"] == [1, 2, 3] and parent["attempted"] == 6
     assert parent["end_to_end"]["eval_users_per_s"]["median"] == 20.0
     assert set(parent["end_to_end"]) == {"setup_s", "train_s", "train_triples_per_s",
@@ -85,3 +95,15 @@ def test_bench_summary_groups_by_workload_and_sha(tmp_path):
     assert parent["outputs_sha256"] == {str(s): {"report.dat": ["r1"]} for s in (1, 2, 3)}
     assert change["outputs_sha256"] == {"1": {"report.dat": ["r1", "r2"]}}
     assert change["provenance"]["numpy"] == "2" and "git_sha" not in change["provenance"]
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    traced = parent["traced"]
+    assert traced["seeds"] == [4, 4, 4] and traced["runs"] == 3
+    assert set(traced["per_layer"]) == {m["name"] for m in spec["per_layer"]}
+    assert traced["per_layer"]["objective.sample_batch_s"] == {
+        "median": 4.0, "q1": 3.0, "q3": 5.0, "unit": "s"}
+    assert traced["per_layer"]["eval.users_ranked"]["median"] == 2.0
+    assert "traced" not in change
+    only_traced = workloads["v"]["change"]
+    assert only_traced["traced"]["per_layer"]["objective.sample_batch_s"]["median"] == 0.5
+    assert "end_to_end" not in only_traced and only_traced["provenance"]["nproc"] == 2

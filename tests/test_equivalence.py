@@ -1,6 +1,6 @@
 """Bit-for-bit equivalence of the blocked, in-place kernels, the per-user
-set builder, the BPR sampler and the bulk-drawn evaluation candidates with
-the plain code they replace.
+set builder, the bulk-drawn BPR triples and the bulk-drawn evaluation
+candidates with the plain code they replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from socrec import graph
-from socrec.data import inject_noise
+from socrec import graph, objective
+from socrec.data import InteractionTable, SocialTable, build_dataset, inject_noise
 from socrec.eval import _sample_negatives, _user_ranks, held_out_rank
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
@@ -425,6 +425,132 @@ def test_sample_batch_matches_seed_sampler(ds, case, need_social):
         for name in ("rec_triples", "soc_triples", "ssl_pairs"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+
+
+def seed_bpr_triples(edges, neighbours, num_candidates, count, rng, exclude_anchor):
+    """The scalar BPR sampler: per row one positive draw, then negative
+    draws until one is not a neighbour (nor, with `exclude_anchor`, the
+    anchor)."""
+    out = np.empty((count, 3), dtype=np.int64)
+    listed = {}  # anchor -> its neighbours as an array
+    for row, e in enumerate(rng.integers(len(edges), size=count)):
+        a = int(edges[e, 0])
+        nbrs = neighbours[a]
+        if len(nbrs) + exclude_anchor >= num_candidates:
+            raise ValueError(f"user {a} leaves no negative among {num_candidates} "
+                             "candidates; negative sampling cannot terminate")
+        if a not in listed:
+            listed[a] = np.fromiter(nbrs, dtype=np.int64, count=len(nbrs))
+        choices = listed[a]
+        pos = int(choices[rng.integers(len(choices))])
+        while True:
+            neg = int(rng.integers(num_candidates))
+            if neg not in nbrs and not (exclude_anchor and neg == a):
+                break
+        out[row] = (a, pos, neg)
+    return out
+
+
+def _sampler_cases(ds):
+    """Datasets whose rows reject often or never, by the rejection share of
+    a row's first negative."""
+    pairs = [(f"u{k}", v) for k in range(3) for v in "ab"]
+    one_candidate = build_dataset(InteractionTable(edges=pairs),
+                                  SocialTable(edges=[("u0", "u1"), ("u1", "u0")]))
+    single = [("u", f"i{k}") for k in range(5)]
+    return {
+        # one train item of two, u0-u1 tied among three users: every first
+        # negative is rejected with probability 1/2 (items) or 2/3 (users)
+        "one_candidate": one_candidate,
+        # 3 train items of 10: 30% rejection, as in the uniformity test
+        "rejection_30": replace(build_dataset(InteractionTable(edges=single),
+                                              SocialTable(edges=[])), num_items=10),
+        # every user one train item of 40; many anchors have a single tie
+        "degree_one": random_dataset(200, 40, min_items=1, max_items=1,
+                                     tie_prob=0.005, seed=1),
+        "fixture": ds,
+    }
+
+
+# block sizing: as shipped; the whole rest as one block (a rewind at almost
+# every reject); blocks of about one row (rejects mostly end a block); and
+# rows one at a time
+BLOCKINGS = {"default": {}, "one_block": {"BLOCK_REJECTS": np.inf, "MIN_BLOCK": 1},
+             "short_blocks": {"BLOCK_REJECTS": 0.05, "MIN_BLOCK": 1},
+             "one_at_a_time": {"MIN_BLOCK": 10**9}}
+
+
+@pytest.mark.parametrize("blocking", sorted(BLOCKINGS))
+@pytest.mark.parametrize("case,view", [
+    ("one_candidate", "interaction"), ("one_candidate", "social"),
+    ("rejection_30", "interaction"), ("degree_one", "interaction"),
+    ("degree_one", "social"), ("fixture", "interaction"), ("fixture", "social")])
+def test_bpr_triples_match_scalar_loop(ds, case, view, blocking, monkeypatch):
+    d = _sampler_cases(ds)[case]
+    if view == "interaction":
+        edges, sets, lists, width = (d.train_edges, d.user_train_items(),
+                                     d.train_item_lists(), d.num_items)
+    else:
+        edges, sets, lists, width = (d.social_edges, d.user_ties(), d.tie_lists(),
+                                     d.num_users)
+    for name, value in BLOCKINGS[blocking].items():
+        monkeypatch.setattr(objective, name, value)
+    exclude_anchor = view == "social"
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = objective._bpr_triples(edges, lists, 300, got_rng, exclude_anchor)
+        want = seed_bpr_triples(edges, sets, width, 300, want_rng, exclude_anchor)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+
+
+def test_sampler_cases_reject_and_use_degree_one_anchors(ds):
+    """The cases above see rejected first negatives at low and high rates,
+    and anchors with a single neighbour in both views."""
+    cases = _sampler_cases(ds)
+    for name, share in (("one_candidate", 0.5), ("rejection_30", 0.3)):
+        d = cases[name]
+        assert (d.degree[d.train_edges[:, 0]] / d.num_items == share).all()
+    d = cases["degree_one"]
+    assert (d.degree == 1).all()
+    assert (np.bincount(d.social_edges[:, 0]) == 1).sum() > 50
+    assert 0 < ds.degree.max() / ds.num_items < 0.01
+
+
+@pytest.mark.parametrize("case", ["plain", "noisy", "edgeless_users", "no_ties"])
+def test_neighbour_lists_follow_set_order(ds, case):
+    d = _variants(ds)[case]
+    rng = np.random.default_rng(0)
+    for sets, lists in ((d.user_train_items(), d.train_item_lists()),
+                        (d.user_ties(), d.tie_lists())):
+        assert lists.sets is sets and len(lists.indptr) == len(sets) + 1
+        for a, s in enumerate(sets):
+            assert lists.items[lists.indptr[a]:lists.indptr[a + 1]].tolist() == list(s)
+        anchors = rng.integers(len(sets), size=2000)
+        others = rng.integers(lists.width, size=2000)
+        owned = np.repeat(np.arange(len(sets)), np.diff(lists.indptr))
+        anchors, others = np.append(anchors, owned), np.append(others, lists.items)
+        want = [int(b) in sets[a] for a, b in zip(anchors, others)]
+        assert lists.holds(anchors, others).tolist() == want
+        assert any(want) == (len(lists.items) > 0)
+    assert d.train_item_lists() is d.train_item_lists()  # cached
+
+
+@settings(max_examples=80, deadline=None)
+@example(bounds=[3, 98_875, 1, 2**31 + 5, 7, 2**33 + 1, 1, 1, 49, 4_000], seed=1)
+@example(bounds=[2**32 - 1, 2**32, 2**32 + 1, 5, 2**40], seed=2)
+@given(bounds=st.lists(st.one_of(st.integers(1, 50), st.integers(1, 1 << 40),
+                                 st.sampled_from([2**32 - 1, 2**32, 2**32 + 1])),
+                       min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_mixed_bound_draws_equal_scalar_draws(bounds, seed):
+    """rng.integers(0, bounds) with a bound per element is the stream of one
+    scalar rng.integers(bound) per element; the bulk BPR sampler rests on it."""
+    scalar_rng = np.random.default_rng(seed)
+    scalar = [int(scalar_rng.integers(b)) for b in bounds]
+    bulk_rng = np.random.default_rng(seed)
+    assert bulk_rng.integers(0, np.array(bounds, dtype=np.int64)).tolist() == scalar
+    assert scalar_rng.integers(1 << 62) == bulk_rng.integers(1 << 62)
 
 
 def seed_sample_negatives(rng, num_items, known, count):

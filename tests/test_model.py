@@ -261,6 +261,24 @@ class TestCheckpoint:
                                  if not line.startswith("L=")))
         assert load_checkpoint(str(tmp_path / "ckpt")).num_layers is None
 
+    def test_checkpoint_without_layer_count_round_trips(self, encoded, tmp_path):
+        _, ms, _, _ = encoded
+        first, again = tmp_path / "first", tmp_path / "again"
+        save_checkpoint(ms, str(first))
+        shape = first / "shape"
+        shape.write_text("".join(line for line in shape.read_text().splitlines(True)
+                                 if not line.startswith("L=")))
+        loaded = load_checkpoint(str(first))
+        assert loaded.num_layers is None
+        save_checkpoint(loaded, str(again))  # writes no L= line either
+        names = sorted(path.name for path in first.iterdir())
+        assert sorted(path.name for path in again.iterdir()) == names
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        back = load_checkpoint(str(again))
+        assert back.num_layers is None
+        np.testing.assert_array_equal(back.params.flat, ms.params.flat)
+
     def test_little_endian_layout(self, encoded, tmp_path):
         _, ms, _, _ = encoded
         save_checkpoint(ms, str(tmp_path / "ckpt"))
