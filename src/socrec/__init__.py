@@ -8,10 +8,8 @@ from .eval import (EvalReport, RelevanceWeightExport, evaluate,
                    evaluate_stratified, export_relevance_weights)
 from .graph import (NormalizedGraph, build_interaction_laplacian,
                     build_social_laplacian, propagate)
-from .model import (ModelState, ParamBlock, encode, init_model,
-                    interaction_similarity, load_checkpoint, predict_interaction,
-                    predict_social, save_checkpoint, social_similarity,
-                    user_vectors)
+from .model import (ModelState, ParamBlock, encode, init_model, load_checkpoint,
+                    save_checkpoint, user_vectors)
 from .objective import (AdamState, Batch, GradientSet, NonFiniteLossError,
                         TrainConfig, adam_step, bpr_loss, compute_gradients,
                         infonce_loss, joint_loss, sample_batch, ssl_hinge_loss)
@@ -29,9 +27,8 @@ __all__ = [
     "export_relevance_weights",
     "NormalizedGraph", "build_interaction_laplacian", "build_social_laplacian",
     "propagate",
-    "ModelState", "ParamBlock", "encode", "init_model",
-    "interaction_similarity", "load_checkpoint", "predict_interaction",
-    "predict_social", "save_checkpoint", "social_similarity", "user_vectors",
+    "ModelState", "ParamBlock", "encode", "init_model", "load_checkpoint",
+    "save_checkpoint", "user_vectors",
     "AdamState", "Batch", "GradientSet", "NonFiniteLossError", "TrainConfig",
     "adam_step", "bpr_loss", "compute_gradients", "infonce_loss", "joint_loss",
     "sample_batch", "ssl_hinge_loss",

@@ -103,7 +103,8 @@ def _train_and_report(spec, ds, cfg, run_dir):
                     config_lines(cfg))
     if result.aborted:
         write_lines(os.path.join(run_dir, "ABORTED"),
-                    ["training diverged; checkpoint holds last good parameters"])
+                    ["training diverged; checkpoint holds last good parameters",
+                     f"at {result.aborted}"])
     return result, report
 
 

@@ -1,4 +1,4 @@
-"""Trainable state, dual-view encoding, similarities and prediction scores."""
+"""Trainable state, dual-view encoding, the similarity projection and checkpoints."""
 
 import math
 import os
@@ -196,6 +196,14 @@ def _require_encoded(ms):
         raise ValueError("encode() must run before reading the aggregations")
 
 
+def _leaky_relu(pre):
+    """(LeakyReLU of `pre`, its slope 1.0 or LEAKY_SLOPE), bit for bit as
+    np.where(pre > 0, pre, LEAKY_SLOPE * pre) gives the former."""
+    slope = (pre > 0) * (1.0 - LEAKY_SLOPE)
+    slope += LEAKY_SLOPE
+    return pre * slope, slope
+
+
 def projection_forward(params, e_i, e_j):
     """Similarity-projection forward pass for row-aligned user pairs, with
     T, w and c read from the parameter block `params`.
@@ -206,51 +214,24 @@ def projection_forward(params, e_i, e_j):
     e_i = np.atleast_2d(e_i)
     e_j = np.atleast_2d(e_j)
     x = np.concatenate([e_i, e_j], axis=1)           # (n, 2d)
-    pre = x @ params.T.T + e_i + e_j + params.c      # (n, d)
-    h = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
+    pre = x @ params.T.T                             # (n, d), then in place
+    pre += e_i                                       # ((xT' + e_i) + e_j) + c
+    pre += e_j
+    pre += params.c
+    h, slope = _leaky_relu(pre)
     act = h @ params.w                               # (n,)
     z = 1.0 / (1.0 + np.exp(-act))
-    return z, (x, pre, h)
+    return z, (x, pre, h, slope)
 
 
 def user_vectors(ms, users, social_fusion=False):
     """The user rows that score items: agg_r[users], plus agg_s[users]
     under social fusion."""
+    _require_encoded(ms)
     vec = ms.agg_r[users]
     if social_fusion:
         vec = vec + ms.agg_s[users]
     return vec
-
-
-def interaction_similarity(ms, i, j):
-    """Learned interaction-view affinity in (0, 1) for a user pair."""
-    _require_encoded(ms)
-    z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
-    return float(z[0])
-
-
-def social_similarity(ms, i, j):
-    """Social-view affinity: dot product of aggregated social embeddings."""
-    _require_encoded(ms)
-    return float(ms.agg_s[i] @ ms.agg_s[j])
-
-
-def predict_interaction(ms, u, v, social_fusion=False):
-    """Raw user-item score from the interaction view."""
-    _require_encoded(ms)
-    I = ms.num_users
-    if not (0 <= u < I and 0 <= v < ms.num_items):
-        raise IndexError(f"index out of range: user {u}, item {v}")
-    return float(user_vectors(ms, u, social_fusion) @ ms.agg_r[I + v])
-
-
-def predict_social(ms, i, j):
-    """Raw user-user score from the social view (symmetric)."""
-    _require_encoded(ms)
-    I = ms.num_users
-    if not (0 <= i < I and 0 <= j < I):
-        raise IndexError(f"index out of range: users {i}, {j}")
-    return float(ms.agg_s[i] @ ms.agg_s[j])
 
 
 # --- checkpoint IO -----------------------------------------------------------

@@ -16,10 +16,11 @@ gradients.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse._sparsetools import coo_tocsr, csr_matvecs
 from scipy.special import expit
 
 from .graph import CHUNK, CPUS, for_each_chunk
-from .model import (LEAKY_SLOPE, ParamBlock, _require_encoded, aggregate_backward,
+from .model import (ParamBlock, _require_encoded, aggregate_backward,
                     projection_forward, reuse, user_vectors)
 
 VARIANTS = ("full", "no_align", "direct_social", "contrastive")
@@ -110,12 +111,14 @@ class GradientSet(ParamBlock):
     """Gradients in the parameter layout. `work` keeps the social-view
     gradient and the assembly scratch compute_gradients works in (the
     pull-back borrows the model's work pairs), so a set reused across
-    steps allocates nothing.
+    steps allocates nothing. `loss` is (batch, total, parts) of the batch
+    the gradients are for, as `compute_gradients` recorded it.
     """
 
     def __init__(self, num_users, num_items, dim, flat=None):
         super().__init__(num_users, num_items, dim, flat)
         self.work = {}  # see reuse()
+        self.loss = None
 
 
 def sample_batch(ds, batch_size, rng, need_social=True):
@@ -281,60 +284,77 @@ def _infonce_grads(A, B, tau):
     return loss, dA, dB
 
 
-def _alignment_hinge(params, a_i, a_j, b_i, b_j):
-    """Hinge alignment over gathered pair rows; returns loss and row grads.
+def _bpr_term(a, p, n, weight=1.0):
+    """BPR over row-aligned anchor, positive and negative rows: the loss
+    and the gradients of `weight` times it on the a, p and n rows."""
+    loss = bpr_loss((a * p).sum(axis=1), (a * n).sum(axis=1))
+    diff = p - n
+    coef = -weight * expit(-(a * diff).sum(axis=1))  # d softplus(-x) / dx
+    da = coef[:, None] * a
+    return loss, coef[:, None] * diff, da, -da
 
-    a_* are interaction-view rows, b_* social-view rows; T, w and c come
-    from the parameter block `params`. Output gradients are unweighted;
-    pairs whose product already clears the margin contribute exactly zero.
+
+def _hinge_term(params, a_i, a_j, b_i, b_j):
+    """Hinge alignment over gathered pair rows, with T, w and c read from
+    the parameter block `params`: a_* are interaction-view rows, b_*
+    social-view rows.
+
+    Returns (loss, active, (da_i, da_j, db_i, db_j), (dT, dw, dc)); the
+    row gradients cover only the `active` pairs, those whose product is
+    inside the margin, since the others contribute exactly zero. Gradients
+    are unweighted.
     """
-    z, (x, pre, h) = projection_forward(params, a_i, a_j)
+    z, (x, _, h, slope) = projection_forward(params, a_i, a_j)
     zhat = (b_i * b_j).sum(axis=1)
-    margin = 1.0 - z * zhat
-    active = margin > 0
-    loss = float(margin[active].sum())
-
-    d = a_i.shape[1] if a_i.ndim == 2 else a_i.shape[0]
-    da_i = np.zeros_like(np.atleast_2d(a_i))
-    da_j = np.zeros_like(da_i)
-    db_i = np.zeros_like(np.atleast_2d(b_i))
-    db_j = np.zeros_like(db_i)
-    dT = np.zeros_like(params.T)
-    dw = np.zeros_like(params.w)
-    dc = np.zeros_like(params.c)
-    if active.any():
-        za, zha = z[active], zhat[active]
-        # zhat side (the adaptive pull of Eq.-style -z * e_j)
-        db_i[active] = -za[:, None] * np.atleast_2d(b_j)[active]
-        db_j[active] = -za[:, None] * np.atleast_2d(b_i)[active]
-        # z side, through sigmoid -> w -> leaky -> T/c and the identity paths
-        dact = -zha * za * (1.0 - za)
-        ha, prea, xa = h[active], pre[active], x[active]
-        dw += ha.T @ dact
-        dpre = dact[:, None] * params.w[None, :] * np.where(prea > 0, 1.0, LEAKY_SLOPE)
-        dc += dpre.sum(axis=0)
-        dT += dpre.T @ xa
-        dx = dpre @ params.T
-        da_i[active] = dx[:, :d] + dpre
-        da_j[active] = dx[:, d:] + dpre
-    return loss, da_i, da_j, db_i, db_j, dT, dw, dc
+    loss = ssl_hinge_loss(z, zhat)
+    active = np.flatnonzero(1.0 - z * zhat > 0)
+    za, zha = z[active], zhat[active]
+    # zhat side (the adaptive pull of Eq.-style -z * e_j)
+    db_i = -za[:, None] * b_j[active]
+    db_j = -za[:, None] * b_i[active]
+    # z side, through sigmoid -> w -> leaky -> T/c and the identity paths
+    dact = -zha * za * (1.0 - za)
+    dpre = dact[:, None] * params.w[None, :] * slope[active]
+    dx = dpre @ params.T
+    d = dpre.shape[1]
+    rows = (dx[:, :d] + dpre, dx[:, d:] + dpre, db_i, db_j)
+    return loss, active, rows, (dpre.T @ x[active], h[active].T @ dact, dpre.sum(axis=0))
 
 
-def _scatter_add(target, rows, values):
-    """`np.add.at(target, rows, values)`, row by row in the same order.
+def _alignment_hinge(params, a_i, a_j, b_i, b_j):
+    """`_hinge_term` with every pair's row gradients: returns (loss, da_i,
+    da_j, db_i, db_j, dT, dw, dc), zero rows for pairs that clear the
+    margin."""
+    loss, active, rows, proj = _hinge_term(params, a_i, a_j, b_i, b_j)
+    full = [np.zeros_like(m) for m in (a_i, a_j, b_i, b_j)]
+    for out, got in zip(full, rows):
+        out[active] = got
+    return (loss, *full, *proj)
 
-    Round k adds the k-th occurrence of every row with one buffered
-    fancy-index add, so each row still sums its values in batch order.
+
+def _row_sum(out, terms):
+    """Add (rows, values) terms into `out`, which holds zeros, as one
+    `np.add.at(out, rows, values)` per term in turn would: each row sums
+    its values from +0.0 in term order, then in batch order.
+
+    A stable counting sort orders the concatenated rows, and the CSR
+    kernel adds 1.0 * value row by row in that order. A sum that starts
+    at +0.0 never becomes -0.0, so rows of zeros may be left out.
     """
-    if len(rows) == 0:
-        return
-    order = np.argsort(rows, kind="stable")
-    ranked = rows[order]
-    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
-    counts = np.diff(np.append(starts, len(rows)))
-    for k in range(counts.max()):
-        pick = order[starts[counts > k] + k]
-        target[rows[pick]] += values[pick]
+    terms = [(r, v) for r, v in terms if len(r)]
+    if not terms:
+        return out
+    rows = np.concatenate([r for r, _ in terms])
+    values = np.concatenate([v for _, v in terms])
+    n, (num_rows, width) = len(rows), out.shape
+    if rows.min() < 0 or rows.max() >= num_rows:  # the kernels do not check
+        raise IndexError(f"gradient row index outside [0, {num_rows})")
+    ones = np.ones(n)
+    indptr, order = np.empty(num_rows + 1, rows.dtype), np.empty(n, rows.dtype)
+    coo_tocsr(num_rows, n, n, rows, np.arange(n, dtype=rows.dtype), ones,
+              indptr, order, np.empty(n))
+    csr_matvecs(num_rows, n, width, indptr, order, ones, values.ravel(), out.ravel())
+    return out
 
 
 def _check_finite(name, value):
@@ -343,119 +363,103 @@ def _check_finite(name, value):
     return value
 
 
-def joint_loss(batch, ms, cfg):
-    """Evaluate the weighted multi-task objective on a batch.
+def _evaluate_terms(batch, ms, cfg, square=None):
+    """Run each term of the objective once on the batch; `square` is an
+    array shaped like the embedding table to square it in, or None.
 
-    Returns (total, parts) where parts holds the raw (unweighted)
-    component values under keys rec/social/align/reg.
+    Returns (total, parts, terms_r, terms_s, proj): the loss as
+    `joint_loss` gives it, the weighted (rows, row gradients) terms on the
+    interaction (I+J rows) and social (I rows) aggregations in the order
+    they are summed, and the weighted hinge gradients of (T, w, c), or ().
+    Raises NonFiniteLossError naming the first non-finite component.
     """
     _require_encoded(ms)
     I = ms.num_users
     l1, l2 = cfg.effective_weights()
+    rec = social = align = 0.0
+    terms_r, terms_s, proj = [], [], ()
 
-    rec = 0.0
     if len(batch.rec_triples):
         u, vp, vn = batch.rec_triples.T
-        uvec = user_vectors(ms, u, cfg.social_fusion)
-        pos = (uvec * ms.agg_r[I + vp]).sum(axis=1)
-        neg = (uvec * ms.agg_r[I + vn]).sum(axis=1)
-        rec = bpr_loss(pos, neg)
+        rec, du, dp, dn = _bpr_term(user_vectors(ms, u, cfg.social_fusion),
+                                    ms.agg_r[I + vp], ms.agg_r[I + vn])
+        terms_r += [(u, du), (I + vp, dp), (I + vn, dn)]
+        if cfg.social_fusion:
+            terms_s.append((u, du))
 
-    social = 0.0
     if l1 > 0 and len(batch.soc_triples):
         i, ip, ineg = batch.soc_triples.T
-        pos = (ms.agg_s[i] * ms.agg_s[ip]).sum(axis=1)
-        neg = (ms.agg_s[i] * ms.agg_s[ineg]).sum(axis=1)
-        social = bpr_loss(pos, neg)
+        social, di, dp, dn = _bpr_term(ms.agg_s[i], ms.agg_s[ip], ms.agg_s[ineg], l1)
+        terms_s += [(i, di), (ip, dp), (ineg, dn)]
 
-    align = 0.0
     if l2 > 0 and len(batch.ssl_pairs):
         i, j = batch.ssl_pairs.T
         if cfg.variant == "contrastive":
             anchors = np.unique(i)
-            align = infonce_loss(ms.agg_r[anchors], ms.agg_s[anchors],
-                                 cfg.infonce_tau)
+            align, dA, dB = _infonce_grads(ms.agg_r[anchors], ms.agg_s[anchors],
+                                           cfg.infonce_tau)
+            terms_r.append((anchors, l2 * dA))
+            terms_s.append((anchors, l2 * dB))
         else:
-            z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
-            zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
-            align = ssl_hinge_loss(z, zhat)
+            align, active, (da_i, da_j, db_i, db_j), proj = _hinge_term(
+                ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+            for g in (da_i, da_j, db_i, db_j, *proj):
+                g *= l2
+            i, j = i[active], j[active]
+            terms_r += [(i, da_i), (j, da_j)]
+            terms_s += [(i, db_i), (j, db_j)]
 
-    reg = float((ms.E_u ** 2).sum() + (ms.E_v ** 2).sum())
+    squares = np.square(ms.E, out=square)
+    reg = float(squares[:I].sum() + squares[I:].sum())
 
     parts = {"rec": _check_finite("rec", rec),
              "social": _check_finite("social", social),
              "align": _check_finite("align", align),
              "reg": _check_finite("reg", reg)}
     total = rec + l1 * social + l2 * align + cfg.lambda3 * reg
-    return _check_finite("total", total), parts
+    return _check_finite("total", total), parts, terms_r, terms_s, proj
+
+
+def joint_loss(batch, ms, cfg, grads=None):
+    """Evaluate the weighted multi-task objective on a batch.
+
+    Returns (total, parts) where parts holds the raw (unweighted)
+    component values under keys rec/social/align/reg. Given `grads`, the
+    GradientSet `compute_gradients` returned for this batch, it returns
+    the loss recorded there instead of running the terms again.
+    """
+    if grads is not None:
+        recorded, total, parts = grads.loss
+        if recorded is not batch:
+            raise ValueError("the gradient set was computed for another batch")
+        return total, parts
+    return _evaluate_terms(batch, ms, cfg)[:2]
 
 
 def compute_gradients(batch, ms, cfg, out=None):
     """Exact analytic gradients of the joint objective for this batch.
 
-    Accumulates per-row gradients on the aggregated embeddings, then pulls
-    them back through the L-layer propagation of each view. Repeated batch
-    indices accumulate (unbuffered adds). Writes into `out`, a GradientSet
-    of this model's layout, when given; otherwise into a new one.
+    Runs each term once (`_evaluate_terms`) and records the loss on the
+    returned set, for `joint_loss`. Sums the per-row gradients on the
+    aggregated embeddings of each view (`_row_sum`), then pulls them back
+    through the L-layer propagation of each view. Writes into `out`, a
+    GradientSet of this model's layout, when given; otherwise into a new
+    one.
     """
-    _require_encoded(ms)
-    I = ms.num_users
-    l1, l2 = cfg.effective_weights()
-
     grads = out
     if grads is None or grads.layout != ms.params.layout:
         grads = GradientSet(*ms.params.layout)
+    total, parts, terms_r, terms_s, proj = _evaluate_terms(batch, ms, cfg, grads.E)
+    grads.loss = (batch, total, parts)
     flat = grads.flat
     for_each_chunk(flat.size, lambda lo, hi, _: flat[lo:hi].fill(0.0))
     # the interaction-view gradient is built in place in the E_u/E_v rows
-    grad_agg_r = grads.E
+    grad_agg_r = _row_sum(grads.E, terms_r)
     grad_agg_s = reuse(grads.work, "grad_agg_s", ms.agg_s.shape)
     grad_agg_s.fill(0.0)
-    gT, gw, gc = grads.T, grads.w, grads.c
-
-    if len(batch.rec_triples):
-        u, vp, vn = batch.rec_triples.T
-        uvec = user_vectors(ms, u, cfg.social_fusion)
-        pv = ms.agg_r[I + vp]
-        nv = ms.agg_r[I + vn]
-        x = (uvec * (pv - nv)).sum(axis=1)
-        coef = -expit(-x)  # d softplus(-x) / dx
-        du = coef[:, None] * (pv - nv)
-        _scatter_add(grad_agg_r, u, du)
-        if cfg.social_fusion:
-            _scatter_add(grad_agg_s, u, du)
-        _scatter_add(grad_agg_r, I + vp, coef[:, None] * uvec)
-        _scatter_add(grad_agg_r, I + vn, -coef[:, None] * uvec)
-
-    if l1 > 0 and len(batch.soc_triples):
-        i, ip, ineg = batch.soc_triples.T
-        bi = ms.agg_s[i]
-        bp = ms.agg_s[ip]
-        bn = ms.agg_s[ineg]
-        x = (bi * (bp - bn)).sum(axis=1)
-        coef = -l1 * expit(-x)
-        _scatter_add(grad_agg_s, i, coef[:, None] * (bp - bn))
-        _scatter_add(grad_agg_s, ip, coef[:, None] * bi)
-        _scatter_add(grad_agg_s, ineg, -coef[:, None] * bi)
-
-    if l2 > 0 and len(batch.ssl_pairs):
-        i, j = batch.ssl_pairs.T
-        if cfg.variant == "contrastive":
-            anchors = np.unique(i)
-            _, dA, dB = _infonce_grads(ms.agg_r[anchors], ms.agg_s[anchors],
-                                       cfg.infonce_tau)
-            grad_agg_r[anchors] += l2 * dA
-            grad_agg_s[anchors] += l2 * dB
-        else:
-            _, da_i, da_j, db_i, db_j, dT, dw, dc = _alignment_hinge(
-                ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
-            _scatter_add(grad_agg_r, i, l2 * da_i)
-            _scatter_add(grad_agg_r, j, l2 * da_j)
-            _scatter_add(grad_agg_s, i, l2 * db_i)
-            _scatter_add(grad_agg_s, j, l2 * db_j)
-            gT += l2 * dT
-            gw += l2 * dw
-            gc += l2 * dc
+    _row_sum(grad_agg_s, terms_s)
+    for g, d in zip((grads.T, grads.w, grads.c), proj):
+        g += d
 
     g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg,
                               work=ms.work_pair("r"))

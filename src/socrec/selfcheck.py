@@ -39,7 +39,7 @@ def make_tiny_instance(seed, variant="full", layers=1, num_users=6, num_items=6,
 
     if variant == "full" and len(batch_t.ssl_pairs):
         i, j = batch_t.ssl_pairs.T
-        z, (_, pre, _) = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
+        z, (_, pre, _, _) = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
         zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
         keep = (np.abs(z * zhat - 1.0) > 1e-3) & (np.abs(pre).min(axis=1) > 1e-4)
         batch_t = Batch(rec_triples=batch_t.rec_triples,

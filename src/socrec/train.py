@@ -26,7 +26,7 @@ class TrainResult:
     best_epoch: int = -1
     best_val_hr: float = float("nan")
     epochs_run: int = 0
-    aborted: bool = False
+    aborted: str = ""  # "epoch <n>: <non-finite loss component>", or ""
 
     def history_lines(self):
         out = ["# epoch lr rec social align reg total val_hr10"]
@@ -71,17 +71,16 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
             for _ in range(steps):
                 batch = sample_batch(ds, cfg.batch, rng, need_social=need_social)
                 encode(ms, g_r, g_s, cfg.layers, cfg.agg)
-                total, parts = joint_loss(batch, ms, cfg)
                 grads = compute_gradients(batch, ms, cfg, out=grads)
+                total, parts = joint_loss(batch, ms, cfg, grads)
                 t_step += 1
                 adam_step(ms, grads, opt, t_step, lr_t)
                 for k in parts:
                     sums[k] += parts[k]
                 sums["total"] += total
         except NonFiniteLossError as err:
-            log.error("epoch %d aborted: %s", epoch, err)
-            result.aborted = True
-            ms.set_params(best_params)
+            result.aborted = f"epoch {epoch}: {err}"
+            log.error("aborted at %s", result.aborted)
             break
 
         encode(ms, g_r, g_s, cfg.layers, cfg.agg)

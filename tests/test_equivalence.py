@@ -21,12 +21,12 @@ from socrec.data import InteractionTable, SocialTable, build_dataset, inject_noi
 from socrec.eval import _sample_negatives, _user_ranks, held_out_rank
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
-from socrec.model import (ParamBlock, aggregate_backward, encode, init_model,
-                          user_vectors)
+from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu, aggregate_backward,
+                          encode, init_model, user_vectors)
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
                               GradientSet, TrainConfig, _alignment_hinge,
-                              _scatter_add, adam_step, compute_gradients,
-                              sample_batch)
+                              _infonce_grads, adam_step, compute_gradients,
+                              joint_loss, sample_batch)
 from socrec.synthetic import random_dataset
 
 from conftest import make_encoded
@@ -158,17 +158,277 @@ def test_aggregate_backward_matches_seed(ds, agg):
     np.testing.assert_array_equal(got, want)
 
 
-def test_scatter_add_matches_add_at():
+def _bits(a):
+    """The raw bits of a float array (tells -0.0 from +0.0 and NaNs apart)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_row_sum_matches_add_at_per_term():
     rng = np.random.default_rng(5)
-    rows = np.concatenate([rng.integers(0, 50, 300), np.full(40, 7)])
-    rng.shuffle(rows)
-    values = rng.normal(size=(len(rows), 6))
-    start = rng.normal(size=(60, 6))
-    want = start.copy()
-    np.add.at(want, rows, values)
-    got = start.copy()
-    _scatter_add(got, rows, values)
-    np.testing.assert_array_equal(got, want)
+    terms = []
+    for count in (300, 0, 40, 120):
+        rows = np.concatenate([rng.integers(0, 50, count), np.full(count // 4, 7)])
+        rng.shuffle(rows)
+        values = rng.normal(size=(len(rows), 6))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        terms.append((rows, values))
+    terms.append((np.full(5, 55), np.full((5, 6), -0.0)))  # a row of -0.0 alone
+    want = np.zeros((60, 6))
+    for rows, values in terms:
+        np.add.at(want, rows, values)
+    got = objective._row_sum(np.zeros((60, 6)), terms)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert not np.signbit(got[55]).any()  # a sum from +0.0 is never -0.0
+    for bad in (60, -1):
+        with pytest.raises(IndexError):
+            objective._row_sum(np.zeros((60, 6)), [(np.array([3, bad]), np.ones((2, 6)))])
+
+
+@settings(max_examples=200, deadline=None)
+@example(values=[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                 2.2250738585072009e-308, -1e-310, 1.0, -1.0])
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True), min_size=1, max_size=40))
+def test_leaky_relu_matches_where_form(values):
+    pre = np.array(values, dtype=np.float64)
+    h, slope = _leaky_relu(pre)
+    np.testing.assert_array_equal(_bits(h), _bits(np.where(pre > 0, pre, LEAKY_SLOPE * pre)))
+    np.testing.assert_array_equal(_bits(slope), _bits(np.where(pre > 0, 1.0, LEAKY_SLOPE)))
+
+
+# The loss and gradient code before each term ran once per step, frozen as
+# the oracle for the one-pass step.
+
+def frozen_projection_forward(params, e_i, e_j):
+    e_i = np.atleast_2d(e_i)
+    e_j = np.atleast_2d(e_j)
+    x = np.concatenate([e_i, e_j], axis=1)
+    pre = x @ params.T.T + e_i + e_j + params.c
+    h = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
+    act = h @ params.w
+    z = 1.0 / (1.0 + np.exp(-act))
+    return z, (x, pre, h)
+
+
+def frozen_alignment_hinge(params, a_i, a_j, b_i, b_j):
+    z, (x, pre, h) = frozen_projection_forward(params, a_i, a_j)
+    zhat = (b_i * b_j).sum(axis=1)
+    margin = 1.0 - z * zhat
+    active = margin > 0
+    loss = float(margin[active].sum())
+    d = a_i.shape[1] if a_i.ndim == 2 else a_i.shape[0]
+    da_i = np.zeros_like(np.atleast_2d(a_i))
+    da_j = np.zeros_like(da_i)
+    db_i = np.zeros_like(np.atleast_2d(b_i))
+    db_j = np.zeros_like(db_i)
+    dT = np.zeros_like(params.T)
+    dw = np.zeros_like(params.w)
+    dc = np.zeros_like(params.c)
+    if active.any():
+        za, zha = z[active], zhat[active]
+        db_i[active] = -za[:, None] * np.atleast_2d(b_j)[active]
+        db_j[active] = -za[:, None] * np.atleast_2d(b_i)[active]
+        dact = -zha * za * (1.0 - za)
+        ha, prea, xa = h[active], pre[active], x[active]
+        dw += ha.T @ dact
+        dpre = dact[:, None] * params.w[None, :] * np.where(prea > 0, 1.0, LEAKY_SLOPE)
+        dc += dpre.sum(axis=0)
+        dT += dpre.T @ xa
+        dx = dpre @ params.T
+        da_i[active] = dx[:, :d] + dpre
+        da_j[active] = dx[:, d:] + dpre
+    return loss, da_i, da_j, db_i, db_j, dT, dw, dc
+
+
+def frozen_scatter_add(target, rows, values):
+    if len(rows) == 0:
+        return
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    counts = np.diff(np.append(starts, len(rows)))
+    for k in range(counts.max()):
+        pick = order[starts[counts > k] + k]
+        target[rows[pick]] += values[pick]
+
+
+def frozen_check_finite(name, value):
+    if not np.isfinite(value):
+        raise objective.NonFiniteLossError(name, value)
+    return value
+
+
+def frozen_joint_loss(batch, ms, cfg):
+    I = ms.num_users
+    l1, l2 = cfg.effective_weights()
+    rec = 0.0
+    if len(batch.rec_triples):
+        u, vp, vn = batch.rec_triples.T
+        uvec = user_vectors(ms, u, cfg.social_fusion)
+        pos = (uvec * ms.agg_r[I + vp]).sum(axis=1)
+        neg = (uvec * ms.agg_r[I + vn]).sum(axis=1)
+        rec = float(np.logaddexp(0.0, neg - pos).sum())
+    social = 0.0
+    if l1 > 0 and len(batch.soc_triples):
+        i, ip, ineg = batch.soc_triples.T
+        pos = (ms.agg_s[i] * ms.agg_s[ip]).sum(axis=1)
+        neg = (ms.agg_s[i] * ms.agg_s[ineg]).sum(axis=1)
+        social = float(np.logaddexp(0.0, neg - pos).sum())
+    align = 0.0
+    if l2 > 0 and len(batch.ssl_pairs):
+        i, j = batch.ssl_pairs.T
+        if cfg.variant == "contrastive":
+            anchors = np.unique(i)
+            align = _infonce_grads(ms.agg_r[anchors], ms.agg_s[anchors],
+                                   cfg.infonce_tau)[0]
+        else:
+            z, _ = frozen_projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
+            zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
+            align = float(np.maximum(0.0, 1.0 - z * zhat).sum())
+    reg = float((ms.E_u ** 2).sum() + (ms.E_v ** 2).sum())
+    parts = {"rec": frozen_check_finite("rec", rec),
+             "social": frozen_check_finite("social", social),
+             "align": frozen_check_finite("align", align),
+             "reg": frozen_check_finite("reg", reg)}
+    total = rec + l1 * social + l2 * align + cfg.lambda3 * reg
+    return frozen_check_finite("total", total), parts
+
+
+def frozen_compute_gradients(batch, ms, cfg):
+    I = ms.num_users
+    l1, l2 = cfg.effective_weights()
+    grads = GradientSet(*ms.params.layout)
+    grads.flat.fill(0.0)
+    grad_agg_r = grads.E
+    grad_agg_s = np.zeros(ms.agg_s.shape)
+    if len(batch.rec_triples):
+        u, vp, vn = batch.rec_triples.T
+        uvec = user_vectors(ms, u, cfg.social_fusion)
+        pv = ms.agg_r[I + vp]
+        nv = ms.agg_r[I + vn]
+        x = (uvec * (pv - nv)).sum(axis=1)
+        coef = -expit(-x)
+        du = coef[:, None] * (pv - nv)
+        frozen_scatter_add(grad_agg_r, u, du)
+        if cfg.social_fusion:
+            frozen_scatter_add(grad_agg_s, u, du)
+        frozen_scatter_add(grad_agg_r, I + vp, coef[:, None] * uvec)
+        frozen_scatter_add(grad_agg_r, I + vn, -coef[:, None] * uvec)
+    if l1 > 0 and len(batch.soc_triples):
+        i, ip, ineg = batch.soc_triples.T
+        bi, bp, bn = ms.agg_s[i], ms.agg_s[ip], ms.agg_s[ineg]
+        x = (bi * (bp - bn)).sum(axis=1)
+        coef = -l1 * expit(-x)
+        frozen_scatter_add(grad_agg_s, i, coef[:, None] * (bp - bn))
+        frozen_scatter_add(grad_agg_s, ip, coef[:, None] * bi)
+        frozen_scatter_add(grad_agg_s, ineg, -coef[:, None] * bi)
+    if l2 > 0 and len(batch.ssl_pairs):
+        i, j = batch.ssl_pairs.T
+        if cfg.variant == "contrastive":
+            anchors = np.unique(i)
+            _, dA, dB = _infonce_grads(ms.agg_r[anchors], ms.agg_s[anchors],
+                                       cfg.infonce_tau)
+            grad_agg_r[anchors] += l2 * dA
+            grad_agg_s[anchors] += l2 * dB
+        else:
+            _, da_i, da_j, db_i, db_j, dT, dw, dc = frozen_alignment_hinge(
+                ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+            frozen_scatter_add(grad_agg_r, i, l2 * da_i)
+            frozen_scatter_add(grad_agg_r, j, l2 * da_j)
+            frozen_scatter_add(grad_agg_s, i, l2 * db_i)
+            frozen_scatter_add(grad_agg_s, j, l2 * db_j)
+            grads.T[...] += l2 * dT
+            grads.w[...] += l2 * dw
+            grads.c[...] += l2 * dc
+    g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg)
+    g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg)
+    g_r0[:I] += g_s0
+    g_r0 += ms.E * (2.0 * cfg.lambda3)
+    return grads
+
+
+def _one_pass_case(ds, variant, L, agg, case):
+    """A model, config and batch for one oracle case."""
+    cfg = TrainConfig(dim=24, layers=L, batch=300, lambda1=0.3, lambda2=0.05,
+                      lambda3=1e-3, variant=variant, agg=agg, infonce_tau=0.5)
+    ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=L + 11)
+    encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
+           cfg.layers, cfg.agg)
+    l1, _ = cfg.effective_weights()
+    batch = sample_batch(ds, cfg.batch, np.random.default_rng(L + 3), need_social=l1 > 0)
+    if case == "repeated_rows":
+        # few distinct rows, each used many times and in both pair slots
+        batch = Batch(rec_triples=batch.rec_triples % [4, 3, 6],
+                      soc_triples=batch.soc_triples % 5,
+                      ssl_pairs=batch.ssl_pairs % 3)
+    elif case == "no_active_hinge":
+        ms.agg_s[:] = (np.abs(ms.agg_s) + 1.0) * 10.0  # every product clears the margin
+    elif case == "no_social_triples":
+        batch = replace(batch, soc_triples=np.zeros((0, 3), dtype=np.int64))
+    return ms, cfg, batch
+
+
+@pytest.mark.parametrize("case", ["sampled", "repeated_rows", "no_active_hinge",
+                                  "no_social_triples"])
+@pytest.mark.parametrize("agg", ["sum", "mean"])
+@pytest.mark.parametrize("L", [0, 1, 2])
+@pytest.mark.parametrize("variant", ["full", "no_align", "direct_social", "contrastive"])
+def test_one_pass_matches_frozen_loss_and_gradients(ds, variant, L, agg, case):
+    ms, cfg, batch = _one_pass_case(ds, variant, L, agg, case)
+    if case == "no_active_hinge" and variant == "full":
+        z, _ = frozen_projection_forward(ms.proj, *ms.agg_r[batch.ssl_pairs.T])
+        assert (z * (ms.agg_s[batch.ssl_pairs.T[0]]
+                     * ms.agg_s[batch.ssl_pairs.T[1]]).sum(axis=1) >= 1).all()
+    want_total, want_parts = frozen_joint_loss(batch, ms, cfg)
+    want = frozen_compute_gradients(batch, ms, cfg)
+    total, parts = joint_loss(batch, ms, cfg)
+    stale = GradientSet(*ms.params.layout)
+    stale.flat[:] = np.nan
+    for grads in (compute_gradients(batch, ms, cfg),
+                  compute_gradients(batch, ms, cfg, out=stale)):
+        np.testing.assert_array_equal(_bits(grads.flat), _bits(want.flat))
+        assert joint_loss(batch, ms, cfg, grads) == (total, parts)
+    assert total.hex() == want_total.hex()
+    assert {k: v.hex() for k, v in parts.items()} == \
+        {k: v.hex() for k, v in want_parts.items()}
+
+
+def test_hinge_loss_runs_once_per_step(ds, monkeypatch):
+    """The step's align loss is one `ssl_hinge_loss(z, zhat)` call over
+    every pair, the call the benchmark counts active hinge pairs through."""
+    ms, cfg, batch = _one_pass_case(ds, "full", 1, "sum", "sampled")
+    calls = []
+    real = objective.ssl_hinge_loss
+    monkeypatch.setattr(objective, "ssl_hinge_loss",
+                        lambda z, zhat: calls.append(len(z)) or real(z, zhat))
+    grads = compute_gradients(batch, ms, cfg)
+    joint_loss(batch, ms, cfg, grads)
+    assert calls == [len(batch.ssl_pairs)]
+
+
+def test_recorded_loss_belongs_to_its_batch(ds):
+    ms, cfg, batch = _one_pass_case(ds, "full", 1, "sum", "sampled")
+    grads = compute_gradients(batch, ms, cfg)
+    with pytest.raises(ValueError, match="another batch"):
+        joint_loss(replace(batch), ms, cfg, grads)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["full", "contrastive"])
+def test_non_finite_loss_raised_where_frozen_loss_raises(ds, variant):
+    for name in ("rec", "reg"):
+        ms, cfg, batch = _one_pass_case(ds, variant, 1, "sum", "sampled")
+        if name == "rec":
+            ms.agg_r[batch.rec_triples[0, 0]] = np.inf
+        else:
+            ms.E_v[1] = np.inf  # the aggregations stay finite
+        with pytest.raises(objective.NonFiniteLossError) as want:
+            frozen_joint_loss(batch, ms, cfg)
+        for run in (joint_loss, compute_gradients):
+            with pytest.raises(objective.NonFiniteLossError) as got:
+                run(batch, ms, cfg)
+            assert got.value.component == want.value.component == name
+            assert str(got.value) == str(want.value)
 
 
 def seed_gradients(batch, ms, cfg):

@@ -6,10 +6,8 @@ import pytest
 
 from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
-from socrec.model import (encode, init_model, interaction_similarity,
-                          load_checkpoint, predict_interaction, predict_social,
-                          projection_forward, save_checkpoint,
-                          social_similarity)
+from socrec.model import (encode, init_model, load_checkpoint, projection_forward,
+                          save_checkpoint, user_vectors)
 from socrec.oracle import dense_forward
 from socrec.synthetic import random_dataset
 
@@ -108,14 +106,14 @@ class TestSimilarities:
         ms.proj.T[:] = 0
         ms.proj.w[:] = 0
         ms.proj.c[:] = 0
-        assert interaction_similarity(ms, 0, 1) == 0.5
-        assert interaction_similarity(ms, 2, 2) == 0.5
+        z, _ = projection_forward(ms.proj, ms.agg_r[[0, 2]], ms.agg_r[[1, 2]])
+        assert z.tolist() == [0.5, 0.5]
 
     def test_bounded_open_interval(self, encoded):
         _, ms, _, _ = encoded
-        for i in range(ms.num_users):
-            z = interaction_similarity(ms, i, (i + 1) % ms.num_users)
-            assert 0.0 < z < 1.0
+        i = np.arange(ms.num_users)
+        z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[(i + 1) % ms.num_users])
+        assert ((0.0 < z) & (z < 1.0)).all()
 
     def test_matches_straight_line_reimplementation(self, encoded):
         # independent scalar evaluation of the projection formula
@@ -126,17 +124,27 @@ class TestSimilarities:
         act = sum(ms.proj.w[k] * (pre[k] if pre[k] > 0 else 0.01 * pre[k])
                   for k in range(len(pre)))
         expect = 1.0 / (1.0 + np.exp(-act))
-        assert interaction_similarity(ms, i, j) == pytest.approx(expect, abs=1e-12)
+        z, _ = projection_forward(ms.proj, e_i, e_j)
+        assert z[0] == pytest.approx(expect, abs=1e-12)
+
+    # The social similarity is the dot product of social rows; with the
+    # interaction user rows zeroed, a fused user vector is its social row.
+    @staticmethod
+    def _social_rows(ms, *users):
+        ms.agg_r[:ms.num_users] = 0.0
+        return user_vectors(ms, list(users), social_fusion=True)
 
     def test_social_similarity_orthogonal_zero(self, encoded):
         _, ms, _, _ = encoded
         ms.agg_s[0] = [1.0, 0, 0, 0]
         ms.agg_s[1] = [0, 2.0, 0, 0]
-        assert social_similarity(ms, 0, 1) == 0.0
+        a, b = self._social_rows(ms, 0, 1)
+        assert float(a @ b) == 0.0
 
     def test_social_similarity_self_norm(self, encoded):
         _, ms, _, _ = encoded
-        val = social_similarity(ms, 3, 3)
+        a, b = self._social_rows(ms, 3, 3)
+        val = float(a @ b)
         assert val == pytest.approx(float(ms.agg_s[3] @ ms.agg_s[3]), abs=1e-12)
         assert val >= 0
 
@@ -144,43 +152,51 @@ class TestSimilarities:
         _, ms, _, _ = encoded
         expect = float(sum(ms.agg_s[2][k] * ms.agg_s[5][k]
                            for k in range(ms.dim)))
-        assert social_similarity(ms, 2, 5) == pytest.approx(expect, abs=1e-12)
+        a, b = self._social_rows(ms, 2, 5)
+        assert float(a @ b) == pytest.approx(expect, abs=1e-12)
 
     def test_requires_encode(self, tiny_ds):
         ms = init_model(tiny_ds.num_users, tiny_ds.num_items, 4, seed=0)
         with pytest.raises(ValueError):
-            interaction_similarity(ms, 0, 1)
+            user_vectors(ms, [0, 1])
 
 
 class TestPredictions:
+    """User-item scores: user_vectors(ms, u) @ agg_r[I + v]."""
+
+    @staticmethod
+    def _score(ms, u, v, social_fusion=False):
+        return float(user_vectors(ms, u, social_fusion) @ ms.agg_r[ms.num_users + v])
+
     def test_zero_embeddings_zero_score(self, encoded):
         _, ms, _, _ = encoded
         ms.agg_r[:] = 0
-        assert predict_interaction(ms, 0, 0) == 0.0
+        assert self._score(ms, 0, 0) == 0.0
 
     def test_equal_vectors_norm_squared(self, encoded):
         _, ms, _, _ = encoded
         ms.agg_r[ms.num_users + 2] = ms.agg_r[1]
         expect = float(ms.agg_r[1] @ ms.agg_r[1])
-        assert predict_interaction(ms, 1, 2) == pytest.approx(expect, abs=1e-12)
+        assert self._score(ms, 1, 2) == pytest.approx(expect, abs=1e-12)
 
     def test_scalar_oracle(self, encoded):
         _, ms, _, _ = encoded
         expect = float(sum(ms.agg_r[2][k] * ms.agg_r[ms.num_users + 3][k]
                            for k in range(ms.dim)))
-        assert predict_interaction(ms, 2, 3) == pytest.approx(expect, abs=1e-12)
+        assert self._score(ms, 2, 3) == pytest.approx(expect, abs=1e-12)
 
     def test_social_prediction_symmetric_and_equals_similarity(self, encoded):
         _, ms, _, _ = encoded
-        assert predict_social(ms, 1, 4) == predict_social(ms, 4, 1)
-        assert predict_social(ms, 1, 4) == social_similarity(ms, 1, 4)
+        expect = float(ms.agg_s[1] @ ms.agg_s[4])
+        a, b = TestSimilarities._social_rows(ms, 1, 4)
+        assert float(a @ b) == float(b @ a) == expect
 
     def test_index_out_of_range_fatal(self, encoded):
+        # under social fusion only user rows exist; without it a user index
+        # past I reads an item row, which nothing checks
         _, ms, _, _ = encoded
         with pytest.raises(IndexError):
-            predict_interaction(ms, ms.num_users, 0)
-        with pytest.raises(IndexError):
-            predict_social(ms, 0, ms.num_users)
+            user_vectors(ms, [0, ms.num_users], social_fusion=True)
 
     def test_reduces_to_matrix_factorization(self):
         # zero layers and no social graph: score is the raw dot product
@@ -189,7 +205,7 @@ class TestPredictions:
         ms, _, _ = make_encoded(ds, dim=4, layers=0)
         for u in range(ds.num_users):
             for v in range(ds.num_items):
-                assert predict_interaction(ms, u, v) == pytest.approx(
+                assert self._score(ms, u, v) == pytest.approx(
                     float(ms.E_u[u] @ ms.E_v[v]), abs=1e-12)
 
 
@@ -294,5 +310,5 @@ def test_projection_forward_batch_matches_single(encoded):
     j = np.array([p[1] for p in pairs])
     z_batch, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
     for k, (a, b) in enumerate(pairs):
-        assert z_batch[k] == pytest.approx(interaction_similarity(ms, a, b),
-                                           abs=1e-12)
+        z, _ = projection_forward(ms.proj, ms.agg_r[a], ms.agg_r[b])
+        assert z_batch[k] == pytest.approx(z[0], abs=1e-12)

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from socrec.experiments import ExperimentSpec, _train_and_report
+
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
-from socrec.model import encode, init_model
+from socrec.model import encode, init_model, load_checkpoint
 from socrec.objective import (AdamState, TrainConfig, adam_step,
                               compute_gradients, joint_loss, sample_batch)
 from socrec.synthetic import planted_clusters, random_dataset
@@ -55,16 +59,25 @@ def test_training_deterministic_given_seed():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_aborts_and_keeps_last_good():
-    # an absurd learning rate overflows the squared-norm regularizer
+def test_divergence_aborts_and_keeps_last_good(tmp_path):
+    # an absurd learning rate overflows the embeddings in the first epoch
     ds = random_dataset(8, 10, seed=2)
     cfg = TrainConfig(dim=4, layers=1, batch=16, epochs=50, lr=1e200,
                       lr_decay=1.0, lambda3=1e-6, negatives=3, cutoffs=(5,),
                       seed=2)
-    result = train_model(ds, cfg)
-    assert result.aborted
+    result, _ = _train_and_report(ExperimentSpec(config=cfg), ds, cfg, str(tmp_path))
+    assert result.aborted == "epoch 0: loss component 'rec' is non-finite (nan)"
+    assert result.epochs_run == 0
     assert np.isfinite(result.model.E_u).all()
     assert np.isfinite(result.model.agg_r).all()
+    assert (tmp_path / "ABORTED").read_text().splitlines() == [
+        "training diverged; checkpoint holds last good parameters", f"at {result.aborted}"]
+    # the last good snapshot: the same run stopped before the failing epoch
+    good = train_model(ds, replace(cfg, epochs=result.epochs_run))
+    assert not good.aborted
+    np.testing.assert_array_equal(result.model.params.flat, good.model.params.flat)
+    np.testing.assert_array_equal(load_checkpoint(str(tmp_path / "checkpoint")).params.flat,
+                                  good.model.params.flat)
 
 
 def test_early_stopping_respects_patience():
