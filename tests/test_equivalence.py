@@ -1,6 +1,7 @@
 """Bit-for-bit equivalence of the blocked, in-place kernels, the per-user
-set builder, the bulk-drawn BPR triples and the bulk-drawn evaluation
-candidates with the plain code they replace.
+set builder, the bulk-drawn BPR triples, the bulk-drawn evaluation
+candidates and the one-pass loss and gradient step with the plain code
+they replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
