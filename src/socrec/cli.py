@@ -10,6 +10,7 @@ import dataclasses
 import logging
 import sys
 
+from .data import parse_config_file
 from .experiments import (DEFAULT_NOISE_RATIOS, ExperimentSpec, run_ablation,
                           run_case_study, run_eval, run_robustness, run_sweep,
                           run_train)
@@ -27,21 +28,6 @@ _TASKS = (("train", "train and evaluate one model"),
           ("robust", "noise-injection robustness study"),
           ("sweep", "hyperparameter grid sweep"),
           ("case-study", "export learned tie weights"))
-
-
-def parse_config_file(path):
-    """key=value lines, '#' comments; values stay strings until coercion."""
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
 
 
 def _coerce(key, val, kind=None):

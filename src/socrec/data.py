@@ -355,6 +355,21 @@ def stratify_by_degree(ds, boundaries=DEFAULT_STRATA):
 
 # --- plain-text serialization ------------------------------------------------
 
+def parse_config_file(path):
+    """key=value lines, '#' comments; values stay strings until coercion."""
+    out = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, val = line.split("=", 1)
+            out[key.strip()] = val.strip()
+    return out
+
+
 def save_dataset(ds, out_dir):
     """Write the dataset as a directory of deterministic text files."""
     os.makedirs(out_dir, exist_ok=True)
@@ -379,12 +394,7 @@ def save_dataset(ds, out_dir):
 
 def load_dataset(in_dir):
     """Load a dataset directory written by save_dataset (identity id maps)."""
-    meta = {}
-    with open(os.path.join(in_dir, "meta")) as fh:
-        for line in fh:
-            if "=" in line:
-                k, v = line.strip().split("=", 1)
-                meta[k] = v
+    meta = parse_config_file(os.path.join(in_dir, "meta"))
     num_users = int(meta["num_users"])
     num_items = int(meta["num_items"])
 

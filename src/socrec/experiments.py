@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 from .data import (DEFAULT_STRATA, build_dataset, inject_noise, load_dataset,
                    load_edges, stratify_by_degree)
 from .eval import evaluate, evaluate_stratified, export_relevance_weights
-from .model import load_checkpoint, save_checkpoint
+from .graph import build_interaction_laplacian, build_social_laplacian
+from .model import (LEAKY_SLOPE, checkpoint_settings, encode, load_checkpoint,
+                    save_checkpoint)
 from .objective import TrainConfig, VARIANTS
 from .train import train_model
 
 log = logging.getLogger(__name__)
 
 DEFAULT_NOISE_RATIOS = (0.0, 0.1, 0.2, 0.3)
+NOISE_SEED = 1234  # seeds the fake edges of every robustness cell
 
 
 @dataclass
@@ -36,10 +39,8 @@ class ExperimentSpec:
     split_seed: int = 0
     out_dir: str = "runs"
     noise_ratios: tuple = DEFAULT_NOISE_RATIOS
-    noise_seed: int = 1234
     sweep_axes: dict = field(default_factory=dict)
     eval_seed: int = 0
-    strata: tuple = DEFAULT_STRATA
     sample: object = "all"
     checkpoint: str = None
     split: str = "test"
@@ -66,8 +67,6 @@ def make_run_dir(spec, task):
 
 
 def config_lines(cfg):
-    from .model import LEAKY_SLOPE
-
     out = []
     for f in dataclasses.fields(cfg):
         val = getattr(cfg, f.name)
@@ -86,7 +85,7 @@ def write_lines(path, lines):
 def _train_and_report(spec, ds, cfg, run_dir):
     """Shared train-evaluate-persist cell used by every task."""
     result = train_model(ds, cfg, eval_seed=spec.eval_seed)
-    strata = stratify_by_degree(ds, spec.strata)
+    strata = stratify_by_degree(ds, DEFAULT_STRATA)
     report = evaluate_stratified(
         result.model, ds, strata, split=spec.split, num_negatives=cfg.negatives,
         cutoffs=cfg.cutoffs, seed=spec.eval_seed, social_fusion=cfg.social_fusion,
@@ -124,13 +123,14 @@ def run_train(spec):
 
 
 def _load_and_encode_checkpoint(spec, ds):
-    from .graph import build_interaction_laplacian, build_social_laplacian
-    from .model import encode
+    """The checkpoint's model, encoded with its trained layers and agg, and
+    the spec's config with the trained layers, agg and variant."""
     ms = load_checkpoint(spec.checkpoint)
-    layers = spec.config.layers if ms.num_layers is None else ms.num_layers
+    variant = checkpoint_settings(spec.checkpoint)("variant")
+    cfg = spec.config.with_overrides(layers=ms.num_layers, agg=ms.agg, variant=variant)
     encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
-           layers, spec.config.agg)
-    return ms
+           cfg.layers, cfg.agg)
+    return ms, cfg
 
 
 def run_eval(spec):
@@ -138,11 +138,10 @@ def run_eval(spec):
     if not spec.checkpoint:
         raise ValueError("eval task needs --checkpoint")
     ds = load_spec_dataset(spec)
-    ms = _load_and_encode_checkpoint(spec, ds)
-    report = evaluate(ms, ds, split=spec.split, num_negatives=spec.config.negatives,
-                      cutoffs=spec.config.cutoffs, seed=spec.eval_seed,
-                      social_fusion=spec.config.social_fusion,
-                      metadata={"split": spec.split})
+    ms, cfg = _load_and_encode_checkpoint(spec, ds)
+    report = evaluate(ms, ds, split=spec.split, num_negatives=cfg.negatives,
+                      cutoffs=cfg.cutoffs, seed=spec.eval_seed,
+                      social_fusion=cfg.social_fusion, metadata={"split": spec.split})
     run_dir = make_run_dir(spec, "eval")
     write_lines(os.path.join(run_dir, "report.dat"), report.to_lines())
     write_lines(os.path.join(run_dir, "report.txt"), [report.to_table()])
@@ -172,12 +171,12 @@ def run_ablation(spec, variants=VARIANTS):
 def run_robustness(spec):
     """Retrain per noise ratio; report metrics and relative degradation."""
     ds = load_spec_dataset(spec)
+    noisy = {ratio: inject_noise(ds, ratio, NOISE_SEED) for ratio in spec.noise_ratios}
     run_dir = make_run_dir(spec, "robustness")
     reports = {}
     for ratio in spec.noise_ratios:
-        noisy = inject_noise(ds, ratio, spec.noise_seed)
         cell_dir = os.path.join(run_dir, f"ratio_{ratio:g}")
-        _, reports[ratio] = _train_and_report(spec, noisy, spec.config, cell_dir)
+        _, reports[ratio] = _train_and_report(spec, noisy[ratio], spec.config, cell_dir)
 
     base = reports.get(0.0) or reports[min(reports)]
     lines = ["# ratio metric cutoff value degradation"]
@@ -194,16 +193,15 @@ def run_robustness(spec):
 
 def run_sweep(spec):
     """Cartesian grid over TrainConfig axes; emits axis/value/metric rows."""
-    axes = {k: list(v) for k, v in spec.sweep_axes.items() if v}
+    axes = {k: list(v) for k, v in sorted(spec.sweep_axes.items()) if v}
     if not axes:
         raise ValueError("sweep needs non-empty grid axes")
+    grid = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+    configs = [spec.config.with_overrides(**overrides) for overrides in grid]
     ds = load_spec_dataset(spec)
     run_dir = make_run_dir(spec, "sweep")
-    names = sorted(axes)
     lines, cells = ["# axes metric cutoff value"], []
-    for combo in itertools.product(*(axes[k] for k in names)):
-        overrides = dict(zip(names, combo))
-        cfg = spec.config.with_overrides(**overrides)
+    for overrides, cfg in zip(grid, configs):
         cell_dir = "_".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
                             for k, v in overrides.items())
         _, report = _train_and_report(spec, ds, cfg, os.path.join(run_dir, cell_dir))
@@ -230,14 +228,13 @@ def run_case_study(spec):
     """Export learned pair-relevance weights for social ties."""
     sample = _tie_sample(spec.sample)
     ds = load_spec_dataset(spec)
-    run_dir = make_run_dir(spec, "case_study")
     if spec.checkpoint:
-        ms = _load_and_encode_checkpoint(spec, ds)
+        ms, _ = _load_and_encode_checkpoint(spec, ds)
     else:
-        result = train_model(ds, spec.config, eval_seed=spec.eval_seed)
-        ms = result.model
-        save_checkpoint(ms, os.path.join(run_dir, "checkpoint"),
-                        config_lines(spec.config))
+        ms = train_model(ds, spec.config, eval_seed=spec.eval_seed).model
+    run_dir = make_run_dir(spec, "case_study")
+    if not spec.checkpoint:
+        save_checkpoint(ms, os.path.join(run_dir, "checkpoint"), config_lines(spec.config))
     export = export_relevance_weights(ms, ds, sample=sample, seed=spec.eval_seed)
     write_lines(os.path.join(run_dir, "relevance_weights.txt"),
                 export.to_lines() or ["# no ties"])

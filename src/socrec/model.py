@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import parse_config_file
 from .graph import for_each_chunk, propagate
 
 LEAKY_SLOPE = 0.01  # LeakyReLU negative slope used by the similarity projection
@@ -239,46 +240,49 @@ def user_vectors(ms, users, social_fusion=False):
 CHECKPOINT_DTYPE = np.dtype(ParamBlock.DTYPE).newbyteorder("<")
 
 
-def save_checkpoint(ms, out_dir, config_lines=()):
-    """Write each parameter as a flat little-endian array, plus a shape file
-    (with no L= line for a model whose layer count is unknown)."""
+def save_checkpoint(ms, out_dir, config_lines):
+    """Write each parameter as a flat little-endian array, and a `config`
+    file: `num_users=I`, `num_items=J`, then the run's config echo
+    `config_lines`, which must set `dim`, `layers`, `agg` and `variant`."""
     os.makedirs(out_dir, exist_ok=True)
-    layers = "" if ms.num_layers is None else f"L={ms.num_layers}\n"
-    with open(os.path.join(out_dir, "shape"), "w") as fh:
-        fh.write(f"I={ms.num_users}\nJ={ms.num_items}\nd={ms.dim}\n{layers}")
     for name, view in ms.params.as_dict().items():
         with open(os.path.join(out_dir, name), "wb") as fh:
             np.ascontiguousarray(view, dtype=CHECKPOINT_DTYPE).tofile(fh)
-    if config_lines:
-        with open(os.path.join(out_dir, "config"), "w") as fh:
-            fh.write("\n".join(config_lines) + "\n")
+    with open(os.path.join(out_dir, "config"), "w") as fh:
+        fh.write("\n".join([f"num_users={ms.num_users}", f"num_items={ms.num_items}",
+                            *config_lines]) + "\n")
+
+
+def checkpoint_settings(in_dir):
+    """`setting(key, kind=str)`, reading checkpoint `in_dir`'s `config`; a
+    missing file or key, or an int that is not digits, names the file."""
+    path = os.path.join(in_dir, "config")
+    if not os.path.isfile(path):
+        raise ValueError(f"checkpoint {in_dir} has no config file {path}")
+    config = parse_config_file(path)
+
+    def setting(key, kind=str):
+        if key not in config:
+            raise ValueError(f"{path} has no {key}= line")
+        if kind is int and not config[key].isdecimal():
+            raise ValueError(f"{path}: {key}={config[key]!r} is not an integer >= 0")
+        return kind(config[key])
+
+    return setting
 
 
 def load_checkpoint(in_dir):
-    """Rebuild a ModelState (parameters only) from save_checkpoint output.
-
-    Each parameter file is read into its view of a new block; a shape file
-    line that is not key=<integer>, a missing I, J or d, and a file whose
-    size disagrees with the shape file are errors. `num_layers` is the
-    stored L, or None for a checkpoint without one.
-    """
-    path = os.path.join(in_dir, "shape")
-    shape = {}
-    with open(path) as fh:
-        for line in filter(str.strip, fh):
-            key, _, value = line.strip().partition("=")
-            if not value.isdecimal():
-                raise ValueError(f"{path}: line {line.strip()!r} is not key=<integer>")
-            shape[key] = int(value)
-    for key in ("I", "J", "d"):
-        if key not in shape:
-            raise ValueError(f"{path} has no {key}= line; a checkpoint needs I, J and d")
-    params = ParamBlock(shape["I"], shape["J"], shape["d"])
+    """Rebuild a ModelState (parameters, layer count and aggregation) from
+    save_checkpoint output: a block sized by `num_users`, `num_items` and
+    `dim` of `config`, each file read into its view. A file whose size
+    disagrees with `config` is an error."""
+    setting = checkpoint_settings(in_dir)
+    params = ParamBlock(*(setting(key, int) for key in ("num_users", "num_items", "dim")))
     for name, view in params.as_dict().items():
         path = os.path.join(in_dir, name)
         found = os.path.getsize(path) / CHECKPOINT_DTYPE.itemsize
         if found != view.size:
             raise ValueError(f"checkpoint file {path} holds {found:g} values, "
-                             f"its shape file needs {view.size}")
+                             f"its config needs {view.size}")
         view[...] = np.fromfile(path, dtype=CHECKPOINT_DTYPE).reshape(view.shape)
-    return ModelState(params, num_layers=shape.get("L"))
+    return ModelState(params, num_layers=setting("layers", int), agg=setting("agg"))

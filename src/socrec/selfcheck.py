@@ -8,11 +8,10 @@ import numpy as np
 from .eval import _tally
 from .graph import build_interaction_laplacian, build_social_laplacian
 from .model import ModelState, ParamBlock, encode, init_model, projection_forward
-from .objective import Batch, TrainConfig, compute_gradients, joint_loss, sample_batch
+from .objective import (VARIANTS, Batch, TrainConfig, compute_gradients, joint_loss,
+                        sample_batch)
 from .oracle import dense_forward, finite_difference
 from .synthetic import random_dataset
-
-GRAD_VARIANTS = ("full", "no_align", "direct_social", "contrastive")
 
 
 def make_tiny_instance(seed, variant="full", layers=1, num_users=6, num_items=6,
@@ -79,7 +78,7 @@ def gradient_check(num_instances=20, seed=0, step=1e-6, tol=1e-5):
     rows = []
     worst = 0.0
     for k in range(num_instances):
-        variant = GRAD_VARIANTS[k % len(GRAD_VARIANTS)]
+        variant = VARIANTS[k % len(VARIANTS)]
         layers = k % 3
         ds, cfg, ms, batch, graphs = make_tiny_instance(seed + 17 * k, variant,
                                                         layers)

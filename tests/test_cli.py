@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from socrec.cli import build_config, main, parse_config_file
-from socrec.experiments import (ExperimentSpec, run_ablation, run_case_study,
-                                run_eval, run_robustness, run_sweep, run_train)
-from socrec.objective import TrainConfig
+from socrec.eval import export_relevance_weights
+from socrec.experiments import (ExperimentSpec, load_spec_dataset, run_ablation,
+                                run_case_study, run_eval, run_robustness, run_sweep,
+                                run_train)
+from socrec.objective import VARIANTS, TrainConfig
 from socrec.synthetic import planted_clusters, random_tables, write_edge_files
 
 
@@ -89,8 +91,9 @@ class TestRunTrain:
         for name in ("config", "history.txt", "timing.txt", "report.dat",
                      "report.txt"):
             assert os.path.exists(os.path.join(run_dir, name))
-        for name in ("shape", "E_u", "E_v", "T", "w", "c", "config"):
+        for name in ("E_u", "E_v", "T", "w", "c", "config"):
             assert os.path.exists(os.path.join(run_dir, "checkpoint", name))
+        assert not os.path.exists(os.path.join(run_dir, "checkpoint", "shape"))
         assert 0.0 <= report.hr[10] <= 1.0
 
     def test_zero_epochs_still_reports(self, edge_files, tmp_path):
@@ -115,7 +118,7 @@ class TestRunTrain:
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="l0",
                          config=fast_cfg(layers=0, epochs=3))
         _, report, run_dir = run_train(spec)
-        # the eval config keeps layers=1; the checkpoint's stored L=0 must win
+        # the eval config keeps layers=1; the checkpoint's stored layers=0 must win
         ev = fast_spec(edge_files, tmp_path / "runs", run_name="l0-eval",
                        checkpoint=os.path.join(run_dir, "checkpoint"))
         back, _ = run_eval(ev)
@@ -138,6 +141,41 @@ def test_every_task_needs_a_data_source(task, tmp_path):
     with pytest.raises(ValueError, match="dataset_dir or interactions_path"):
         task(spec)
     assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("task,knob,value,match", [
+    (run_sweep, "sweep_axes", {"variant": ["full", "bogus"]}, "unknown variant 'bogus'"),
+    (run_robustness, "noise_ratios", (0.0, 1.5), "noise ratio must lie in"),
+    (run_case_study, "checkpoint", "no-such-checkpoint", "has no config file"),
+], ids=["sweep", "robust", "case-study"])
+def test_every_cell_is_checked_before_the_run_directory(task, knob, value, match,
+                                                        edge_files, tmp_path):
+    spec = fast_spec(edge_files, tmp_path / "runs", **{knob: value})
+    with pytest.raises(ValueError, match=match):
+        task(spec)
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("agg", ["sum", "mean"])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_replays_its_run(variant, layers, agg, edge_files, tmp_path):
+    """`eval` and `case-study` on a checkpoint, given only the default
+    config, score and project as the run that saved it did."""
+    trained = fast_cfg(variant=variant, layers=layers, agg=agg, epochs=2)
+    result, _, run_dir = run_train(fast_spec(edge_files, tmp_path, run_name="run",
+                                             config=trained))
+    ckpt = os.path.join(run_dir, "checkpoint")
+    _, eval_dir = run_eval(fast_spec(edge_files, tmp_path, run_name="ev", checkpoint=ckpt))
+    # an eval report holds the overall rows of the run's, without its seed and variant
+    in_run = open(os.path.join(run_dir, "report.dat"), "rb").read().splitlines(True)
+    shared = [line for line in in_run
+              if b" all " in line or line.startswith((b"# split=", b"# users="))]
+    assert open(os.path.join(eval_dir, "report.dat"), "rb").read() == b"".join(shared)
+    export, _ = run_case_study(fast_spec(edge_files, tmp_path, run_name="case",
+                                         checkpoint=ckpt))
+    ds = load_spec_dataset(fast_spec(edge_files, tmp_path))
+    assert export.rows == export_relevance_weights(result.model, ds).rows
 
 
 class TestAblation:

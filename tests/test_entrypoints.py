@@ -46,8 +46,8 @@ def test_artifact_digest_is_reproducible(tmp_path):
     assert runs[0].stdout == runs[1].stdout
     names = {line.split("/")[-1] for line in runs[0].stdout.splitlines()}
     assert {"report.dat", "history.txt", "config", "report.txt", "ablation.dat",
-            "robustness.dat", "sweep.dat", "relevance_weights.txt", "E_u",
-            "shape"} <= names
+            "robustness.dat", "sweep.dat", "relevance_weights.txt", "E_u"} <= names
+    assert "shape" not in names
     assert "timing.txt" not in names
     stdouts = [line for line in runs[0].stdout.splitlines() if "  stdout/" in line]
     assert len(stdouts) == 13  # one per command of the suite

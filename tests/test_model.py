@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from socrec.data import InteractionTable, SocialTable, build_dataset
+from socrec.experiments import config_lines
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
 from socrec.model import (encode, init_model, load_checkpoint, projection_forward,
                           save_checkpoint, user_vectors)
+from socrec.objective import TrainConfig
 from socrec.oracle import dense_forward
 from socrec.synthetic import random_dataset
 
@@ -209,22 +211,32 @@ class TestPredictions:
                     float(ms.E_u[u] @ ms.E_v[v]), abs=1e-12)
 
 
+def _echo(ms):
+    """The config echo of a run that trained `ms`."""
+    return config_lines(TrainConfig(dim=ms.dim, layers=ms.num_layers, agg=ms.agg))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, encoded, tmp_path):
         _, ms, g_r, g_s = encoded
-        save_checkpoint(ms, str(tmp_path / "ckpt"), ["variant=full"])
+        save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
         back = load_checkpoint(str(tmp_path / "ckpt"))
         np.testing.assert_array_equal(back.E_u, ms.E_u)
         np.testing.assert_array_equal(back.E_v, ms.E_v)
         np.testing.assert_array_equal(back.proj.T, ms.proj.T)
         np.testing.assert_array_equal(back.proj.w, ms.proj.w)
         np.testing.assert_array_equal(back.proj.c, ms.proj.c)
-        assert back.num_layers == ms.num_layers
-        for layers in (0, 2):  # save -> load -> save writes the same bytes
-            encode(ms, g_r, g_s, layers)
+        assert (back.num_layers, back.agg) == (ms.num_layers, ms.agg)
+        config = (tmp_path / "ckpt" / "config").read_text().splitlines()
+        assert config == [f"num_users={ms.num_users}", f"num_items={ms.num_items}",
+                          *_echo(ms)]
+        for layers, agg in ((0, "mean"), (2, "sum")):  # save -> load -> save: same bytes
+            encode(ms, g_r, g_s, layers, agg)
             first, again = tmp_path / f"L{layers}", tmp_path / f"L{layers}-again"
-            save_checkpoint(ms, str(first), ["variant=full"])
-            save_checkpoint(load_checkpoint(str(first)), str(again), ["variant=full"])
+            save_checkpoint(ms, str(first), _echo(ms))
+            loaded = load_checkpoint(str(first))
+            assert (loaded.num_layers, loaded.agg) == (layers, agg)
+            save_checkpoint(loaded, str(again), _echo(loaded))
             names = sorted(path.name for path in first.iterdir())
             assert sorted(path.name for path in again.iterdir()) == names
             for name in names:
@@ -232,72 +244,47 @@ class TestCheckpoint:
 
     def test_mismatched_file_names_itself(self, encoded, tmp_path):
         _, ms, _, _ = encoded
-        save_checkpoint(ms, str(tmp_path / "ckpt"))
+        save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
         path = tmp_path / "ckpt" / "w"
         raw = path.read_bytes()
         for data, found in ((raw[:-8], ms.dim - 1), (raw + raw[:8], ms.dim + 1)):
             path.write_bytes(data)
             with pytest.raises(ValueError, match=re.escape(
-                    f"{path} holds {found} values, its shape file needs {ms.dim}")):
+                    f"{path} holds {found} values, its config needs {ms.dim}")):
                 load_checkpoint(str(tmp_path / "ckpt"))
 
-    def test_shape_file_without_a_dimension_names_it(self, encoded, tmp_path):
+    def test_config_without_a_key_names_it(self, encoded, tmp_path):
         _, ms, _, _ = encoded
-        save_checkpoint(ms, str(tmp_path / "ckpt"))
-        shape = tmp_path / "ckpt" / "shape"
-        lines = shape.read_text().splitlines(True)
-        for key in ("I", "J", "d"):
-            shape.write_text("".join(line for line in lines
-                                     if not line.startswith(f"{key}=")))
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{shape} has no {key}= line; a checkpoint needs I, J and d")):
+        save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
+        config = tmp_path / "ckpt" / "config"
+        lines = config.read_text().splitlines(True)
+        for key in ("num_users", "num_items", "dim", "layers", "agg"):
+            config.write_text("".join(line for line in lines
+                                      if not line.startswith(f"{key}=")))
+            with pytest.raises(ValueError, match=re.escape(f"{config} has no {key}= line")):
                 load_checkpoint(str(tmp_path / "ckpt"))
+        config.unlink()
+        with pytest.raises(ValueError, match=re.escape(f"has no config file {config}")):
+            load_checkpoint(str(tmp_path / "ckpt"))
 
-    def test_malformed_shape_line_names_it(self, encoded, tmp_path):
+    def test_malformed_config_value_names_it(self, encoded, tmp_path):
         _, ms, _, _ = encoded
-        save_checkpoint(ms, str(tmp_path / "ckpt"))
-        shape = tmp_path / "ckpt" / "shape"
-        text = shape.read_text()
-        d, L = f"d={ms.dim}", f"L={ms.num_layers}"
-        for good, bad in ((d, f"d{ms.dim}"), (d, f"{d}x"), (L, "L=None")):
-            shape.write_text(text.replace(good + "\n", bad + "\n"))
+        save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
+        config = tmp_path / "ckpt" / "config"
+        text = config.read_text()
+        d, L = f"dim={ms.dim}", f"layers={ms.num_layers}"
+        for good, key, bad in ((d, "dim", f"{ms.dim}x"), (d, "dim", "-4"),
+                               (L, "layers", "None"), (L, "layers", "2.0")):
+            config.write_text(text.replace(good + "\n", f"{key}={bad}\n"))
             with pytest.raises(ValueError, match=re.escape(
-                    f"{shape}: line {bad!r} is not key=<integer>")):
+                    f"{config}: {key}={bad!r} is not an integer >= 0")):
                 load_checkpoint(str(tmp_path / "ckpt"))
-        shape.write_text(text + "\n\n")  # blank lines are ignored
+        config.write_text("# comments and blank lines are ignored\n" + text + "\n\n")
         assert load_checkpoint(str(tmp_path / "ckpt")).dim == ms.dim
-
-    def test_zero_layers_stored_and_missing_count_is_none(self, encoded, tmp_path):
-        _, ms, g_r, g_s = encoded
-        encode(ms, g_r, g_s, 0)
-        save_checkpoint(ms, str(tmp_path / "ckpt"))
-        assert load_checkpoint(str(tmp_path / "ckpt")).num_layers == 0
-        shape = tmp_path / "ckpt" / "shape"
-        shape.write_text("".join(line for line in shape.read_text().splitlines(True)
-                                 if not line.startswith("L=")))
-        assert load_checkpoint(str(tmp_path / "ckpt")).num_layers is None
-
-    def test_checkpoint_without_layer_count_round_trips(self, encoded, tmp_path):
-        _, ms, _, _ = encoded
-        first, again = tmp_path / "first", tmp_path / "again"
-        save_checkpoint(ms, str(first))
-        shape = first / "shape"
-        shape.write_text("".join(line for line in shape.read_text().splitlines(True)
-                                 if not line.startswith("L=")))
-        loaded = load_checkpoint(str(first))
-        assert loaded.num_layers is None
-        save_checkpoint(loaded, str(again))  # writes no L= line either
-        names = sorted(path.name for path in first.iterdir())
-        assert sorted(path.name for path in again.iterdir()) == names
-        for name in names:
-            assert (again / name).read_bytes() == (first / name).read_bytes(), name
-        back = load_checkpoint(str(again))
-        assert back.num_layers is None
-        np.testing.assert_array_equal(back.params.flat, ms.params.flat)
 
     def test_little_endian_layout(self, encoded, tmp_path):
         _, ms, _, _ = encoded
-        save_checkpoint(ms, str(tmp_path / "ckpt"))
+        save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
         raw = (tmp_path / "ckpt" / "w").read_bytes()
         np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f8"),
                                       ms.proj.w)

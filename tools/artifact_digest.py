@@ -2,8 +2,9 @@
 
 Runs `socrec train` (four variant/layer/aggregation settings), `ablate`,
 `robust`, `sweep`, `eval` (on the `full`, `direct_social` and `no_align`
-checkpoints, each with the flags it trained with, and on `full` again with
-280 negatives, which takes the small-pool candidate branch for every user
+checkpoints, each with the common flags only, as a checkpoint carries its
+trained layers, aggregation and variant, and on `full` again with 280
+negatives, which takes the small-pool candidate branch for every user
 where the suite's 49 take the rejection branch) and `case-study` on the
 pinned fixture in `tests/fixtures/pinned`, with the socrec package of a
 source tree, and prints one `<sha256>  <path>` line per file written,
@@ -50,9 +51,9 @@ def suite(out):
     common = COMMON + ["--out", out]
     runs = [["train", *common, *flags, "--run-name", name] for name, flags in TRAIN]
     checkpoint = os.path.join(out, "train", "full", "checkpoint")
-    runs += [["eval", *common, *flags, "--checkpoint",
+    runs += [["eval", *common, "--checkpoint",
               os.path.join(out, "train", name, "checkpoint"), "--run-name", f"eval_{name}"]
-             for name, flags in TRAIN if name in ("direct_social", "no_align")]
+             for name in ("direct_social", "no_align")]
     runs += [
         ["ablate", *common, "--run-name", "ablate"],
         ["robust", *common, "--ratios", "0,0.2", "--run-name", "robust"],
