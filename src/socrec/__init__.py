@@ -12,7 +12,7 @@ from .model import (ModelState, ParamBlock, encode, init_model, load_checkpoint,
                     save_checkpoint, user_vectors)
 from .objective import (AdamState, Batch, GradientSet, NonFiniteLossError,
                         TrainConfig, adam_step, bpr_loss, compute_gradients,
-                        infonce_loss, joint_loss, sample_batch, ssl_hinge_loss)
+                        joint_loss, sample_batch, ssl_hinge_loss)
 from .oracle import dense_forward, finite_difference
 from .synthetic import planted_clusters, random_dataset
 from .train import TrainResult, train_model
@@ -30,7 +30,7 @@ __all__ = [
     "ModelState", "ParamBlock", "encode", "init_model", "load_checkpoint",
     "save_checkpoint", "user_vectors",
     "AdamState", "Batch", "GradientSet", "NonFiniteLossError", "TrainConfig",
-    "adam_step", "bpr_loss", "compute_gradients", "infonce_loss", "joint_loss",
+    "adam_step", "bpr_loss", "compute_gradients", "joint_loss",
     "sample_batch", "ssl_hinge_loss",
     "dense_forward", "finite_difference",
     "planted_clusters", "random_dataset",

@@ -14,12 +14,13 @@ from .data import parse_config_file
 from .experiments import (DEFAULT_NOISE_RATIOS, ExperimentSpec, run_ablation,
                           run_case_study, run_eval, run_robustness, run_sweep,
                           run_train)
+from .model import LEAKY_SLOPE
 from .objective import TrainConfig
 
 log = logging.getLogger(__name__)
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_FILE_ONLY_KEYS = ("dataset_dir", "interactions", "social", "eval_seed")
+_FILE_ONLY_KEYS = ("dataset_dir", "interactions", "social", "eval_seed", "leaky_slope")
 # config keys with a `--KEY VALUE` flag, shorthand for `--set KEY=VALUE`
 _FLAG_KEYS = ("seed", "variant", "negatives", "epochs", "batch", "layers", "dim", "lr")
 _TASKS = (("train", "train and evaluate one model"),
@@ -53,10 +54,15 @@ def build_config(file_values, cli_values):
     """Resolve a TrainConfig: defaults <- config file <- CLI flags.
 
     Every key must name a TrainConfig field; a config file may also hold
-    the non-config keys in _FILE_ONLY_KEYS (read by build_spec).
+    the non-config keys in _FILE_ONLY_KEYS: those build_spec reads, and
+    `leaky_slope` at the model's fixed slope, as a run's config echo has it.
     """
     _check_keys(file_values, (*_CONFIG_FIELDS, *_FILE_ONLY_KEYS), "config file")
     _check_keys(cli_values, _CONFIG_FIELDS, "command line")
+    slope = file_values.get("leaky_slope", LEAKY_SLOPE)
+    if _coerce("leaky_slope", slope, float) != LEAKY_SLOPE:
+        raise ValueError(f"config key leaky_slope: the slope is fixed at "
+                         f"{LEAKY_SLOPE}, got {slope!r}")
     merged = {}
     for source in (file_values, cli_values):
         for key, val in source.items():

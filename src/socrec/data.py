@@ -91,7 +91,7 @@ class Dataset:
     deduplicated interaction set. Social edges are stored with both
     directions present. Everything else is derived from these fields:
     `degree` (train interactions per user) when the dataset is built,
-    the id maps and per-user sets on first use. The fields are read-only,
+    the user id map and per-user sets on first use. The fields are read-only,
     so what is derived stays true; a variant is a `dataclasses.replace`
     copy, which derives its own.
     """
@@ -127,12 +127,6 @@ class Dataset:
         """External user id -> dense index."""
         return self._derived("user_index",
                              lambda: {ext: i for i, ext in enumerate(self.user_ids)})
-
-    @property
-    def item_index(self):
-        """External item id -> dense index."""
-        return self._derived("item_index",
-                             lambda: {ext: i for i, ext in enumerate(self.item_ids)})
 
     def user_train_items(self):
         """Per-user sets of train item indices (cached)."""
@@ -318,9 +312,6 @@ class DegreeStrata:
 
     boundaries: tuple          # ((lo, hi), ...) hi exclusive, last hi = inf
     assignment: np.ndarray     # user index -> stratum index
-
-    def interval_of(self, user):
-        return self.boundaries[int(self.assignment[user])]
 
     def labels(self):
         out = []

@@ -31,9 +31,8 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        denom = max(self.num_users, 1)
-        self.hr = {n: self.hits[n] / denom for n in self.cutoffs}
-        self.ndcg = {n: self.ndcg_sums[n] / denom for n in self.cutoffs}
+        self.hr = {n: self.hits[n] / self.num_users for n in self.cutoffs}
+        self.ndcg = {n: self.ndcg_sums[n] / self.num_users for n in self.cutoffs}
 
     def to_lines(self):
         """Line-delimited `metric cutoff stratum value` rows for plotting."""
@@ -158,11 +157,15 @@ def evaluate_stratified(ms, ds, strata, split="test", num_negatives=99,
 
     The same per-user ranks feed both the overall and the stratum metrics,
     so the per-stratum hit counts sum exactly to the overall count. Empty
-    strata are omitted rather than reported as zero.
+    strata are omitted rather than reported as zero. A split where no user
+    has `num_negatives` unknown items is an error, not a report of zeros.
     """
     _require_encoded(ms)
     users, ranks, skipped = _user_ranks(ms, ds, split, num_negatives, seed,
                                         social_fusion)
+    if not len(users):
+        raise ValueError(f"no user of split {split!r} evaluated: {skipped} skipped "
+                         f"for fewer than {num_negatives} negative candidates")
     cutoffs = tuple(cutoffs)
     hits, ndcg_sums = _tally(ranks, cutoffs)
     report = EvalReport(cutoffs=cutoffs, num_users=len(users), hits=hits,
@@ -212,7 +215,7 @@ def export_relevance_weights(ms, ds, sample="all", seed=0):
     if len(ties) == 0:
         return RelevanceWeightExport(rows=[])
     i, j = ties[:, 0], ties[:, 1]
-    z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
+    z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
     zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
     order = np.argsort(z, kind="stable")
     rows = list(zip(i[order].tolist(), j[order].tolist(), z[order].tolist(),

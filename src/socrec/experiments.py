@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .data import (DEFAULT_STRATA, build_dataset, inject_noise, load_dataset,
                    load_edges, stratify_by_degree)
-from .eval import evaluate, evaluate_stratified, export_relevance_weights
+from .eval import evaluate_stratified, export_relevance_weights
 from .graph import build_interaction_laplacian, build_social_laplacian
 from .model import (LEAKY_SLOPE, checkpoint_settings, encode, load_checkpoint,
                     save_checkpoint)
@@ -82,22 +82,29 @@ def write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _train_and_report(spec, ds, cfg, run_dir):
-    """Shared train-evaluate-persist cell used by every task."""
-    result = train_model(ds, cfg, eval_seed=spec.eval_seed)
+def _write_report(spec, ds, ms, cfg, run_dir):
+    """Evaluate encoded model `ms` as `cfg` scores on the spec's split, per
+    degree stratum too, and write report.dat and report.txt in `run_dir`."""
     strata = stratify_by_degree(ds, DEFAULT_STRATA)
     report = evaluate_stratified(
-        result.model, ds, strata, split=spec.split, num_negatives=cfg.negatives,
+        ms, ds, strata, split=spec.split, num_negatives=cfg.negatives,
         cutoffs=cfg.cutoffs, seed=spec.eval_seed, social_fusion=cfg.social_fusion,
         metadata={"variant": cfg.variant, "seed": cfg.seed, "split": spec.split},
     )
     os.makedirs(run_dir, exist_ok=True)
+    write_lines(os.path.join(run_dir, "report.dat"), report.to_lines())
+    write_lines(os.path.join(run_dir, "report.txt"), [report.to_table()])
+    return report
+
+
+def _train_and_report(spec, ds, cfg, run_dir):
+    """Shared train-evaluate-persist cell used by every task."""
+    result = train_model(ds, cfg, eval_seed=spec.eval_seed)
+    report = _write_report(spec, ds, result.model, cfg, run_dir)
     write_lines(os.path.join(run_dir, "config"), config_lines(cfg))
     write_lines(os.path.join(run_dir, "history.txt"), result.history_lines())
     write_lines(os.path.join(run_dir, "timing.txt"),
                 [f"{i} {t:.6f}" for i, t in enumerate(result.timing)] or ["# no epochs"])
-    write_lines(os.path.join(run_dir, "report.dat"), report.to_lines())
-    write_lines(os.path.join(run_dir, "report.txt"), [report.to_table()])
     save_checkpoint(result.model, os.path.join(run_dir, "checkpoint"),
                     config_lines(cfg))
     if result.aborted:
@@ -124,28 +131,26 @@ def run_train(spec):
 
 def _load_and_encode_checkpoint(spec, ds):
     """The checkpoint's model, encoded with its trained layers and agg, and
-    the spec's config with the trained layers, agg and variant."""
+    the spec's config with the trained layers, agg, variant and seed."""
     ms = load_checkpoint(spec.checkpoint)
-    variant = checkpoint_settings(spec.checkpoint)("variant")
-    cfg = spec.config.with_overrides(layers=ms.num_layers, agg=ms.agg, variant=variant)
+    setting = checkpoint_settings(spec.checkpoint)
+    cfg = spec.config.with_overrides(layers=ms.num_layers, agg=ms.agg,
+                                     variant=setting("variant"), seed=setting("seed", int))
     encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
            cfg.layers, cfg.agg)
     return ms, cfg
 
 
 def run_eval(spec):
-    """Evaluate an existing checkpoint on a dataset split."""
+    """Evaluate an existing checkpoint on a dataset split; the report is
+    the one its run wrote for the same split, eval seed, negatives and
+    cutoffs."""
     if not spec.checkpoint:
         raise ValueError("eval task needs --checkpoint")
     ds = load_spec_dataset(spec)
     ms, cfg = _load_and_encode_checkpoint(spec, ds)
-    report = evaluate(ms, ds, split=spec.split, num_negatives=cfg.negatives,
-                      cutoffs=cfg.cutoffs, seed=spec.eval_seed,
-                      social_fusion=cfg.social_fusion, metadata={"split": spec.split})
     run_dir = make_run_dir(spec, "eval")
-    write_lines(os.path.join(run_dir, "report.dat"), report.to_lines())
-    write_lines(os.path.join(run_dir, "report.txt"), [report.to_table()])
-    return report, run_dir
+    return _write_report(spec, ds, ms, cfg, run_dir), run_dir
 
 
 def run_ablation(spec, variants=VARIANTS):

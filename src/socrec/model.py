@@ -77,8 +77,7 @@ def reuse(store, name, shape):
 class ModelState:
     """A parameter block, per-view aggregations and the model's work arrays.
 
-    The embedding tables and the layout read through to `params`; `proj`
-    is the block too, as read for its projection part (T, w, c). After
+    The embedding tables and the layout read through to `params`. After
     `encode` ran, `agg_r`/`agg_s` hold the aggregated embeddings of the
     interaction and social view. The graphs and aggregation mode used for
     the pass are remembered so gradients can be pulled back through the
@@ -102,7 +101,6 @@ class ModelState:
     E = property(lambda self: self.params.E)
     E_u = property(lambda self: self.params.E_u)
     E_v = property(lambda self: self.params.E_v)
-    proj = property(lambda self: self.params)
 
     def work_pair(self, view):
         """The two arrays `aggregate_backward` alternates between for view

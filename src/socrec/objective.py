@@ -143,11 +143,8 @@ def sample_batch(ds, batch_size, rng, need_social=True):
     return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
 
 
-# A block spans about BLOCK_REJECTS expected rejected rows; where that is
-# under MIN_BLOCK rows, the next SCALAR_RUN rows are drawn one at a time.
+# A block spans about BLOCK_REJECTS expected rejected rows.
 BLOCK_REJECTS = 2.0
-MIN_BLOCK = 16
-SCALAR_RUN = 64
 
 
 def _bpr_triples(edges, lists, count, rng, exclude_anchor):
@@ -180,28 +177,10 @@ def _bpr_triples(edges, lists, count, rng, exclude_anchor):
     bounds = np.empty(2 * count, dtype=np.int64)
     bounds[0::2], bounds[1::2] = degree, N
 
-    def negative(a, neg):
-        nbrs = lists.sets[a]
-        while neg in nbrs or (exclude_anchor and neg == a):
-            neg = int(rng.integers(N))
-        return neg
-
     row = 0
     while row < count:
         before = rejects[row - 1] if row else 0.0
         stop = min(int(np.searchsorted(rejects, before + BLOCK_REJECTS)) + 1, count)
-        if stop - row < MIN_BLOCK:
-            stop = min(row + SCALAR_RUN, count)
-            picks, negs = [], []
-            for a, at, d in zip(anchors[row:stop].tolist(),
-                                lists.indptr[anchors[row:stop]].tolist(),
-                                degree[row:stop].tolist()):
-                picks.append(at + int(rng.integers(d)))
-                negs.append(negative(a, int(rng.integers(N))))
-            out[row:stop, 1] = lists.items[picks]
-            out[row:stop, 2] = negs
-            row = stop
-            continue
         state = rng.bit_generator.state
         draws = rng.integers(0, bounds[2 * row:2 * stop])
         neg = draws[1::2]
@@ -217,7 +196,10 @@ def _bpr_triples(edges, lists, count, rng, exclude_anchor):
             if end < stop:
                 rng.bit_generator.state = state
                 rng.integers(0, bounds[2 * row:2 * end])
-            out[end - 1, 2] = negative(int(anchors[end - 1]), int(neg[k]))
+            a, v = int(anchors[end - 1]), int(neg[k])
+            while v in lists.sets[a] or (exclude_anchor and v == a):
+                v = int(rng.integers(N))
+            out[end - 1, 2] = v
         row = end
     return out
 
@@ -240,12 +222,6 @@ def ssl_hinge_loss(z, zhat):
     if z.shape != zhat.shape:
         raise ValueError("similarity lists differ in length")
     return float(np.maximum(0.0, 1.0 - z * zhat).sum())
-
-
-def infonce_loss(anchors, positives, tau):
-    """Contrastive alignment with in-batch negatives and cosine scores."""
-    loss, _, _ = _infonce_grads(np.atleast_2d(anchors), np.atleast_2d(positives), tau)
-    return loss
 
 
 def _infonce_grads(A, B, tau):
@@ -321,17 +297,6 @@ def _hinge_term(params, a_i, a_j, b_i, b_j):
     return loss, active, rows, (dpre.T @ x[active], h[active].T @ dact, dpre.sum(axis=0))
 
 
-def _alignment_hinge(params, a_i, a_j, b_i, b_j):
-    """`_hinge_term` with every pair's row gradients: returns (loss, da_i,
-    da_j, db_i, db_j, dT, dw, dc), zero rows for pairs that clear the
-    margin."""
-    loss, active, rows, proj = _hinge_term(params, a_i, a_j, b_i, b_j)
-    full = [np.zeros_like(m) for m in (a_i, a_j, b_i, b_j)]
-    for out, got in zip(full, rows):
-        out[active] = got
-    return (loss, *full, *proj)
-
-
 def _row_sum(out, terms):
     """Add (rows, values) terms into `out`, which holds zeros, as one
     `np.add.at(out, rows, values)` per term in turn would: each row sums
@@ -402,7 +367,7 @@ def _evaluate_terms(batch, ms, cfg, square=None):
             terms_s.append((anchors, l2 * dB))
         else:
             align, active, (da_i, da_j, db_i, db_j), proj = _hinge_term(
-                ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+                ms.params, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
             for g in (da_i, da_j, db_i, db_j, *proj):
                 g *= l2
             i, j = i[active], j[active]

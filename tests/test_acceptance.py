@@ -20,7 +20,7 @@ from socrec.data import build_dataset, load_edges
 from socrec.eval import evaluate, export_relevance_weights
 from socrec.experiments import ExperimentSpec, run_robustness, run_train
 from socrec.model import ParamBlock
-from socrec.objective import (TrainConfig, _alignment_hinge, _infonce_grads)
+from socrec.objective import (TrainConfig, _hinge_term, _infonce_grads)
 from socrec.selfcheck import (forward_equivalence_check, gradient_check,
                               metric_oracle_check)
 from socrec.synthetic import planted_clusters, write_edge_files
@@ -176,7 +176,7 @@ def test_criterion_7_cost_scaling():
         a_j = rng.normal(size=(B, d))
         b_i = rng.normal(size=(B, d)) * 0.2
         b_j = rng.normal(size=(B, d)) * 0.2
-        return lambda: _alignment_hinge(proj, a_i, a_j, b_i, b_j)
+        return lambda: _hinge_term(proj, a_i, a_j, b_i, b_j)
 
     def nce_runner(n):
         A = rng.normal(size=(n, d))

@@ -161,17 +161,19 @@ def test_every_cell_is_checked_before_the_run_directory(task, knob, value, match
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_checkpoint_replays_its_run(variant, layers, agg, edge_files, tmp_path):
     """`eval` and `case-study` on a checkpoint, given only the default
-    config, score and project as the run that saved it did."""
-    trained = fast_cfg(variant=variant, layers=layers, agg=agg, epochs=2)
+    config (another seed), score and project as the run that saved it did;
+    the eval report is the run's, seed line and strata rows included."""
+    trained = fast_cfg(variant=variant, layers=layers, agg=agg, epochs=2, seed=5)
+    assert fast_cfg().seed != trained.seed
     result, _, run_dir = run_train(fast_spec(edge_files, tmp_path, run_name="run",
                                              config=trained))
     ckpt = os.path.join(run_dir, "checkpoint")
     _, eval_dir = run_eval(fast_spec(edge_files, tmp_path, run_name="ev", checkpoint=ckpt))
-    # an eval report holds the overall rows of the run's, without its seed and variant
-    in_run = open(os.path.join(run_dir, "report.dat"), "rb").read().splitlines(True)
-    shared = [line for line in in_run
-              if b" all " in line or line.startswith((b"# split=", b"# users="))]
-    assert open(os.path.join(eval_dir, "report.dat"), "rb").read() == b"".join(shared)
+    in_run = open(os.path.join(run_dir, "report.dat"), "rb").read()
+    assert b"# seed=5\n" in in_run
+    for name in ("report.dat", "report.txt"):
+        assert (open(os.path.join(eval_dir, name), "rb").read()
+                == open(os.path.join(run_dir, name), "rb").read())
     export, _ = run_case_study(fast_spec(edge_files, tmp_path, run_name="case",
                                          checkpoint=ckpt))
     ds = load_spec_dataset(fast_spec(edge_files, tmp_path))
@@ -343,8 +345,8 @@ class TestMainEntry:
         assert not os.path.exists(tmp_path / "runs")
 
     @pytest.mark.parametrize("channel,key,value", [
-        ("config file", "batch", ""), ("--set", "lr", "abc"),
-        ("flag", "epochs", "x"), ("--grid", "layers", "x")])
+        ("config file", "batch", ""), ("config file", "leaky_slope", "0.2"),
+        ("--set", "lr", "abc"), ("flag", "epochs", "x"), ("--grid", "layers", "x")])
     def test_bad_value_names_key(self, edge_files, tmp_path, channel, key, value):
         inter_path, soc_path = edge_files
         cfg_path = tmp_path / "exp.cfg"
@@ -384,3 +386,19 @@ class TestMainEntry:
         assert rc == 0
         echo = (tmp_path / "runs" / "train" / "cf" / "config").read_text()
         assert "dim=4" in echo  # flag overrode the file value
+
+    def test_run_config_echo_reads_back(self, edge_files, tmp_path):
+        """`--config <run>/config` resolves the run's TrainConfig, though
+        the echo ends with a leaky_slope line that is no config field."""
+        inter_path, soc_path = edge_files
+        cfg = fast_cfg(variant="contrastive", layers=2, agg="mean", lambda2=0.25)
+        _, _, run_dir = run_train(fast_spec(edge_files, tmp_path / "runs",
+                                            run_name="first", config=cfg))
+        echo = os.path.join(run_dir, "config")
+        assert open(echo).read().splitlines()[-1].startswith("leaky_slope=")
+        assert build_config(parse_config_file(echo), {}) == cfg
+        assert main(["train", "--config", echo, "--interactions", inter_path,
+                     "--social", soc_path, "--out", str(tmp_path / "runs"),
+                     "--run-name", "again"]) == 0
+        again = tmp_path / "runs" / "train" / "again" / "config"
+        assert again.read_bytes() == open(echo, "rb").read()

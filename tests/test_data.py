@@ -235,7 +235,7 @@ class TestStratify:
         assert strata.boundaries[0] == (0.0, 5.0)
         assert math.isinf(strata.boundaries[-1][1])
         for u in range(ds.num_users):
-            lo, hi = strata.interval_of(u)
+            lo, hi = strata.boundaries[strata.assignment[u]]
             assert lo <= ds.degree[u] < hi
 
     def test_degree_zero_first_stratum(self):
@@ -243,14 +243,14 @@ class TestStratify:
         soc = SocialTable(edges=[("u1", "u2"), ("u2", "u1")])
         ds = build_dataset(inter, soc)
         strata = stratify_by_degree(ds)
-        assert strata.interval_of(ds.user_index["u2"]) == (0.0, 5.0)
+        assert strata.boundaries[strata.assignment[ds.user_index["u2"]]] == (0.0, 5.0)
 
     def test_degree_twelve_assignment(self):
         edges = [("u", f"i{k}") for k in range(14)]  # 14 -> 12 in train
         ds = build_dataset(InteractionTable(edges=edges), SocialTable(edges=[]))
         assert ds.degree[0] == 12
         strata = stratify_by_degree(ds)
-        assert strata.interval_of(0) == (10.0, 15.0)
+        assert strata.boundaries[strata.assignment[0]] == (10.0, 15.0)
 
     def test_every_user_assigned_once(self):
         inter, soc = random_tables(20, 40, seed=11)

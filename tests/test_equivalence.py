@@ -25,7 +25,7 @@ from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
 from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu, aggregate_backward,
                           encode, init_model, user_vectors)
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
-                              GradientSet, TrainConfig, _alignment_hinge,
+                              GradientSet, TrainConfig, _hinge_term,
                               _infonce_grads, adam_step, compute_gradients,
                               joint_loss, sample_batch)
 from socrec.synthetic import random_dataset
@@ -283,7 +283,7 @@ def frozen_joint_loss(batch, ms, cfg):
             align = _infonce_grads(ms.agg_r[anchors], ms.agg_s[anchors],
                                    cfg.infonce_tau)[0]
         else:
-            z, _ = frozen_projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
+            z, _ = frozen_projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
             zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
             align = float(np.maximum(0.0, 1.0 - z * zhat).sum())
     reg = float((ms.E_u ** 2).sum() + (ms.E_v ** 2).sum())
@@ -333,7 +333,7 @@ def frozen_compute_gradients(batch, ms, cfg):
             grad_agg_s[anchors] += l2 * dB
         else:
             _, da_i, da_j, db_i, db_j, dT, dw, dc = frozen_alignment_hinge(
-                ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+                ms.params, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
             frozen_scatter_add(grad_agg_r, i, l2 * da_i)
             frozen_scatter_add(grad_agg_r, j, l2 * da_j)
             frozen_scatter_add(grad_agg_s, i, l2 * db_i)
@@ -377,7 +377,7 @@ def _one_pass_case(ds, variant, L, agg, case):
 def test_one_pass_matches_frozen_loss_and_gradients(ds, variant, L, agg, case):
     ms, cfg, batch = _one_pass_case(ds, variant, L, agg, case)
     if case == "no_active_hinge" and variant == "full":
-        z, _ = frozen_projection_forward(ms.proj, *ms.agg_r[batch.ssl_pairs.T])
+        z, _ = frozen_projection_forward(ms.params, *ms.agg_r[batch.ssl_pairs.T])
         assert (z * (ms.agg_s[batch.ssl_pairs.T[0]]
                      * ms.agg_s[batch.ssl_pairs.T[1]]).sum(axis=1) >= 1).all()
     want_total, want_parts = frozen_joint_loss(batch, ms, cfg)
@@ -455,11 +455,12 @@ def seed_gradients(batch, ms, cfg):
         np.add.at(gs, i, coef[:, None] * (bp - bn))
         np.add.at(gs, ip, coef[:, None] * bi)
         np.add.at(gs, ineg, -coef[:, None] * bi)
-    gT = np.zeros_like(ms.proj.T)
+    gT = np.zeros_like(ms.params.T)
     if l2 > 0:
         i, j = batch.ssl_pairs.T
-        _, da_i, da_j, db_i, db_j, dT, _, _ = _alignment_hinge(
-            ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+        _, active, (da_i, da_j, db_i, db_j), (dT, _, _) = _hinge_term(
+            ms.params, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+        i, j = i[active], j[active]
         np.add.at(gr, i, l2 * da_i)
         np.add.at(gr, j, l2 * da_j)
         np.add.at(gs, i, l2 * db_i)
@@ -552,7 +553,7 @@ class TestParameterBlock:
         assert ms.params.flat is block
         assert self._is_view_of(ms.E_u, block, 0)
         assert self._is_view_of(ms.E_v, block, 5 * 3)
-        assert self._is_view_of(ms.proj.T, block, 12 * 3)
+        assert self._is_view_of(ms.params.T, block, 12 * 3)
         np.testing.assert_array_equal(ms.E, np.vstack([other["E_u"], other["E_v"]]))
         for name, view in ms.params.as_dict().items():
             np.testing.assert_array_equal(view, other[name])
@@ -734,11 +735,10 @@ def _sampler_cases(ds):
 
 
 # block sizing: as shipped; the whole rest as one block (a rewind at almost
-# every reject); blocks of about one row (rejects mostly end a block); and
-# rows one at a time
-BLOCKINGS = {"default": {}, "one_block": {"BLOCK_REJECTS": np.inf, "MIN_BLOCK": 1},
-             "short_blocks": {"BLOCK_REJECTS": 0.05, "MIN_BLOCK": 1},
-             "one_at_a_time": {"MIN_BLOCK": 10**9}}
+# every reject); and blocks of about one row (rejects mostly end a block,
+# and on one_candidate every block is a single row)
+BLOCKINGS = {"default": {}, "one_block": {"BLOCK_REJECTS": np.inf},
+             "short_blocks": {"BLOCK_REJECTS": 0.05}}
 
 
 @pytest.mark.parametrize("blocking", sorted(BLOCKINGS))

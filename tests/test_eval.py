@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from socrec.data import stratify_by_degree
+from socrec.data import InteractionTable, SocialTable, build_dataset, stratify_by_degree
 from socrec.eval import (evaluate, evaluate_stratified,
                          export_relevance_weights, held_out_rank)
 from socrec.objective import TrainConfig
@@ -71,10 +73,12 @@ class TestEvaluate:
         assert a.hr == b.hr and a.ndcg == b.ndcg
 
     def test_users_without_enough_candidates_skipped(self, encoded):
+        """Skipping every user is an error, not a report of zeros."""
         ds, ms, _, _ = encoded
-        rep = evaluate(ms, ds, "test", num_negatives=ds.num_items, seed=0)
-        assert rep.num_users == 0
-        assert rep.skipped == len(ds.test_edges)
+        with pytest.raises(ValueError, match=f"split 'test' evaluated: "
+                           f"{len(ds.test_edges)} skipped for fewer than "
+                           f"{ds.num_items} negative"):
+            evaluate(ms, ds, "test", num_negatives=ds.num_items, seed=0)
 
     def test_requires_encode(self, tiny_ds):
         from socrec.model import init_model
@@ -112,6 +116,40 @@ class TestEvaluate:
             gc.callbacks.remove(note)
         assert rep.num_users == len(ds.test_edges)
         assert started == []
+
+
+@st.composite
+def degenerate_tables(draw):
+    """Per-user item sets over a few items, no ties: user u0 has every
+    item, u1 only item i0, the rest at least two where there are two."""
+    num_items = draw(st.integers(1, 10))
+    rest = draw(st.lists(st.sets(st.integers(0, num_items - 1),
+                                 min_size=min(2, num_items)), max_size=6))
+    return [set(range(num_items)), {0}, *rest]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=degenerate_tables(), negatives=st.integers(0, 3),
+       split=st.sampled_from(["val", "test"]), split_seed=st.integers(0, 3))
+def test_degenerate_data_skips_short_users_or_raises(rows, negatives, split,
+                                                      split_seed):
+    """Users with fewer than `negatives` unknown items are skipped, and
+    the rest ranked; a split that leaves none to rank is an error."""
+    edges = [(f"u{k}", f"i{v}") for k, items in enumerate(rows) for v in sorted(items)]
+    ds = build_dataset(InteractionTable(edges=edges), SocialTable(edges=[]),
+                       split_seed=split_seed)
+    ms, _, _ = make_encoded(ds, dim=2, layers=1)
+    held = ds.val_edges if split == "val" else ds.test_edges
+    unknown = [len(rows[0]) - len(rows[int(ds.user_ids[u][1:])]) for u in held[:, 0]]
+    short = sum(n < negatives for n in unknown)
+    if short == len(held):
+        with pytest.raises(ValueError, match=f"split {split!r} evaluated: {short} "
+                           f"skipped for fewer than {negatives} negative"):
+            evaluate(ms, ds, split, negatives, (1, 5), 0)
+        return
+    rep = evaluate(ms, ds, split, negatives, (1, 5), 0)
+    assert rep.skipped == short
+    assert rep.num_users + rep.skipped == len(held)
 
 
 class TestStratified:
@@ -213,9 +251,9 @@ class TestReportOutput:
 class TestRelevanceWeights:
     def test_zero_projection_all_half(self, encoded):
         ds, ms, _, _ = encoded
-        ms.proj.T[:] = 0
-        ms.proj.w[:] = 0
-        ms.proj.c[:] = 0
+        ms.params.T[:] = 0
+        ms.params.w[:] = 0
+        ms.params.c[:] = 0
         export = export_relevance_weights(ms, ds)
         assert len(export.rows) == len(ds.social_edges) // 2
         assert all(z == 0.5 for _, _, z, _ in export.rows)

@@ -22,16 +22,16 @@ class TestInit:
         bound = 1.0 / np.sqrt(64)
         assert np.abs(ms.E_u).max() <= bound
         assert np.abs(ms.E_v).max() <= bound
-        assert np.abs(ms.proj.T).max() <= bound
-        assert np.abs(ms.proj.w).max() <= bound
-        assert not ms.proj.c.any()
+        assert np.abs(ms.params.T).max() <= bound
+        assert np.abs(ms.params.w).max() <= bound
+        assert not ms.params.c.any()
 
     def test_same_seed_identical(self):
         a = init_model(5, 7, 8, seed=9)
         b = init_model(5, 7, 8, seed=9)
         np.testing.assert_array_equal(a.E_u, b.E_u)
         np.testing.assert_array_equal(a.E_v, b.E_v)
-        np.testing.assert_array_equal(a.proj.T, b.proj.T)
+        np.testing.assert_array_equal(a.params.T, b.params.T)
 
     def test_golden_tiny_init(self):
         # regression pin: first-run values for I=J=1, d=2, seed=2024
@@ -39,10 +39,10 @@ class TestInit:
         np.testing.assert_allclose(ms.E_u, [[0.24866306, -0.404008]], atol=1e-8)
         np.testing.assert_allclose(ms.E_v, [[-0.26947552, 0.42350902]], atol=1e-8)
         np.testing.assert_allclose(
-            ms.proj.T,
+            ms.params.T,
             [[0.70117005, -0.50596062, -0.59577206, -0.45138329],
              [-0.19848927, -0.46722894, 0.12552463, 0.16519077]], atol=1e-8)
-        np.testing.assert_allclose(ms.proj.w, [-0.55806892, 0.09295774],
+        np.testing.assert_allclose(ms.params.w, [-0.55806892, 0.09295774],
                                    atol=1e-8)
 
     def test_bad_dim_fatal(self):
@@ -105,16 +105,16 @@ class TestEncode:
 class TestSimilarities:
     def test_zero_projection_gives_half(self, encoded):
         _, ms, _, _ = encoded
-        ms.proj.T[:] = 0
-        ms.proj.w[:] = 0
-        ms.proj.c[:] = 0
-        z, _ = projection_forward(ms.proj, ms.agg_r[[0, 2]], ms.agg_r[[1, 2]])
+        ms.params.T[:] = 0
+        ms.params.w[:] = 0
+        ms.params.c[:] = 0
+        z, _ = projection_forward(ms.params, ms.agg_r[[0, 2]], ms.agg_r[[1, 2]])
         assert z.tolist() == [0.5, 0.5]
 
     def test_bounded_open_interval(self, encoded):
         _, ms, _, _ = encoded
         i = np.arange(ms.num_users)
-        z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[(i + 1) % ms.num_users])
+        z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[(i + 1) % ms.num_users])
         assert ((0.0 < z) & (z < 1.0)).all()
 
     def test_matches_straight_line_reimplementation(self, encoded):
@@ -122,11 +122,11 @@ class TestSimilarities:
         _, ms, _, _ = encoded
         i, j = 1, 4
         e_i, e_j = ms.agg_r[i], ms.agg_r[j]
-        pre = ms.proj.T @ np.concatenate([e_i, e_j]) + e_i + e_j + ms.proj.c
-        act = sum(ms.proj.w[k] * (pre[k] if pre[k] > 0 else 0.01 * pre[k])
+        pre = ms.params.T @ np.concatenate([e_i, e_j]) + e_i + e_j + ms.params.c
+        act = sum(ms.params.w[k] * (pre[k] if pre[k] > 0 else 0.01 * pre[k])
                   for k in range(len(pre)))
         expect = 1.0 / (1.0 + np.exp(-act))
-        z, _ = projection_forward(ms.proj, e_i, e_j)
+        z, _ = projection_forward(ms.params, e_i, e_j)
         assert z[0] == pytest.approx(expect, abs=1e-12)
 
     # The social similarity is the dot product of social rows; with the
@@ -223,9 +223,9 @@ class TestCheckpoint:
         back = load_checkpoint(str(tmp_path / "ckpt"))
         np.testing.assert_array_equal(back.E_u, ms.E_u)
         np.testing.assert_array_equal(back.E_v, ms.E_v)
-        np.testing.assert_array_equal(back.proj.T, ms.proj.T)
-        np.testing.assert_array_equal(back.proj.w, ms.proj.w)
-        np.testing.assert_array_equal(back.proj.c, ms.proj.c)
+        np.testing.assert_array_equal(back.params.T, ms.params.T)
+        np.testing.assert_array_equal(back.params.w, ms.params.w)
+        np.testing.assert_array_equal(back.params.c, ms.params.c)
         assert (back.num_layers, back.agg) == (ms.num_layers, ms.agg)
         config = (tmp_path / "ckpt" / "config").read_text().splitlines()
         assert config == [f"num_users={ms.num_users}", f"num_items={ms.num_items}",
@@ -287,7 +287,7 @@ class TestCheckpoint:
         save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
         raw = (tmp_path / "ckpt" / "w").read_bytes()
         np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f8"),
-                                      ms.proj.w)
+                                      ms.params.w)
 
 
 def test_projection_forward_batch_matches_single(encoded):
@@ -295,7 +295,7 @@ def test_projection_forward_batch_matches_single(encoded):
     pairs = [(0, 1), (2, 3), (4, 5)]
     i = np.array([p[0] for p in pairs])
     j = np.array([p[1] for p in pairs])
-    z_batch, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
+    z_batch, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
     for k, (a, b) in enumerate(pairs):
-        z, _ = projection_forward(ms.proj, ms.agg_r[a], ms.agg_r[b])
+        z, _ = projection_forward(ms.params, ms.agg_r[a], ms.agg_r[b])
         assert z_batch[k] == pytest.approx(z[0], abs=1e-12)

@@ -11,8 +11,8 @@ from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.model import projection_forward
 from socrec.objective import (AdamState, Batch, NonFiniteLossError, TrainConfig,
                               adam_step, bpr_loss, compute_gradients,
-                              infonce_loss, joint_loss, sample_batch,
-                              ssl_hinge_loss, _alignment_hinge, _infonce_grads)
+                              joint_loss, sample_batch, ssl_hinge_loss,
+                              _hinge_term, _infonce_grads)
 from socrec.synthetic import random_dataset
 
 from conftest import make_encoded
@@ -161,12 +161,12 @@ class TestHingeLoss:
 class TestInfoNCE:
     def test_orthogonal_closed_form(self):
         anchors = np.eye(2)
-        loss = infonce_loss(anchors, anchors.copy(), tau=1.0)
+        loss = _infonce_grads(anchors, anchors.copy(), tau=1.0)[0]
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
 
     def test_batch_of_one_zero(self):
         a = np.array([[0.3, -0.4]])
-        assert infonce_loss(a, a * 2.0, tau=0.2) == 0.0
+        assert _infonce_grads(a, a * 2.0, tau=0.2)[0] == 0.0
 
     def test_matches_bruteforce_softmax(self, rng):
         A = rng.normal(size=(6, 4))
@@ -178,12 +178,12 @@ class TestInfoNCE:
         ref = np.mean([-math.log(math.exp(S[i, i]) / sum(math.exp(S[i, k])
                                                          for k in range(6)))
                        for i in range(6)])
-        assert infonce_loss(A, B, tau) == pytest.approx(ref, abs=1e-10)
+        assert _infonce_grads(A, B, tau)[0] == pytest.approx(ref, abs=1e-10)
 
     def test_zero_norm_fatal(self):
         A = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            infonce_loss(A, np.ones_like(A), tau=0.1)
+            _infonce_grads(A, np.ones_like(A), tau=0.1)
 
     def test_gradients_match_finite_differences(self, rng):
         from socrec.oracle import finite_difference
@@ -231,7 +231,7 @@ class TestJointLoss:
             soc += -math.log(1.0 / (1.0 + math.exp(-x)))
         align = 0.0
         for i, j in batch.ssl_pairs:
-            z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
+            z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
             zhat = float(ms.agg_s[i] @ ms.agg_s[j])
             align += max(0.0, 1.0 - float(z[0]) * zhat)
         reg = float((ms.E_u ** 2).sum() + (ms.E_v ** 2).sum())
@@ -264,13 +264,14 @@ class TestHingeGradients:
         ms.agg_s *= 10.0
         i = np.array([0, 1])
         j = np.array([2, 3])
-        loss, da_i, da_j, db_i, db_j, dT, dw, dc = _alignment_hinge(
-            ms.proj, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
-        z, _ = projection_forward(ms.proj, ms.agg_r[i], ms.agg_r[j])
+        loss, active, rows, proj = _hinge_term(
+            ms.params, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+        z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
         zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
         assert (z * zhat >= 1).all()
         assert loss == 0.0
-        for g in (da_i, da_j, db_i, db_j, dT, dw, dc):
+        assert not len(active)
+        for g in (*rows, *proj):
             assert not g.any()
 
     def test_social_side_gradient_formula(self, encoded, rng):
@@ -278,7 +279,7 @@ class TestHingeGradients:
         # embedding gradient is the adaptive pull -z * (partner row)
         ds, ms, g_r, g_s = encoded
         from socrec.model import encode
-        ms.proj.w[:] = 0.0
+        ms.params.w[:] = 0.0
         encode(ms, g_r, g_s, 0)  # L=0: agg_s is E_u itself
         pairs = np.array([[0, 1], [2, 3], [4, 5]])
         cfg = TrainConfig(dim=4, layers=0, lambda1=0.0, lambda2=1.0,
@@ -287,7 +288,7 @@ class TestHingeGradients:
                       soc_triples=np.zeros((0, 3), dtype=np.int64),
                       ssl_pairs=pairs)
         grads = compute_gradients(batch, ms, cfg)
-        z, _ = projection_forward(ms.proj, ms.agg_r[pairs[:, 0]],
+        z, _ = projection_forward(ms.params, ms.agg_r[pairs[:, 0]],
                                   ms.agg_r[pairs[:, 1]])
         zhat = (ms.agg_s[pairs[:, 0]] * ms.agg_s[pairs[:, 1]]).sum(axis=1)
         expect = np.zeros_like(ms.E_u)
@@ -355,9 +356,9 @@ class TestAdam:
         from socrec.objective import GradientSet
         return GradientSet.from_arrays({"E_u": np.zeros_like(ms.E_u),
                                         "E_v": np.zeros_like(ms.E_v),
-                                        "T": np.zeros_like(ms.proj.T),
-                                        "w": np.zeros_like(ms.proj.w),
-                                        "c": np.zeros_like(ms.proj.c)})
+                                        "T": np.zeros_like(ms.params.T),
+                                        "w": np.zeros_like(ms.params.w),
+                                        "c": np.zeros_like(ms.params.c)})
 
     def test_zero_gradient_no_change(self):
         ms = self._model()
