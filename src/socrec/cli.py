@@ -10,17 +10,16 @@ import dataclasses
 import logging
 import sys
 
+from .config import TrainConfig, read_value
 from .data import parse_config_file
 from .experiments import (DEFAULT_NOISE_RATIOS, ExperimentSpec, run_ablation,
                           run_case_study, run_eval, run_robustness, run_sweep,
                           run_train)
-from .model import LEAKY_SLOPE
-from .objective import TrainConfig
 
 log = logging.getLogger(__name__)
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_FILE_ONLY_KEYS = ("dataset_dir", "interactions", "social", "eval_seed", "leaky_slope")
+_CONFIG_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
+_DATA_KEYS = ("dataset_dir", "interactions", "social", "eval_seed")  # file-only
 # config keys with a `--KEY VALUE` flag, shorthand for `--set KEY=VALUE`
 _FLAG_KEYS = ("seed", "variant", "negatives", "epochs", "batch", "layers", "dim", "lr")
 _TASKS = (("train", "train and evaluate one model"),
@@ -31,19 +30,6 @@ _TASKS = (("train", "train and evaluate one model"),
           ("case-study", "export learned tie weights"))
 
 
-def _coerce(key, val, kind=None):
-    """A value from its string form, by `kind` or else the TrainConfig
-    field type; a tuple field takes comma-separated ints."""
-    kind = kind or _CONFIG_FIELDS[key]
-    try:
-        if kind is tuple:
-            return tuple(int(x) for x in str(val).split(","))
-        return kind(val)
-    except ValueError:
-        raise ValueError(f"config key {key}: cannot read {val!r} "
-                         f"as {kind.__name__}") from None
-
-
 def _check_keys(keys, allowed, where):
     unknown = sorted(set(keys) - set(allowed))
     if unknown:
@@ -51,24 +37,13 @@ def _check_keys(keys, allowed, where):
 
 
 def build_config(file_values, cli_values):
-    """Resolve a TrainConfig: defaults <- config file <- CLI flags.
-
-    Every key must name a TrainConfig field; a config file may also hold
-    the non-config keys in _FILE_ONLY_KEYS: those build_spec reads, and
-    `leaky_slope` at the model's fixed slope, as a run's config echo has it.
-    """
-    _check_keys(file_values, (*_CONFIG_FIELDS, *_FILE_ONLY_KEYS), "config file")
+    """Resolve a TrainConfig: defaults <- config file <- CLI flags, each
+    source read by `TrainConfig.read`. A config file may also hold the
+    _DATA_KEYS build_spec reads; the command line sets fields only."""
     _check_keys(cli_values, _CONFIG_FIELDS, "command line")
-    slope = file_values.get("leaky_slope", LEAKY_SLOPE)
-    if _coerce("leaky_slope", slope, float) != LEAKY_SLOPE:
-        raise ValueError(f"config key leaky_slope: the slope is fixed at "
-                         f"{LEAKY_SLOPE}, got {slope!r}")
-    merged = {}
-    for source in (file_values, cli_values):
-        for key, val in source.items():
-            if val is not None and key in _CONFIG_FIELDS:
-                merged[key] = _coerce(key, val)
-    return TrainConfig(**merged)
+    from_file = {k: v for k, v in file_values.items() if k not in _DATA_KEYS}
+    from_cli = {k: v for k, v in cli_values.items() if v is not None}
+    return TrainConfig().read(from_file, "config file").read(from_cli, "command line")
 
 
 def _parse_grid(entries):
@@ -79,7 +54,8 @@ def _parse_grid(entries):
         axis, vals = entry.split("=", 1)
         axis = axis.strip()
         _check_keys([axis], _CONFIG_FIELDS, "--grid")
-        axes[axis] = [_coerce(axis, v) for v in vals.split(",") if v]
+        axes[axis] = [getattr(TrainConfig().read({axis: v}, "--grid"), axis)
+                      for v in vals.split(",") if v]
     return axes
 
 
@@ -117,10 +93,10 @@ def build_spec(args):
         out_dir=args.out,
         split=args.split,
         run_name=args.run_name,
-        eval_seed=_coerce("eval_seed", file_values.get("eval_seed", 0), int),
+        eval_seed=read_value("eval_seed", file_values.get("eval_seed", "0"), int),
     )
     if getattr(args, "ratios", None):
-        spec.noise_ratios = tuple(_coerce("ratios", x, float)
+        spec.noise_ratios = tuple(read_value("ratios", x, float)
                                   for x in args.ratios.split(","))
     if getattr(args, "grid", None):
         spec.sweep_axes = _parse_grid(args.grid)

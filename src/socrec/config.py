@@ -1,0 +1,106 @@
+"""The training config and its one text form: `key=value` lines."""
+
+from dataclasses import asdict, dataclass, fields, replace
+
+VARIANTS = ("full", "no_align", "direct_social", "contrastive")
+LEAKY_SLOPE = 0.01  # LeakyReLU negative slope used by the similarity projection
+
+
+def read_value(key, text, kind):
+    """`text` read as `kind`; a tuple takes comma-separated ints."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if kind is tuple else kind(text)
+    except ValueError:
+        raise ValueError(f"config key {key}: cannot read {text!r} "
+                         f"as {kind.__name__}") from None
+
+
+@dataclass
+class TrainConfig:
+    """All training hyperparameters.
+
+    Variants: "full" keeps every term; "no_align" drops the cross-view
+    alignment loss; "direct_social" drops both social-side losses and
+    instead adds social user embeddings into interaction scoring;
+    "contrastive" swaps the hinge alignment for InfoNCE at the same weight.
+    """
+
+    dim: int = 128
+    layers: int = 2
+    lr: float = 1e-3
+    lr_decay: float = 0.96
+    batch: int = 2048
+    lambda1: float = 1e-1
+    lambda2: float = 1e-5
+    lambda3: float = 1e-6
+    epochs: int = 100
+    patience: int = 10
+    agg: str = "sum"
+    variant: str = "full"
+    infonce_tau: float = 0.1
+    seed: int = 0
+    negatives: int = 99
+    cutoffs: tuple = (5, 10, 20)
+
+    def __post_init__(self):
+        for key, low in (("dim", 1), ("batch", 1), ("negatives", 1), ("cutoffs", 1),
+                         ("layers", 0), ("epochs", 0), ("patience", 0)):
+            value = getattr(self, key)  # every cutoff, and at least one
+            if min(value if key == "cutoffs" else [value], default=-1) < low:
+                raise ValueError(f"config key {key} must be >= {low}, got {value!r}")
+        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
+            raise ValueError("loss weights must be nonnegative")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError("lr_decay must lie in (0, 1]")
+        if self.infonce_tau <= 0:
+            raise ValueError("infonce temperature must be positive")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}, "
+                             f"expected one of {', '.join(VARIANTS)}")
+        if self.agg not in ("sum", "mean"):
+            raise ValueError("agg must be 'sum' or 'mean'")
+
+    def read(self, values, where, complete=False):
+        """This config with the fields key -> text `values` from `where` set,
+        typed and range-checked; an error names `where`. A key is a field, or
+        `leaky_slope` at its fixed value as in the echo (`lines`); `complete`
+        requires every field, so no default stands in for a missing one."""
+        kinds = {f.name: f.type for f in fields(self)}
+        unknown = sorted(set(values) - {*kinds, "leaky_slope"})
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+        for key in kinds if complete else ():
+            if key not in values:
+                raise ValueError(f"{where} has no {key}= line")
+        slope = values.get("leaky_slope", str(LEAKY_SLOPE))
+        try:
+            if read_value("leaky_slope", slope, float) != LEAKY_SLOPE:
+                raise ValueError(f"config key leaky_slope: the slope is fixed at "
+                                 f"{LEAKY_SLOPE}, got {slope!r}")
+            return replace(self, **{key: read_value(key, values[key], kind)
+                                    for key, kind in kinds.items() if key in values})
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+
+    def lines(self):
+        """The echo: one `key=value` line per field, then the fixed slope."""
+        values = {**asdict(self), "cutoffs": ",".join(map(str, self.cutoffs)),
+                  "leaky_slope": LEAKY_SLOPE}
+        return [f"{key}={val}" for key, val in values.items()]
+
+    def effective_weights(self):
+        """(lambda1, lambda2) after applying the variant semantics."""
+        l1, l2 = self.lambda1, self.lambda2
+        if self.variant == "no_align":
+            l2 = 0.0
+        elif self.variant == "direct_social":
+            l1 = 0.0
+            l2 = 0.0
+        return l1, l2
+
+    @property
+    def social_fusion(self):
+        return self.variant == "direct_social"
+
+    def with_overrides(self, **kw):
+        return replace(self, **kw)

@@ -128,31 +128,21 @@ class Dataset:
         return self._derived("user_index",
                              lambda: {ext: i for i, ext in enumerate(self.user_ids)})
 
-    def user_train_items(self):
-        """Per-user sets of train item indices (cached)."""
-        return self._derived("train", lambda: _per_user_sets(
-            self.num_users, self.train_edges))
-
     def user_known_items(self):
         """Per-user sets of items seen in any split (cached)."""
         return self._derived("known", lambda: _per_user_sets(
             self.num_users, np.concatenate([self.train_edges, self.val_edges,
                                             self.test_edges])))
 
-    def user_ties(self):
-        """Per-user sets of social neighbours (cached)."""
-        return self._derived("ties", lambda: _per_user_sets(
-            self.num_users, self.social_edges))
-
     def train_item_lists(self):
-        """`user_train_items()` as NeighbourLists over the items (cached)."""
+        """Each user's train items as NeighbourLists over the items (cached)."""
         return self._derived("train_lists", lambda: NeighbourLists.of(
-            self.user_train_items(), self.num_items))
+            _per_user_sets(self.num_users, self.train_edges), self.num_items))
 
     def tie_lists(self):
-        """`user_ties()` as NeighbourLists over the users (cached)."""
+        """Each user's ties as NeighbourLists over the users (cached)."""
         return self._derived("tie_lists", lambda: NeighbourLists.of(
-            self.user_ties(), self.num_users))
+            _per_user_sets(self.num_users, self.social_edges), self.num_users))
 
 
 @dataclass(eq=False, frozen=True)

@@ -105,6 +105,8 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     The held-out item competes against `num_negatives` sampled
     non-interacted items; ties are broken by item index ascending. Each
     user gets its own seeded stream so runs are comparable across models.
+    Users with too few unknown items are skipped, with one warning per
+    dataset, split and negatives count: these alone decide who is skipped.
     """
     edges = _split_edges(ds, split)
     I = ds.num_users
@@ -122,7 +124,9 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
         scores = ms.agg_r[I + cand] @ user_vectors(ms, u, social_fusion)
         users.append(u)
         ranks.append(held_out_rank(scores, cand))
-    if skipped:
+    logged = ds._derived("skips_logged", set)
+    if skipped and (split, num_negatives) not in logged:
+        logged.add((split, num_negatives))
         log.warning("%d user(s) skipped on split %r: fewer than %d negative "
                     "candidates", skipped, split, num_negatives)
     return np.array(users, dtype=np.int64), np.array(ranks, dtype=np.int64), skipped

@@ -6,20 +6,18 @@ Wall-clock numbers go to a separate timing file so the report artifacts
 are byte-reproducible for a fixed spec and seed.
 """
 
-import dataclasses
 import itertools
 import logging
 import os
 import time
 from dataclasses import dataclass, field
 
+from .config import VARIANTS, TrainConfig
 from .data import (DEFAULT_STRATA, build_dataset, inject_noise, load_dataset,
                    load_edges, stratify_by_degree)
 from .eval import evaluate_stratified, export_relevance_weights
 from .graph import build_interaction_laplacian, build_social_laplacian
-from .model import (LEAKY_SLOPE, checkpoint_settings, encode, load_checkpoint,
-                    save_checkpoint)
-from .objective import TrainConfig, VARIANTS
+from .model import checkpoint_config, encode, load_checkpoint, save_checkpoint
 from .train import train_model
 
 log = logging.getLogger(__name__)
@@ -66,17 +64,6 @@ def make_run_dir(spec, task):
     return path
 
 
-def config_lines(cfg):
-    out = []
-    for f in dataclasses.fields(cfg):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            val = ",".join(str(x) for x in val)
-        out.append(f"{f.name}={val}")
-    out.append(f"leaky_slope={LEAKY_SLOPE}")  # fixed constant, echoed for provenance
-    return out
-
-
 def write_lines(path, lines):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -101,12 +88,11 @@ def _train_and_report(spec, ds, cfg, run_dir):
     """Shared train-evaluate-persist cell used by every task."""
     result = train_model(ds, cfg, eval_seed=spec.eval_seed)
     report = _write_report(spec, ds, result.model, cfg, run_dir)
-    write_lines(os.path.join(run_dir, "config"), config_lines(cfg))
+    write_lines(os.path.join(run_dir, "config"), cfg.lines())
     write_lines(os.path.join(run_dir, "history.txt"), result.history_lines())
     write_lines(os.path.join(run_dir, "timing.txt"),
                 [f"{i} {t:.6f}" for i, t in enumerate(result.timing)] or ["# no epochs"])
-    save_checkpoint(result.model, os.path.join(run_dir, "checkpoint"),
-                    config_lines(cfg))
+    save_checkpoint(result.model, os.path.join(run_dir, "checkpoint"), cfg.lines())
     if result.aborted:
         write_lines(os.path.join(run_dir, "ABORTED"),
                     ["training diverged; checkpoint holds last good parameters",
@@ -131,11 +117,10 @@ def run_train(spec):
 
 def _load_and_encode_checkpoint(spec, ds):
     """The checkpoint's model, encoded with its trained layers and agg, and
-    the spec's config with the trained layers, agg, variant and seed."""
+    its trained config with the spec's negatives and cutoffs."""
     ms = load_checkpoint(spec.checkpoint)
-    setting = checkpoint_settings(spec.checkpoint)
-    cfg = spec.config.with_overrides(layers=ms.num_layers, agg=ms.agg,
-                                     variant=setting("variant"), seed=setting("seed", int))
+    cfg = checkpoint_config(spec.checkpoint)[2].with_overrides(
+        negatives=spec.config.negatives, cutoffs=spec.config.cutoffs)
     encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
            cfg.layers, cfg.agg)
     return ms, cfg
@@ -239,7 +224,7 @@ def run_case_study(spec):
         ms = train_model(ds, spec.config, eval_seed=spec.eval_seed).model
     run_dir = make_run_dir(spec, "case_study")
     if not spec.checkpoint:
-        save_checkpoint(ms, os.path.join(run_dir, "checkpoint"), config_lines(spec.config))
+        save_checkpoint(ms, os.path.join(run_dir, "checkpoint"), spec.config.lines())
     export = export_relevance_weights(ms, ds, sample=sample, seed=spec.eval_seed)
     write_lines(os.path.join(run_dir, "relevance_weights.txt"),
                 export.to_lines() or ["# no ties"])

@@ -6,10 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import LEAKY_SLOPE, TrainConfig, read_value
 from .data import parse_config_file
 from .graph import for_each_chunk, propagate
-
-LEAKY_SLOPE = 0.01  # LeakyReLU negative slope used by the similarity projection
 
 
 class ParamBlock:
@@ -82,8 +81,10 @@ class ModelState:
     interaction and social view. The graphs and aggregation mode used for
     the pass are remembered so gradients can be pulled back through the
     same operator: A+I is symmetric, so `aggregate_backward` serves both
-    passes. The aggregations and each view's work pair (`work_pair`) live
-    in `buffers`, which later calls overwrite.
+    passes. Every array the model and its training step reuse lives in
+    `buffers`, which later calls overwrite: the aggregations, each view's
+    work pair (`work_pair`), the social-view gradient and the per-CPU
+    slices that the gradient assembly and then Adam work in.
     """
 
     params: ParamBlock
@@ -241,7 +242,7 @@ CHECKPOINT_DTYPE = np.dtype(ParamBlock.DTYPE).newbyteorder("<")
 def save_checkpoint(ms, out_dir, config_lines):
     """Write each parameter as a flat little-endian array, and a `config`
     file: `num_users=I`, `num_items=J`, then the run's config echo
-    `config_lines`, which must set `dim`, `layers`, `agg` and `variant`."""
+    `config_lines` (`TrainConfig.lines`), which `checkpoint_config` reads."""
     os.makedirs(out_dir, exist_ok=True)
     for name, view in ms.params.as_dict().items():
         with open(os.path.join(out_dir, name), "wb") as fh:
@@ -251,22 +252,21 @@ def save_checkpoint(ms, out_dir, config_lines):
                             *config_lines]) + "\n")
 
 
-def checkpoint_settings(in_dir):
-    """`setting(key, kind=str)`, reading checkpoint `in_dir`'s `config`; a
-    missing file or key, or an int that is not digits, names the file."""
+def checkpoint_config(in_dir):
+    """(num_users, num_items, TrainConfig) as checkpoint `in_dir`'s `config`
+    sets them; it must set each, and an error names the file."""
     path = os.path.join(in_dir, "config")
     if not os.path.isfile(path):
         raise ValueError(f"checkpoint {in_dir} has no config file {path}")
-    config = parse_config_file(path)
-
-    def setting(key, kind=str):
-        if key not in config:
-            raise ValueError(f"{path} has no {key}= line")
-        if kind is int and not config[key].isdecimal():
-            raise ValueError(f"{path}: {key}={config[key]!r} is not an integer >= 0")
-        return kind(config[key])
-
-    return setting
+    values = parse_config_file(path)
+    try:
+        sizes = [read_value(key, values.pop(key), int)
+                 for key in ("num_users", "num_items")]
+    except KeyError as err:
+        raise ValueError(f"{path} has no {err.args[0]}= line") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return (*sizes, TrainConfig().read(values, path, complete=True))
 
 
 def load_checkpoint(in_dir):
@@ -274,8 +274,8 @@ def load_checkpoint(in_dir):
     save_checkpoint output: a block sized by `num_users`, `num_items` and
     `dim` of `config`, each file read into its view. A file whose size
     disagrees with `config` is an error."""
-    setting = checkpoint_settings(in_dir)
-    params = ParamBlock(*(setting(key, int) for key in ("num_users", "num_items", "dim")))
+    num_users, num_items, cfg = checkpoint_config(in_dir)
+    params = ParamBlock(num_users, num_items, cfg.dim)
     for name, view in params.as_dict().items():
         path = os.path.join(in_dir, name)
         found = os.path.getsize(path) / CHECKPOINT_DTYPE.itemsize
@@ -283,4 +283,4 @@ def load_checkpoint(in_dir):
             raise ValueError(f"checkpoint file {path} holds {found:g} values, "
                              f"its config needs {view.size}")
         view[...] = np.fromfile(path, dtype=CHECKPOINT_DTYPE).reshape(view.shape)
-    return ModelState(params, num_layers=setting("layers", int), agg=setting("agg"))
+    return ModelState(params, num_layers=cfg.layers, agg=cfg.agg)

@@ -13,17 +13,16 @@ same sum-of-powers propagation applied to the aggregated-embedding
 gradients.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse._sparsetools import coo_tocsr, csr_matvecs
 from scipy.special import expit
 
+from .config import VARIANTS, TrainConfig  # noqa: F401 (re-exported)
 from .graph import CHUNK, CPUS, for_each_chunk
 from .model import (ParamBlock, _require_encoded, aggregate_backward,
                     projection_forward, reuse, user_vectors)
-
-VARIANTS = ("full", "no_align", "direct_social", "contrastive")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -38,66 +37,6 @@ class NonFiniteLossError(RuntimeError):
         self.component = component
 
 
-@dataclass
-class TrainConfig:
-    """All training hyperparameters.
-
-    Variants: "full" keeps every term; "no_align" drops the cross-view
-    alignment loss; "direct_social" drops both social-side losses and
-    instead adds social user embeddings into interaction scoring;
-    "contrastive" swaps the hinge alignment for InfoNCE at the same weight.
-    """
-
-    dim: int = 128
-    layers: int = 2
-    lr: float = 1e-3
-    lr_decay: float = 0.96
-    batch: int = 2048
-    lambda1: float = 1e-1
-    lambda2: float = 1e-5
-    lambda3: float = 1e-6
-    epochs: int = 100
-    patience: int = 10
-    agg: str = "sum"
-    variant: str = "full"
-    infonce_tau: float = 0.1
-    seed: int = 0
-    negatives: int = 99
-    cutoffs: tuple = (5, 10, 20)
-
-    def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError("lr_decay must lie in (0, 1]")
-        if self.batch < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.infonce_tau <= 0:
-            raise ValueError("infonce temperature must be positive")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, "
-                             f"expected one of {', '.join(VARIANTS)}")
-        if self.agg not in ("sum", "mean"):
-            raise ValueError("agg must be 'sum' or 'mean'")
-
-    def effective_weights(self):
-        """(lambda1, lambda2) after applying the variant semantics."""
-        l1, l2 = self.lambda1, self.lambda2
-        if self.variant == "no_align":
-            l2 = 0.0
-        elif self.variant == "direct_social":
-            l1 = 0.0
-            l2 = 0.0
-        return l1, l2
-
-    @property
-    def social_fusion(self):
-        return self.variant == "direct_social"
-
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
-
-
 @dataclass(eq=False)
 class Batch:
     """Sampled training tuples (dense indices)."""
@@ -108,17 +47,11 @@ class Batch:
 
 
 class GradientSet(ParamBlock):
-    """Gradients in the parameter layout. `work` keeps the social-view
-    gradient and the assembly scratch compute_gradients works in (the
-    pull-back borrows the model's work pairs), so a set reused across
-    steps allocates nothing. `loss` is (batch, total, parts) of the batch
-    the gradients are for, as `compute_gradients` recorded it.
+    """Gradients in the parameter layout. `loss` is (batch, total, parts)
+    of the batch the gradients are for, as `compute_gradients` recorded it.
     """
 
-    def __init__(self, num_users, num_items, dim, flat=None):
-        super().__init__(num_users, num_items, dim, flat)
-        self.work = {}  # see reuse()
-        self.loss = None
+    loss = None
 
 
 def sample_batch(ds, batch_size, rng, need_social=True):
@@ -420,7 +353,7 @@ def compute_gradients(batch, ms, cfg, out=None):
     for_each_chunk(flat.size, lambda lo, hi, _: flat[lo:hi].fill(0.0))
     # the interaction-view gradient is built in place in the E_u/E_v rows
     grad_agg_r = _row_sum(grads.E, terms_r)
-    grad_agg_s = reuse(grads.work, "grad_agg_s", ms.agg_s.shape)
+    grad_agg_s = reuse(ms.buffers, "grad_agg_s", ms.agg_s.shape)
     grad_agg_s.fill(0.0)
     _row_sum(grad_agg_s, terms_s)
     for g, d in zip((grads.T, grads.w, grads.c), proj):
@@ -434,10 +367,10 @@ def compute_gradients(batch, ms, cfg, out=None):
     # E_u: (g_r0 + g_s0) + 2*lambda3*E_u; E_v: g_r0 + 2*lambda3*E_v
     reg = 2.0 * cfg.lambda3
     g, e, g_s = g_r0.reshape(-1), ms.E.reshape(-1), g_s0.reshape(-1)
-    scratch = reuse(grads.work, "chunk", (CPUS, CHUNK))
+    scratch = reuse(ms.buffers, "chunks", (2, CPUS, CHUNK))
 
     def assemble(lo, hi, k):
-        s = scratch[k, :hi - lo]
+        s = scratch[0, k, :hi - lo]
         if lo < g_s.size:
             users = min(hi, g_s.size)
             np.add(g[lo:users], g_s[lo:users], out=g[lo:users])
@@ -453,16 +386,10 @@ def compute_gradients(batch, ms, cfg, out=None):
 @dataclass(eq=False)
 class AdamState:
     """First/second moments, each a flat array sized and typed like the
-    parameter block's, plus the two per-CPU slices of scratch the fused
-    update works in."""
+    parameter block's."""
 
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.scratch is None:
-            self.scratch = (np.empty((CPUS, CHUNK)), np.empty((CPUS, CHUNK)))
 
     @classmethod
     def for_model(cls, ms):
@@ -484,9 +411,10 @@ def adam_step(ms, grads, opt, t, lr_t):
         raise ValueError("parameters, gradients and Adam moments differ in size")
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    scratch = reuse(ms.buffers, "chunks", (2, CPUS, CHUNK))
 
     def update(lo, hi, k):
-        s1, s2 = opt.scratch[0][k, :hi - lo], opt.scratch[1][k, :hi - lo]
+        s1, s2 = scratch[0, k, :hi - lo], scratch[1, k, :hi - lo]
         gk, mk, vk, pk = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
         np.multiply(mk, ADAM_BETA1, out=mk)
         np.multiply(gk, 1.0 - ADAM_BETA1, out=s1)

@@ -119,6 +119,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
             result.best_epoch = epoch
 
     ms.set_params(best_params)
+    ms.buffers.clear()  # drops the step's work arrays, which no later call needs
     encode(ms, g_r, g_s, cfg.layers, cfg.agg)
     result.best_val_hr = best_val if has_val else float("nan")
     result.model = ms

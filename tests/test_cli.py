@@ -1,14 +1,18 @@
 import dataclasses
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+import socrec.experiments as experiments
 from socrec.cli import build_config, main, parse_config_file
 from socrec.eval import export_relevance_weights
 from socrec.experiments import (ExperimentSpec, load_spec_dataset, run_ablation,
                                 run_case_study, run_eval, run_robustness, run_sweep,
                                 run_train)
+from socrec.model import checkpoint_config, load_checkpoint
 from socrec.objective import VARIANTS, TrainConfig
 from socrec.synthetic import planted_clusters, random_tables, write_edge_files
 
@@ -402,3 +406,104 @@ class TestMainEntry:
                      "--run-name", "again"]) == 0
         again = tmp_path / "runs" / "train" / "again" / "config"
         assert again.read_bytes() == open(echo, "rb").read()
+
+
+OUT_OF_RANGE = [("dim", "0"), ("batch", "0"), ("negatives", "0"), ("cutoffs", "5,-2"),
+                ("layers", "-1"), ("epochs", "-1"), ("patience", "-3")]
+
+
+@pytest.mark.parametrize("channel", ["constructor", "--set", "config file",
+                                     "checkpoint"])
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+def test_out_of_range_value_names_key(channel, key, value, edge_files, tmp_path):
+    """Each config channel refuses a value out of its field's range,
+    naming the key, before any run directory exists; a bad file value
+    fails though a flag would override it."""
+    if channel == "constructor":
+        typed = tuple(map(int, value.split(","))) if key == "cutoffs" else int(value)
+        with pytest.raises(ValueError, match=f"config key {key} must be >= "):
+            TrainConfig(**{key: typed})
+        return
+    inter_path, soc_path = edge_files
+    runs = tmp_path / "runs"
+    args = ["train", "--interactions", inter_path, "--social", soc_path,
+            "--out", str(runs), "--epochs", "1", "--dim", "4", "--batch", "16",
+            "--negatives", "3", "--set", "cutoffs=5,10"]
+    if channel == "--set":
+        where, args = "command line", [*args, "--set", f"{key}={value}"]
+    elif channel == "config file":
+        where = "config file"
+        (tmp_path / "exp.cfg").write_text(f"{key}={value}\n")
+        args += ["--config", str(tmp_path / "exp.cfg")]
+    else:
+        _, _, run_dir = run_train(fast_spec(edge_files, tmp_path / "trained",
+                                            run_name="t"))
+        ckpt = os.path.join(run_dir, "checkpoint")
+        where = os.path.join(ckpt, "config")
+        text = open(where).read()
+        line = next(l for l in text.splitlines() if l.startswith(f"{key}="))
+        open(where, "w").write(text.replace(line + "\n", f"{key}={value}\n"))
+        args = ["eval", "--checkpoint", ckpt, *args[1:]]
+    with pytest.raises(ValueError, match=re.escape(f"{where}: config key {key} must be >= ")):
+        main(args)
+    assert not runs.exists()
+
+
+# every field away from its default; eval takes negatives and cutoffs from
+# its own command line
+TRAINED = TrainConfig(dim=6, layers=1, lr=4e-3, lr_decay=0.9, batch=32, lambda1=0.2,
+                      lambda2=0.25, lambda3=2e-6, epochs=2, patience=3, agg="mean",
+                      variant="contrastive", infonce_tau=0.2, seed=7, negatives=4,
+                      cutoffs=(3, 7))
+EVAL_FLAGS = {"negatives": 5, "cutoffs": (2, 4)}
+
+
+@pytest.fixture(scope="module")
+def replays(tmp_path_factory):
+    """TRAINED as read back from its run's echo, from its checkpoint and by
+    `socrec eval` on that checkpoint, which is given no other config."""
+    tmp = tmp_path_factory.mktemp("replays")
+    inter, soc = random_tables(14, 20, min_items=4, max_items=6, tie_prob=0.3, seed=15)
+    inter_path, soc_path = write_edge_files(inter, soc, str(tmp / "raw"))
+    _, _, run_dir = run_train(ExperimentSpec(
+        config=TRAINED, interactions_path=inter_path, social_path=soc_path,
+        out_dir=str(tmp / "runs"), run_name="trained"))
+    ckpt = os.path.join(run_dir, "checkpoint")
+    seen, write_report = [], experiments._write_report
+
+    def spy(spec, ds, ms, cfg, out):
+        seen.append(cfg)
+        return write_report(spec, ds, ms, cfg, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_write_report", spy)
+        assert main(["eval", "--interactions", inter_path, "--social", soc_path,
+                     "--out", str(tmp / "runs"), "--checkpoint", ckpt,
+                     "--negatives", "5", "--set", "cutoffs=2,4"]) == 0
+    return {"echo": build_config(parse_config_file(os.path.join(run_dir, "config")), {}),
+            "checkpoint": checkpoint_config(ckpt)[2], "eval": seen[0],
+            "model": load_checkpoint(ckpt), "checkpoint_dir": ckpt}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_every_field_survives_each_round_trip(field, replays):
+    trained = getattr(TRAINED, field)
+    assert trained != getattr(TrainConfig(), field)
+    for way, want in (("echo", trained), ("checkpoint", trained),
+                      ("eval", EVAL_FLAGS.get(field, trained))):
+        got = getattr(replays[way], field)
+        assert type(got) is type(want) and got == want, way
+    ms = replays["model"]
+    assert (ms.dim, ms.num_layers, ms.agg) == (TRAINED.dim, TRAINED.layers, TRAINED.agg)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_checkpoint_without_a_field_names_it(field, replays, tmp_path):
+    """No default stands in for a trained value a checkpoint lacks."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(replays["checkpoint_dir"], ckpt)
+    config = ckpt / "config"
+    config.write_text("".join(line for line in config.read_text().splitlines(True)
+                              if not line.startswith(f"{field}=")))
+    with pytest.raises(ValueError, match=re.escape(f"{config} has no {field}= line")):
+        load_checkpoint(str(ckpt))

@@ -205,7 +205,7 @@ class TestDerivedFields:
     def test_copies_derive_their_own(self):
         inter, soc = random_tables(10, 40, seed=2)
         ds = build_dataset(inter, soc)
-        ds.user_train_items(), ds.user_index  # fill the caches first
+        ds.train_item_lists().sets, ds.user_index  # fill the caches first
         copies = [inject_noise(ds, 0.5, seed=7),
                   replace(ds, train_edges=ds.train_edges[::2]),
                   replace(ds, user_ids=[f"x{k}" for k in range(ds.num_users)])]
@@ -215,7 +215,7 @@ class TestDerivedFields:
             want = [set() for _ in range(ds.num_users)]
             for u, v in copy.train_edges:
                 want[u].add(int(v))
-            assert copy.user_train_items() == want
+            assert copy.train_item_lists().sets == want
             assert copy.user_index == {ext: i for i, ext in enumerate(copy.user_ids)}
         assert "x0" not in ds.user_index  # the original keeps its own
 
@@ -224,7 +224,7 @@ class TestDerivedFields:
         ds = build_dataset(inter, SocialTable(edges=[]))
         empty = replace(ds, train_edges=ds.train_edges[:0])
         np.testing.assert_array_equal(empty.degree, [0, 0])
-        assert empty.user_train_items() == [set(), set()]
+        assert empty.train_item_lists().sets == [set(), set()]
 
 
 class TestStratify:

@@ -50,7 +50,16 @@ def test_artifact_digest_is_reproducible(tmp_path):
     assert "shape" not in names
     assert "timing.txt" not in names
     stdouts = [line for line in runs[0].stdout.splitlines() if "  stdout/" in line]
-    assert len(stdouts) == 13  # one per command of the suite
+    assert len(stdouts) == 14  # one per command of the suite
+    # `train --config <out>/train/full/config` writes what train/full wrote
+    files = {path: sha for sha, path in
+             (line.split("  ") for line in runs[0].stdout.splitlines())}
+    full = {path[len("train/full/"):]: sha for path, sha in files.items()
+            if path.startswith("train/full/")}
+    assert {"config", "history.txt", "report.dat", "report.txt", "checkpoint/E_u",
+            "checkpoint/config"} <= set(full)
+    assert {path[len("train/full_replay/"):]: sha for path, sha in files.items()
+            if path.startswith("train/full_replay/")} == full
 
 
 def _record(workload, sha, seed, eval_users_per_s, digest, sample_batch_s=None):

@@ -661,10 +661,10 @@ def _variants(ds):
 def test_user_sets_match_loop_in_iteration_order(ds, case):
     d = _variants(ds)[case]
     n = d.num_users
-    cases = [(d.user_train_items(), seed_user_sets(n, d.train_edges)),
+    cases = [(d.train_item_lists().sets, seed_user_sets(n, d.train_edges)),
              (d.user_known_items(),
               seed_user_sets(n, d.train_edges, d.val_edges, d.test_edges)),
-             (d.user_ties(), seed_user_sets(n, d.social_edges))]
+             (d.tie_lists().sets, seed_user_sets(n, d.social_edges))]
     for got, want in cases:
         assert [list(s) for s in got] == [list(s) for s in want]
         assert all(type(v) is int for s in got for v in s)
@@ -673,7 +673,7 @@ def test_user_sets_match_loop_in_iteration_order(ds, case):
     if case == "edgeless_users":
         assert d.user_known_items()[-7:] == [set()] * 7
     if case == "no_ties":
-        assert d.user_ties() == [set()] * n
+        assert d.tie_lists().sets == [set()] * n
 
 
 @pytest.mark.parametrize("case", ["plain", "noisy", "edgeless_users"])
@@ -749,11 +749,10 @@ BLOCKINGS = {"default": {}, "one_block": {"BLOCK_REJECTS": np.inf},
 def test_bpr_triples_match_scalar_loop(ds, case, view, blocking, monkeypatch):
     d = _sampler_cases(ds)[case]
     if view == "interaction":
-        edges, sets, lists, width = (d.train_edges, d.user_train_items(),
-                                     d.train_item_lists(), d.num_items)
+        edges, lists, width = d.train_edges, d.train_item_lists(), d.num_items
     else:
-        edges, sets, lists, width = (d.social_edges, d.user_ties(), d.tie_lists(),
-                                     d.num_users)
+        edges, lists, width = d.social_edges, d.tie_lists(), d.num_users
+    sets = lists.sets
     for name, value in BLOCKINGS[blocking].items():
         monkeypatch.setattr(objective, name, value)
     exclude_anchor = view == "social"
@@ -782,9 +781,9 @@ def test_sampler_cases_reject_and_use_degree_one_anchors(ds):
 def test_neighbour_lists_follow_set_order(ds, case):
     d = _variants(ds)[case]
     rng = np.random.default_rng(0)
-    for sets, lists in ((d.user_train_items(), d.train_item_lists()),
-                        (d.user_ties(), d.tie_lists())):
-        assert lists.sets is sets and len(lists.indptr) == len(sets) + 1
+    for lists in (d.train_item_lists(), d.tie_lists()):
+        sets = lists.sets
+        assert len(lists.indptr) == len(sets) + 1
         for a, s in enumerate(sets):
             assert lists.items[lists.indptr[a]:lists.indptr[a + 1]].tolist() == list(s)
         anchors = rng.integers(len(sets), size=2000)

@@ -65,14 +65,14 @@ class TestSampleBatch:
 
     def test_positives_are_train_items(self, tiny_ds, rng):
         batch = sample_batch(tiny_ds, 64, rng)
-        item_sets = tiny_ds.user_train_items()
+        item_sets = tiny_ds.train_item_lists().sets
         for u, vp, vn in batch.rec_triples:
             assert int(vp) in item_sets[u]
             assert int(vn) not in item_sets[u]
 
     def test_social_triples_respect_ties(self, tiny_ds, rng):
         batch = sample_batch(tiny_ds, 64, rng)
-        ties = tiny_ds.user_ties()
+        ties = tiny_ds.tie_lists().sets
         for i, ip, ineg in batch.soc_triples:
             assert int(ip) in ties[i]
             assert int(ineg) not in ties[i]
@@ -106,7 +106,7 @@ class TestSampleBatch:
         ds = dataclasses.replace(build_dataset(InteractionTable(edges=items),
                                                SocialTable(edges=[]), split_seed=0),
                                  num_items=10)
-        assert len(ds.user_train_items()[0]) == 3
+        assert len(ds.train_item_lists().sets[0]) == 3
         rng = np.random.default_rng(999)
         draws = sample_batch(ds, 100_000, rng, need_social=False).rec_triples[:, 2]
         counts = np.bincount(draws, minlength=10)

@@ -1,13 +1,18 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from socrec.data import InteractionTable, SocialTable, build_dataset
+from socrec.eval import evaluate
 from socrec.experiments import ExperimentSpec, _train_and_report
 
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
 from socrec.model import encode, init_model, load_checkpoint
-from socrec.objective import (AdamState, TrainConfig, adam_step,
+from socrec.objective import (VARIANTS, AdamState, TrainConfig, adam_step,
                               compute_gradients, joint_loss, sample_batch)
 from socrec.synthetic import planted_clusters, random_dataset
 from socrec.train import train_model
@@ -153,3 +158,76 @@ def test_lr_decays_per_epoch():
     result = train_model(ds, cfg)
     lrs = [row["lr"] for row in result.history]
     np.testing.assert_allclose(lrs, [1e-2, 5e-3, 2.5e-3])
+
+
+def test_validation_skips_are_warned_once(caplog):
+    """The users a split skips depend on the dataset, the split and the
+    negatives count only: a run warns once per split, not once per epoch,
+    and a direct evaluation on a fresh dataset still warns."""
+    ds = random_dataset(20, 12, seed=0)
+    cfg = TrainConfig(dim=4, layers=1, batch=16, epochs=4, patience=999, negatives=7,
+                      cutoffs=(5,))
+    with caplog.at_level(logging.WARNING, logger="socrec.eval"):
+        result = train_model(ds, cfg)
+        assert result.epochs_run == 4
+        skips = [r.getMessage() for r in caplog.records
+                 if "skipped on split 'val'" in r.getMessage()]
+        assert skips == ["5 user(s) skipped on split 'val': "
+                         "fewer than 7 negative candidates"]
+        caplog.clear()
+        rep = evaluate(result.model, replace(ds), "val", num_negatives=7, cutoffs=(5,))
+        assert rep.skipped == 5
+        assert [r.getMessage() for r in caplog.records] == skips
+        caplog.clear()
+        evaluate(result.model, ds, "val", num_negatives=8, cutoffs=(5,))
+        assert len(caplog.records) == 1  # another negatives count skips others
+
+
+@st.composite
+def tiny_rows(draw):
+    """Per-user item sets over a few items, each leaving the user a
+    negative, listed user by user so user k gets dense index k."""
+    num_items = draw(st.integers(3, 8))
+    rows = draw(st.lists(st.sets(st.integers(0, num_items - 1), min_size=1,
+                                 max_size=num_items - 1), min_size=3, max_size=8))
+    assume(all(len(row) < len(set().union(*rows)) for row in rows))
+    return rows
+
+
+def _tables(rows, ties):
+    """Interaction and social tables of per-user item rows and tie pairs."""
+    edges = [(f"u{k}", f"i{v}") for k, items in enumerate(rows) for v in sorted(items)]
+    both = [(f"u{a}", f"u{b}") for i, j in ties for a, b in ((i, j), (j, i))]
+    return InteractionTable(edges=edges), SocialTable(edges=both)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=tiny_rows(), hub=st.integers(0, 7), seed=st.integers(0, 3),
+       variant=st.sampled_from(["full", "no_align", "contrastive"]))
+def test_user_tied_to_every_user_is_named(rows, hub, seed, variant):
+    """Social triples for a user whose ties cover every other user can
+    draw no negative: training stops with an error naming that user."""
+    hub %= len(rows)
+    ties = [(hub, u) for u in range(len(rows)) if u != hub]
+    ds = build_dataset(*_tables(rows, ties), split_seed=seed)
+    cfg = TrainConfig(dim=4, layers=1, batch=64, epochs=1, negatives=1, cutoffs=(1,),
+                      seed=seed, variant=variant)
+    with pytest.raises(ValueError, match=f"user {hub} leaves no negative among "
+                                         f"{len(rows)} candidates"):
+        train_model(ds, cfg)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rows=tiny_rows(), seed=st.integers(0, 3))
+def test_edgeless_social_view_trains_every_variant(rows, seed):
+    """Without a single tie, every variant trains to a finite history."""
+    ds = build_dataset(*_tables(rows, []), split_seed=seed)
+    assert len(ds.social_edges) == 0
+    for variant in VARIANTS:
+        cfg = TrainConfig(dim=4, layers=2, batch=16, epochs=2, patience=999, negatives=1,
+                          cutoffs=(1,), seed=seed, variant=variant, lambda2=0.1)
+        result = train_model(ds, cfg)
+        assert result.epochs_run == 2 and not result.aborted
+        for row in result.history:
+            values = [row[k] for k in ("rec", "social", "align", "reg", "total")]
+            assert np.isfinite(values + ([row["val"]] if len(ds.val_edges) else [])).all()

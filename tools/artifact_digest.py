@@ -1,9 +1,11 @@
 """SHA-256 of every artifact a fixed-seed CLI suite writes.
 
-Runs `socrec train` (four variant/layer/aggregation settings), `ablate`,
+Runs `socrec train` (four variant/layer/aggregation settings, then the
+`full` run again from its config echo, `--config <out>/train/full/config`,
+which must write what `train/full` wrote, timing aside), `ablate`,
 `robust`, `sweep`, `eval` (on the `full`, `direct_social` and `no_align`
-checkpoints, each with the common flags only, as a checkpoint carries its
-trained layers, aggregation and variant, and on `full` again with 280
+checkpoints, each with the common flags only, as eval replays a
+checkpoint's trained config, and on `full` again with 280
 negatives, which takes the small-pool candidate branch for every user
 where the suite's 49 take the rejection branch) and `case-study` on the
 pinned fixture in `tests/fixtures/pinned`, with the socrec package of a
@@ -50,6 +52,9 @@ def suite(out):
     """The CLI argument lists of the suite, writing under `out`."""
     common = COMMON + ["--out", out]
     runs = [["train", *common, *flags, "--run-name", name] for name, flags in TRAIN]
+    # the `full` run again from its config echo alone: the same artifacts
+    runs.append(["train", *common, "--config", os.path.join(out, "train", "full", "config"),
+                 "--run-name", "full_replay"])
     checkpoint = os.path.join(out, "train", "full", "checkpoint")
     runs += [["eval", *common, "--checkpoint",
               os.path.join(out, "train", name, "checkpoint"), "--run-name", f"eval_{name}"]
