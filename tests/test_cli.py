@@ -441,8 +441,7 @@ def test_out_of_range_value_names_key(channel, key, value, edge_files, tmp_path)
         ckpt = os.path.join(run_dir, "checkpoint")
         where = os.path.join(ckpt, "config")
         text = open(where).read()
-        line = next(l for l in text.splitlines() if l.startswith(f"{key}="))
-        open(where, "w").write(text.replace(line + "\n", f"{key}={value}\n"))
+        open(where, "w").write(re.sub(f"(?m)^{key}=.*$", f"{key}={value}", text))
         args = ["eval", "--checkpoint", ckpt, *args[1:]]
     with pytest.raises(ValueError, match=re.escape(f"{where}: config key {key} must be >= ")):
         main(args)
@@ -479,7 +478,8 @@ def replays(tmp_path_factory):
         mp.setattr(experiments, "_write_report", spy)
         assert main(["eval", "--interactions", inter_path, "--social", soc_path,
                      "--out", str(tmp / "runs"), "--checkpoint", ckpt,
-                     "--negatives", "5", "--set", "cutoffs=2,4"]) == 0
+                     "--negatives", str(EVAL_FLAGS["negatives"]),
+                     "--set", f"cutoffs={','.join(map(str, EVAL_FLAGS['cutoffs']))}"]) == 0
     return {"echo": build_config(parse_config_file(os.path.join(run_dir, "config")), {}),
             "checkpoint": checkpoint_config(ckpt)[2], "eval": seen[0],
             "model": load_checkpoint(ckpt), "checkpoint_dir": ckpt}
@@ -487,6 +487,8 @@ def replays(tmp_path_factory):
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
 def test_every_field_survives_each_round_trip(field, replays):
+    """A trained value comes back, with its type, from the run's echo, the
+    checkpoint and eval's replay; eval's own flags set negatives and cutoffs."""
     trained = getattr(TRAINED, field)
     assert trained != getattr(TrainConfig(), field)
     for way, want in (("echo", trained), ("checkpoint", trained),
