@@ -1,5 +1,6 @@
 """The training config and its one text form: `key=value` lines."""
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 VARIANTS = ("full", "no_align", "direct_social", "contrastive")
@@ -43,17 +44,23 @@ class TrainConfig:
     cutoffs: tuple = (5, 10, 20)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"config key {f.name} must be finite, "
+                                 f"got {getattr(self, f.name)!r}")
         for key, low in (("dim", 1), ("batch", 1), ("negatives", 1), ("cutoffs", 1),
-                         ("layers", 0), ("epochs", 0), ("patience", 0)):
+                         ("layers", 0), ("epochs", 0), ("patience", 0),
+                         ("lambda1", 0), ("lambda2", 0), ("lambda3", 0)):
             value = getattr(self, key)  # every cutoff, and at least one
             if min(value if key == "cutoffs" else [value], default=-1) < low:
                 raise ValueError(f"config key {key} must be >= {low}, got {value!r}")
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for key in ("lr", "infonce_tau"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"config key {key} must be > 0, "
+                                 f"got {getattr(self, key)!r}")
         if not 0 < self.lr_decay <= 1:
-            raise ValueError("lr_decay must lie in (0, 1]")
-        if self.infonce_tau <= 0:
-            raise ValueError("infonce temperature must be positive")
+            raise ValueError(f"config key lr_decay must lie in (0, 1], "
+                             f"got {self.lr_decay!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, "
                              f"expected one of {', '.join(VARIANTS)}")

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import read_value
+
 log = logging.getLogger(__name__)
 
 # Default degree strata: half-open intervals covering every nonnegative degree.
@@ -91,9 +93,9 @@ class Dataset:
     deduplicated interaction set. Social edges are stored with both
     directions present. Everything else is derived from these fields:
     `degree` (train interactions per user) when the dataset is built,
-    the user id map and per-user sets on first use. The fields are read-only,
-    so what is derived stays true; a variant is a `dataclasses.replace`
-    copy, which derives its own.
+    the user id map, known-item sets and neighbour lists on first use.
+    The fields are read-only, so what is derived stays true; a variant is
+    a `dataclasses.replace` copy, which derives its own.
     """
 
     num_users: int
@@ -147,14 +149,14 @@ class Dataset:
 
 @dataclass(eq=False, frozen=True)
 class NeighbourLists:
-    """Per-anchor neighbour sets over `width` candidates, also as arrays.
+    """Per-anchor neighbour lists over `width` candidates, as arrays.
 
-    `items[indptr[a]:indptr[a + 1]]` lists `sets[a]` in its iteration
-    order; `keys` holds `a * width + b` of every pair, sorted, then one
-    sentinel above them all, for testing many pairs at once.
+    `items[indptr[a]:indptr[a + 1]]` lists anchor a's neighbours in the
+    iteration order of the set `of` was given for it; `keys` holds
+    `a * width + b` of every pair, sorted, then one sentinel above them
+    all, for testing many pairs at once.
     """
 
-    sets: list
     width: int
     indptr: np.ndarray
     items: np.ndarray
@@ -167,11 +169,10 @@ class NeighbourLists:
         items = np.fromiter((b for s in sets for b in s), dtype=np.int64,
                             count=int(indptr[-1]))
         keys = np.sort(np.repeat(np.arange(len(sets)), sizes) * width + items)
-        return cls(sets, width, indptr, items,
-                   np.append(keys, np.iinfo(np.int64).max))
+        return cls(width, indptr, items, np.append(keys, np.iinfo(np.int64).max))
 
     def holds(self, anchors, others):
-        """Whether each `others[k]` is in `sets[anchors[k]]`."""
+        """Whether each `others[k]` neighbours `anchors[k]` (one bool for scalars)."""
         query = anchors * self.width + others
         return self.keys[np.searchsorted(self.keys, query)] == query
 
@@ -374,29 +375,47 @@ def save_dataset(ds, out_dir):
 
 
 def load_dataset(in_dir):
-    """Load a dataset directory written by save_dataset (identity id maps)."""
-    meta = parse_config_file(os.path.join(in_dir, "meta"))
-    num_users = int(meta["num_users"])
-    num_items = int(meta["num_items"])
+    """Load a dataset directory written by save_dataset (identity id maps).
 
-    def read_pairs(name):
+    Every index must lie in [0, num_users) or [0, num_items) of `meta`;
+    an error names the file.
+    """
+    meta_path = os.path.join(in_dir, "meta")
+    meta = parse_config_file(meta_path)
+
+    def meta_int(key, default=None):
+        if key not in meta and default is None:
+            raise ValueError(f"{meta_path} has no {key}= line")
+        try:
+            return read_value(key, meta.get(key, default), int)
+        except ValueError as err:
+            raise ValueError(f"{meta_path}: {err}") from None
+
+    num_users, num_items = meta_int("num_users"), meta_int("num_items")
+
+    def read_pairs(name, width):
         path = os.path.join(in_dir, name)
-        pairs = []
         with open(path) as fh:
-            for line in fh:
-                toks = line.split()
-                if len(toks) >= 2:
-                    pairs.append((int(toks[0]), int(toks[1])))
-        return _edge_array(pairs)
+            rows = [toks[:2] for toks in map(str.split, fh) if len(toks) >= 2]
+        try:
+            edges = _edge_array([(int(a), int(b)) for a, b in rows])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+        outside = ((edges < 0) | (edges >= (num_users, width))).any(axis=1)
+        if outside.any():
+            a, b = edges[outside.argmax()].tolist()
+            raise ValueError(f"{path}: pair {a} {b} lies outside "
+                             f"[0, {num_users}) x [0, {width})")
+        return edges
 
     return Dataset(
         num_users=num_users,
         num_items=num_items,
         user_ids=list(range(num_users)),
         item_ids=list(range(num_items)),
-        train_edges=read_pairs("train.txt"),
-        val_edges=read_pairs("val.txt"),
-        test_edges=read_pairs("test.txt"),
-        social_edges=read_pairs("social.txt"),
-        split_seed=int(meta.get("split_seed", 0)),
+        train_edges=read_pairs("train.txt", num_items),
+        val_edges=read_pairs("val.txt", num_items),
+        test_edges=read_pairs("test.txt", num_items),
+        social_edges=read_pairs("social.txt", num_users),
+        split_seed=meta_int("split_seed", "0"),
     )

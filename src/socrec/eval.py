@@ -17,33 +17,29 @@ class EvalReport:
 
     Integer hit counts and NDCG sums are kept alongside the ratios so that
     stratum results recombine to the overall numbers without rounding
-    games: overall hits are exactly the sum of per-stratum hits.
+    games: overall hits are exactly the sum of per-stratum hits. The
+    overall fields and each stratum's entry are `_summary`s of their ranks.
     """
 
     cutoffs: tuple
     num_users: int
     hits: dict                   # cutoff -> int
     ndcg_sums: dict              # cutoff -> float
-    hr: dict = field(init=False)
-    ndcg: dict = field(init=False)
-    per_stratum: dict = field(default_factory=dict)  # label -> sub-report dict
+    hr: dict                     # cutoff -> hits / num_users
+    ndcg: dict                   # cutoff -> ndcg_sums / num_users
+    per_stratum: dict = field(default_factory=dict)  # label -> _summary dict
     skipped: int = 0
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.hr = {n: self.hits[n] / self.num_users for n in self.cutoffs}
-        self.ndcg = {n: self.ndcg_sums[n] / self.num_users for n in self.cutoffs}
+    def _groups(self):
+        """(label, summary) of all evaluated users, then of each stratum."""
+        return [("all", vars(self)), *self.per_stratum.items()]
 
     def to_lines(self):
         """Line-delimited `metric cutoff stratum value` rows for plotting."""
-        out = []
-        for key in sorted(self.metadata):
-            out.append(f"# {key}={self.metadata[key]}")
+        out = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         out.append(f"# users={self.num_users} skipped={self.skipped}")
-        for n in self.cutoffs:
-            out.append(f"hr {n} all {self.hr[n]:.12g}")
-            out.append(f"ndcg {n} all {self.ndcg[n]:.12g}")
-        for label, sub in self.per_stratum.items():
+        for label, sub in self._groups():
             for n in self.cutoffs:
                 out.append(f"hr {n} {label} {sub['hr'][n]:.12g}")
                 out.append(f"ndcg {n} {label} {sub['ndcg'][n]:.12g}")
@@ -51,12 +47,13 @@ class EvalReport:
 
     def to_table(self):
         rows = [f"{'metric':<8}" + "".join(f"@{n:<8}" for n in self.cutoffs)]
-        rows.append(f"{'hr':<8}" + "".join(f"{self.hr[n]:<9.4f}" for n in self.cutoffs))
-        rows.append(f"{'ndcg':<8}" + "".join(f"{self.ndcg[n]:<9.4f}" for n in self.cutoffs))
-        for label, sub in self.per_stratum.items():
-            rows.append(f"stratum {label} ({sub['num_users']} users)")
-            rows.append(f"{'  hr':<8}" + "".join(f"{sub['hr'][n]:<9.4f}" for n in self.cutoffs))
-            rows.append(f"{'  ndcg':<8}" + "".join(f"{sub['ndcg'][n]:<9.4f}" for n in self.cutoffs))
+        for label, sub in self._groups():
+            indent = "" if label == "all" else "  "
+            if indent:
+                rows.append(f"stratum {label} ({sub['num_users']} users)")
+            for metric in ("hr", "ndcg"):
+                rows.append(f"{indent + metric:<8}"
+                            + "".join(f"{sub[metric][n]:<9.4f}" for n in self.cutoffs))
         return "\n".join(rows)
 
 
@@ -132,14 +129,15 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     return np.array(users, dtype=np.int64), np.array(ranks, dtype=np.int64), skipped
 
 
-def _tally(ranks, cutoffs):
-    hits = {}
-    ndcg_sums = {}
-    for n in cutoffs:
-        in_top = ranks < n
-        hits[n] = int(in_top.sum())
-        ndcg_sums[n] = float(sum(1.0 / math.log2(r + 2) for r in ranks[in_top]))
-    return hits, ndcg_sums
+def _summary(ranks, cutoffs):
+    """num_users, hits, ndcg_sums, hr and ndcg at each cutoff of a set of
+    0-based ranks."""
+    hits = {n: int((ranks < n).sum()) for n in cutoffs}
+    ndcg_sums = {n: float(sum(1.0 / math.log2(r + 2) for r in ranks[ranks < n]))
+                 for n in cutoffs}
+    return {"num_users": len(ranks), "hits": hits, "ndcg_sums": ndcg_sums,
+            "hr": {n: hits[n] / len(ranks) for n in cutoffs},
+            "ndcg": {n: ndcg_sums[n] / len(ranks) for n in cutoffs}}
 
 
 def evaluate(ms, ds, split="test", num_negatives=99, cutoffs=(5, 10, 20),
@@ -171,27 +169,14 @@ def evaluate_stratified(ms, ds, strata, split="test", num_negatives=99,
         raise ValueError(f"no user of split {split!r} evaluated: {skipped} skipped "
                          f"for fewer than {num_negatives} negative candidates")
     cutoffs = tuple(cutoffs)
-    hits, ndcg_sums = _tally(ranks, cutoffs)
-    report = EvalReport(cutoffs=cutoffs, num_users=len(users), hits=hits,
-                        ndcg_sums=ndcg_sums, skipped=skipped,
+    report = EvalReport(cutoffs=cutoffs, **_summary(ranks, cutoffs), skipped=skipped,
                         metadata=dict(metadata or {}))
-    if strata is None:
-        return report
-
-    member_stratum = strata.assignment[users]
-    for s, label in enumerate(strata.labels()):
-        mask = member_stratum == s
-        if not mask.any():
-            continue
-        s_hits, s_ndcg = _tally(ranks[mask], cutoffs)
-        denom = int(mask.sum())
-        report.per_stratum[label] = {
-            "num_users": denom,
-            "hits": s_hits,
-            "ndcg_sums": s_ndcg,
-            "hr": {n: s_hits[n] / denom for n in cutoffs},
-            "ndcg": {n: s_ndcg[n] / denom for n in cutoffs},
-        }
+    if strata is not None:
+        member_stratum = strata.assignment[users]
+        for s, label in enumerate(strata.labels()):
+            mask = member_stratum == s
+            if mask.any():
+                report.per_stratum[label] = _summary(ranks[mask], cutoffs)
     return report
 
 

@@ -58,7 +58,7 @@ def sample_batch(ds, batch_size, rng, need_social=True):
     """Draw BPR triples for both views plus uniformly random user pairs.
 
     Rec triples come from the train edges and the users' train items,
-    social triples from the ties and the users' tie sets (see
+    social triples from the ties and the users' tie lists (see
     `_bpr_triples`); then the uniformly random alignment pairs.
     """
     if len(ds.train_edges) == 0:
@@ -84,7 +84,7 @@ def _bpr_triples(edges, lists, count, rng, exclude_anchor):
     """`count` (anchor, positive, negative) rows over an edge list.
 
     The anchor is the source of a uniformly drawn edge, the positive
-    uniform among the anchor's neighbours in `lists` (in set iteration
+    uniform among the anchor's neighbours in `lists` (in their listed
     order), the negative uniform over [0, lists.width), redrawn while it is
     a neighbour or, with `exclude_anchor`, the anchor itself. All edge
     draws come first, then one positive and the negative draws per row.
@@ -130,7 +130,7 @@ def _bpr_triples(edges, lists, count, rng, exclude_anchor):
                 rng.bit_generator.state = state
                 rng.integers(0, bounds[2 * row:2 * end])
             a, v = int(anchors[end - 1]), int(neg[k])
-            while v in lists.sets[a] or (exclude_anchor and v == a):
+            while lists.holds(a, v) or (exclude_anchor and v == a):
                 v = int(rng.integers(N))
             out[end - 1, 2] = v
         row = end

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .eval import _tally
+from .eval import _summary
 from .graph import build_interaction_laplacian, build_social_laplacian
 from .model import ModelState, ParamBlock, encode, init_model, projection_forward
 from .objective import (VARIANTS, Batch, TrainConfig, compute_gradients, joint_loss,
@@ -137,12 +137,12 @@ def metric_oracle_check(num_vectors=1000, num_candidates=100, seed=0,
         prod_ranks.append(r_prod)
         ref_ranks.append(r_ref)
 
-    prod_hits, prod_ndcg = _tally(np.array(prod_ranks), cutoffs)
+    prod = _summary(np.array(prod_ranks), cutoffs)
     ref_hits = {n: sum(1 for r in ref_ranks if r < n) for n in cutoffs}
     ref_ndcg = {n: sum(1.0 / math.log2(r + 2) for r in ref_ranks if r < n)
                 for n in cutoffs}
-    metrics_equal = all(prod_hits[n] == ref_hits[n]
-                        and abs(prod_ndcg[n] - ref_ndcg[n]) == 0.0
+    metrics_equal = all(prod["hits"][n] == ref_hits[n]
+                        and abs(prod["ndcg_sums"][n] - ref_ndcg[n]) == 0.0
                         for n in cutoffs)
     return mismatches == 0 and metrics_equal, mismatches
 

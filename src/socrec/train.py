@@ -21,18 +21,23 @@ EARLY_STOP_CUTOFF = 10
 @dataclass
 class TrainResult:
     model: object
-    history: list = field(default_factory=list)   # per-epoch loss rows
+    history: list = field(default_factory=list)   # per-epoch rows, keyed by COLUMNS
     timing: list = field(default_factory=list)    # per-epoch wall seconds
     best_epoch: int = -1
     best_val_hr: float = float("nan")
     epochs_run: int = 0
     aborted: str = ""  # "epoch <n>: <non-finite loss component>", or ""
 
+    # history.txt's columns: rec to total are epoch means of `joint_loss`'s
+    # parts and total, and `val` is the validation HR@10
+    COLUMNS = ("epoch", "lr", "rec", "social", "align", "reg", "total", "val")
+
     def history_lines(self):
-        out = ["# epoch lr rec social align reg total val_hr10"]
+        head = [f"val_hr{EARLY_STOP_CUTOFF}" if key == "val" else key
+                for key in self.COLUMNS]
+        out = [" ".join(["#", *head])]
         for row in self.history:
-            out.append("{epoch} {lr:.10g} {rec:.10g} {social:.10g} "
-                       "{align:.10g} {reg:.10g} {total:.10g} {val:.10g}".format(**row))
+            out.append(" ".join(format(row[key], ".10g") for key in self.COLUMNS))
         return out
 
 
@@ -65,7 +70,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
 
     for epoch in range(cfg.epochs):
         lr_t = cfg.lr * cfg.lr_decay ** epoch
-        sums = {"rec": 0.0, "social": 0.0, "align": 0.0, "reg": 0.0, "total": 0.0}
+        sums = dict.fromkeys(TrainResult.COLUMNS[2:-1], 0.0)  # rec to total
         tic = time.perf_counter()
         try:
             for _ in range(steps):
@@ -75,9 +80,8 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
                 total, parts = joint_loss(batch, ms, cfg, grads)
                 t_step += 1
                 adam_step(ms, grads, opt, t_step, lr_t)
-                for k in parts:
-                    sums[k] += parts[k]
-                sums["total"] += total
+                for key, value in {**parts, "total": total}.items():
+                    sums[key] += value
         except NonFiniteLossError as err:
             result.aborted = f"epoch {epoch}: {err}"
             log.error("aborted at %s", result.aborted)
@@ -92,35 +96,26 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
             val_hr = rep.hr[EARLY_STOP_CUTOFF]
 
         result.timing.append(time.perf_counter() - tic)
-        result.history.append({
-            "epoch": epoch, "lr": lr_t,
-            "rec": sums["rec"] / steps, "social": sums["social"] / steps,
-            "align": sums["align"] / steps, "reg": sums["reg"] / steps,
-            "total": sums["total"] / steps, "val": val_hr,
-        })
+        means = [value / steps for value in sums.values()]
+        result.history.append(dict(zip(TrainResult.COLUMNS,
+                                       [epoch, lr_t, *means, val_hr])))
         result.epochs_run = epoch + 1
         if progress:
             progress(result.history[-1])
 
-        if has_val:
-            if val_hr > best_val:
-                best_val = val_hr
-                best_params = ms.copy_params()
-                result.best_epoch = epoch
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs > cfg.patience:
-                    log.info("early stop at epoch %d (best %d)", epoch,
-                             result.best_epoch)
-                    break
-        else:
+        if not has_val or val_hr > best_val:  # without validation, keep the last
+            best_val = val_hr
             best_params = ms.copy_params()
             result.best_epoch = epoch
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > cfg.patience:
+                log.info("early stop at epoch %d (best %d)", epoch, result.best_epoch)
+                break
 
     ms.set_params(best_params)
     ms.buffers.clear()  # drops the step's work arrays, which no later call needs
     encode(ms, g_r, g_s, cfg.layers, cfg.agg)
     result.best_val_hr = best_val if has_val else float("nan")
-    result.model = ms
     return result

@@ -60,8 +60,8 @@ def test_criterion_3_metric_correctness():
     ok, mismatches = metric_oracle_check(num_vectors=1000, num_candidates=100,
                                          seed=0)
     rank3 = 1.0 / math.log2(5.0)
-    from socrec.eval import _tally
-    _, ndcg = _tally(np.array([3]), (10,))
+    from socrec.eval import _summary
+    ndcg = _summary(np.array([3]), (10,))["ndcg_sums"]
     formula_ok = abs(ndcg[10] - rank3) < 1e-12 and abs(rank3 - 0.4307) < 5e-5
     ok = ok and formula_ok
     report(3, "metric correctness", ok,

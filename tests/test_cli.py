@@ -8,6 +8,7 @@ import pytest
 
 import socrec.experiments as experiments
 from socrec.cli import build_config, main, parse_config_file
+from socrec.config import read_value
 from socrec.eval import export_relevance_weights
 from socrec.experiments import (ExperimentSpec, load_spec_dataset, run_ablation,
                                 run_case_study, run_eval, run_robustness, run_sweep,
@@ -408,21 +409,26 @@ class TestMainEntry:
         assert again.read_bytes() == open(echo, "rb").read()
 
 
-OUT_OF_RANGE = [("dim", "0"), ("batch", "0"), ("negatives", "0"), ("cutoffs", "5,-2"),
-                ("layers", "-1"), ("epochs", "-1"), ("patience", "-3")]
+# (key, value) -> what the error says the value must be
+OUT_OF_RANGE = {("dim", "0"): ">= 1", ("batch", "0"): ">= 1", ("negatives", "0"): ">= 1",
+                ("cutoffs", "5,-2"): ">= 1", ("layers", "-1"): ">= 0",
+                ("epochs", "-1"): ">= 0", ("patience", "-3"): ">= 0",
+                ("lambda1", "nan"): "finite", ("lr", "nan"): "finite", ("lr", "-1"): "> 0",
+                ("infonce_tau", "nan"): "finite", ("lambda2", "inf"): "finite"}
 
 
 @pytest.mark.parametrize("channel", ["constructor", "--set", "config file",
                                      "checkpoint"])
-@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+@pytest.mark.parametrize("key,value", list(OUT_OF_RANGE))
 def test_out_of_range_value_names_key(channel, key, value, edge_files, tmp_path):
     """Each config channel refuses a value out of its field's range,
     naming the key, before any run directory exists; a bad file value
     fails though a flag would override it."""
+    error = f"config key {key} must be {OUT_OF_RANGE[key, value]}"
     if channel == "constructor":
-        typed = tuple(map(int, value.split(","))) if key == "cutoffs" else int(value)
-        with pytest.raises(ValueError, match=f"config key {key} must be >= "):
-            TrainConfig(**{key: typed})
+        kind = {f.name: f.type for f in dataclasses.fields(TrainConfig)}[key]
+        with pytest.raises(ValueError, match=re.escape(error)):
+            TrainConfig(**{key: read_value(key, value, kind)})
         return
     inter_path, soc_path = edge_files
     runs = tmp_path / "runs"
@@ -443,7 +449,7 @@ def test_out_of_range_value_names_key(channel, key, value, edge_files, tmp_path)
         text = open(where).read()
         open(where, "w").write(re.sub(f"(?m)^{key}=.*$", f"{key}={value}", text))
         args = ["eval", "--checkpoint", ckpt, *args[1:]]
-    with pytest.raises(ValueError, match=re.escape(f"{where}: config key {key} must be >= ")):
+    with pytest.raises(ValueError, match=re.escape(f"{where}: {error}")):
         main(args)
     assert not runs.exists()
 

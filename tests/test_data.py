@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,28 @@ class TestBuildDataset:
         np.testing.assert_array_equal(back.social_edges, ds.social_edges)
         np.testing.assert_array_equal(back.degree, ds.degree)
 
+    @pytest.mark.parametrize("name,line", [
+        ("train.txt", "{users} 3"), ("train.txt", "-1 0"), ("val.txt", "0 {items}"),
+        ("test.txt", "0 x"), ("social.txt", "2 {users}")])
+    def test_index_outside_meta_names_file(self, tmp_path, name, line):
+        ds = build_dataset(*random_tables(10, 15, seed=8), split_seed=42)
+        save_dataset(ds, str(tmp_path))
+        with open(tmp_path / name, "a") as fh:
+            fh.write(line.format(users=ds.num_users, items=ds.num_items) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / name))):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("key,value", [("num_items", None), ("num_users", "12x")])
+    def test_bad_meta_names_file(self, tmp_path, key, value):
+        save_dataset(build_dataset(*random_tables(10, 15, seed=8)), str(tmp_path))
+        meta = tmp_path / "meta"
+        lines = [l for l in meta.read_text().splitlines() if not l.startswith(f"{key}=")]
+        if value is not None:
+            lines.append(f"{key}={value}")
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(meta))}.*{key}"):
+            load_dataset(str(tmp_path))
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)),
@@ -205,7 +228,7 @@ class TestDerivedFields:
     def test_copies_derive_their_own(self):
         inter, soc = random_tables(10, 40, seed=2)
         ds = build_dataset(inter, soc)
-        ds.train_item_lists().sets, ds.user_index  # fill the caches first
+        ds.train_item_lists(), ds.user_index  # fill the caches first
         copies = [inject_noise(ds, 0.5, seed=7),
                   replace(ds, train_edges=ds.train_edges[::2]),
                   replace(ds, user_ids=[f"x{k}" for k in range(ds.num_users)])]
@@ -215,7 +238,9 @@ class TestDerivedFields:
             want = [set() for _ in range(ds.num_users)]
             for u, v in copy.train_edges:
                 want[u].add(int(v))
-            assert copy.train_item_lists().sets == want
+            lists = copy.train_item_lists()
+            assert [sorted(lists.items[lists.indptr[u]:lists.indptr[u + 1]].tolist())
+                    for u in range(ds.num_users)] == [sorted(s) for s in want]
             assert copy.user_index == {ext: i for i, ext in enumerate(copy.user_ids)}
         assert "x0" not in ds.user_index  # the original keeps its own
 
@@ -224,7 +249,8 @@ class TestDerivedFields:
         ds = build_dataset(inter, SocialTable(edges=[]))
         empty = replace(ds, train_edges=ds.train_edges[:0])
         np.testing.assert_array_equal(empty.degree, [0, 0])
-        assert empty.train_item_lists().sets == [set(), set()]
+        lists = empty.train_item_lists()
+        assert lists.indptr.tolist() == [0, 0, 0] and len(lists.items) == 0
 
 
 class TestStratify:

@@ -50,16 +50,22 @@ def test_artifact_digest_is_reproducible(tmp_path):
     assert "shape" not in names
     assert "timing.txt" not in names
     stdouts = [line for line in runs[0].stdout.splitlines() if "  stdout/" in line]
-    assert len(stdouts) == 14  # one per command of the suite
-    # `train --config <out>/train/full/config` writes what train/full wrote
+    assert len(stdouts) == 15  # one per command of the suite
     files = {path: sha for sha, path in
              (line.split("  ") for line in runs[0].stdout.splitlines())}
-    full = {path[len("train/full/"):]: sha for path, sha in files.items()
-            if path.startswith("train/full/")}
+
+    def run_files(name):
+        prefix = f"train/{name}/"
+        return {path[len(prefix):]: sha for path, sha in files.items()
+                if path.startswith(prefix)}
+
+    full = run_files("full")
     assert {"config", "history.txt", "report.dat", "report.txt", "checkpoint/E_u",
             "checkpoint/config"} <= set(full)
-    assert {path[len("train/full_replay/"):]: sha for path, sha in files.items()
-            if path.startswith("train/full_replay/")} == full
+    # `train --config <out>/train/full/config`, and `train --dataset-dir` on
+    # the fixture as save_dataset wrote it, write what train/full wrote
+    assert run_files("full_replay") == full
+    assert run_files("full_dataset_dir") == full
 
 
 def _record(workload, sha, seed, eval_users_per_s, digest, sample_batch_s=None):

@@ -38,16 +38,16 @@ class TestHeldOutRank:
 class TestEvaluate:
     def test_rank3_ndcg_value(self):
         ranks = np.array([3])
-        from socrec.eval import _tally
-        hits, ndcg = _tally(ranks, (10,))
-        assert hits[10] == 1
-        assert ndcg[10] == pytest.approx(1.0 / math.log2(5.0), abs=1e-12)
+        from socrec.eval import _summary
+        summary = _summary(ranks, (10,))
+        assert summary["hits"][10] == 1
+        assert summary["ndcg_sums"][10] == pytest.approx(1.0 / math.log2(5.0), abs=1e-12)
 
     def test_rank0_full_credit(self):
-        from socrec.eval import _tally
-        hits, ndcg = _tally(np.array([0]), (10,))
-        assert hits[10] == 1
-        assert ndcg[10] == 1.0
+        from socrec.eval import _summary
+        summary = _summary(np.array([0]), (10,))
+        assert summary["hits"][10] == 1
+        assert summary["ndcg_sums"][10] == 1.0
 
     def test_perfect_and_monotone(self, encoded):
         ds, ms, _, _ = encoded
@@ -183,14 +183,14 @@ class TestStratified:
         strata = stratify_by_degree(ds, ((0, 4), (4, math.inf)))
         rep = evaluate_stratified(ms, ds, strata, "test", num_negatives=4,
                                   cutoffs=(5,), seed=2)
-        from socrec.eval import _user_ranks, _tally
+        from socrec.eval import _summary, _user_ranks
         users, ranks, _ = _user_ranks(ms, ds, "test", 4, 2, False)
         for s, label in enumerate(strata.labels()):
             mask = strata.assignment[users] == s
             if not mask.any():
                 assert label not in rep.per_stratum
                 continue
-            hits, _ = _tally(ranks[mask], (5,))
+            hits = _summary(ranks[mask], (5,))["hits"]
             assert rep.per_stratum[label]["hits"][5] == hits[5]
             assert rep.per_stratum[label]["num_users"] == int(mask.sum())
 
@@ -246,6 +246,41 @@ class TestReportOutput:
         ds, ms, _, _ = encoded
         rep = evaluate(ms, ds, "test", num_negatives=3, cutoffs=(5,), seed=0)
         assert "hr" in rep.to_table()
+
+    def test_stratified_text_is_pinned(self):
+        """report.dat's and report.txt's text of a three-stratum report."""
+        ds = random_dataset(30, 40, min_items=2, max_items=12, seed=5)
+        ms, _, _ = make_encoded(ds, dim=4, layers=1)
+        strata = stratify_by_degree(ds, ((0, 4), (4, 8), (8, math.inf)))
+        rep = evaluate_stratified(ms, ds, strata, "test", num_negatives=9,
+                                  cutoffs=(1, 3, 10), seed=2,
+                                  metadata={"variant": "full", "split": "test"})
+        assert rep.to_lines() == [
+            "# split=test", "# variant=full", "# users=30 skipped=0",
+            "hr 1 all 0.2", "ndcg 1 all 0.2", "hr 3 all 0.5",
+            "ndcg 3 all 0.367457300476", "hr 10 all 1", "ndcg 10 all 0.545923410538",
+            "hr 1 [0,4) 0.2", "ndcg 1 [0,4) 0.2", "hr 3 [0,4) 0.466666666667",
+            "ndcg 3 [0,4) 0.35079063381", "hr 10 [0,4) 1",
+            "ndcg 10 [0,4) 0.530745121831",
+            "hr 1 [4,8) 0.142857142857", "ndcg 1 [4,8) 0.142857142857",
+            "hr 3 [4,8) 0.714285714286", "ndcg 3 [4,8) 0.447275679082",
+            "hr 10 [4,8) 1", "ndcg 10 [4,8) 0.553867312633",
+            "hr 1 [8,inf) 0.25", "ndcg 1 [8,inf) 0.25", "hr 3 [8,inf) 0.375",
+            "ndcg 3 [8,inf) 0.328866219196", "hr 10 [8,inf) 1",
+            "ndcg 10 [8,inf) 0.56743178753"]
+        assert rep.to_table().split("\n") == [
+            "metric  @1       @3       @10      ",
+            "hr      0.2000   0.5000   1.0000   ",
+            "ndcg    0.2000   0.3675   0.5459   ",
+            "stratum [0,4) (15 users)",
+            "  hr    0.2000   0.4667   1.0000   ",
+            "  ndcg  0.2000   0.3508   0.5307   ",
+            "stratum [4,8) (7 users)",
+            "  hr    0.1429   0.7143   1.0000   ",
+            "  ndcg  0.1429   0.4473   0.5539   ",
+            "stratum [8,inf) (8 users)",
+            "  hr    0.2500   0.3750   1.0000   ",
+            "  ndcg  0.2500   0.3289   0.5674   "]
 
 
 class TestRelevanceWeights:

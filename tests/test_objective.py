@@ -65,17 +65,19 @@ class TestSampleBatch:
 
     def test_positives_are_train_items(self, tiny_ds, rng):
         batch = sample_batch(tiny_ds, 64, rng)
-        item_sets = tiny_ds.train_item_lists().sets
+        lists = tiny_ds.train_item_lists()
         for u, vp, vn in batch.rec_triples:
-            assert int(vp) in item_sets[u]
-            assert int(vn) not in item_sets[u]
+            items = lists.items[lists.indptr[u]:lists.indptr[u + 1]].tolist()
+            assert int(vp) in items
+            assert int(vn) not in items
 
     def test_social_triples_respect_ties(self, tiny_ds, rng):
         batch = sample_batch(tiny_ds, 64, rng)
-        ties = tiny_ds.tie_lists().sets
+        lists = tiny_ds.tie_lists()
         for i, ip, ineg in batch.soc_triples:
-            assert int(ip) in ties[i]
-            assert int(ineg) not in ties[i]
+            ties = lists.items[lists.indptr[i]:lists.indptr[i + 1]].tolist()
+            assert int(ip) in ties
+            assert int(ineg) not in ties
             assert int(ineg) != int(i)
 
     def test_social_empty_allowed_when_skipped(self, rng):
@@ -106,7 +108,8 @@ class TestSampleBatch:
         ds = dataclasses.replace(build_dataset(InteractionTable(edges=items),
                                                SocialTable(edges=[]), split_seed=0),
                                  num_items=10)
-        assert len(ds.train_item_lists().sets[0]) == 3
+        lists = ds.train_item_lists()
+        assert len(lists.items[lists.indptr[0]:lists.indptr[1]]) == 3
         rng = np.random.default_rng(999)
         draws = sample_batch(ds, 100_000, rng, need_social=False).rec_triples[:, 2]
         counts = np.bincount(draws, minlength=10)

@@ -15,7 +15,7 @@ from socrec.model import encode, init_model, load_checkpoint
 from socrec.objective import (VARIANTS, AdamState, TrainConfig, adam_step,
                               compute_gradients, joint_loss, sample_batch)
 from socrec.synthetic import planted_clusters, random_dataset
-from socrec.train import train_model
+from socrec.train import TrainResult, train_model
 
 
 def test_loss_drops_by_half_in_200_steps():
@@ -109,6 +109,18 @@ def test_history_rows_complete():
     lines = result.history_lines()
     assert lines[0].startswith("#")
     assert len(lines) == 3
+
+
+def test_history_lines_text_is_pinned():
+    """history.txt's text: the header, then `.10g` columns, nan and -0 kept."""
+    rows = [dict(epoch=0, lr=1e-3, rec=0.6931471805599453, social=12.5, align=1e-12,
+                 reg=123456789.123, total=0.1 + 0.2, val=float("nan")),
+            dict(epoch=11, lr=0.001 * 0.96 ** 11, rec=0.0, social=-0.0, align=2 / 3,
+                 reg=1e20, total=5.5, val=0.25)]
+    assert TrainResult(model=None, history=rows).history_lines() == [
+        "# epoch lr rec social align reg total val_hr10",
+        "0 0.001 0.6931471806 12.5 1e-12 123456789.1 0.3 nan",
+        "11 0.0006382393306 0 -0 0.6666666667 1e+20 5.5 0.25"]
 
 
 def test_planted_easy_signal_reaches_high_hr():

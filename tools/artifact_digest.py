@@ -2,9 +2,10 @@
 
 Runs `socrec train` (four variant/layer/aggregation settings, then the
 `full` run again from its config echo, `--config <out>/train/full/config`,
-which must write what `train/full` wrote, timing aside), `ablate`,
-`robust`, `sweep`, `eval` (on the `full`, `direct_social` and `no_align`
-checkpoints, each with the common flags only, as eval replays a
+and again from the fixture as `save_dataset` wrote it to `<out>/dataset`,
+`--dataset-dir`; both must write what `train/full` wrote, timing aside),
+`ablate`, `robust`, `sweep`, `eval` (on the `full`, `direct_social` and
+`no_align` checkpoints, each with the common flags only, as eval replays a
 checkpoint's trained config, and on `full` again with 280
 negatives, which takes the small-pool candidate branch for every user
 where the suite's 49 take the rejection branch) and `case-study` on the
@@ -35,10 +36,10 @@ import tempfile
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = REPO / "tests" / "fixtures" / "pinned"
 
+SETTINGS = ["--seed", "3", "--epochs", "2", "--dim", "16", "--batch", "256",
+            "--negatives", "49"]
 COMMON = ["--interactions", str(FIXTURE / "interactions.txt"),
-          "--social", str(FIXTURE / "social.txt"),
-          "--seed", "3", "--epochs", "2", "--dim", "16", "--batch", "256",
-          "--negatives", "49"]
+          "--social", str(FIXTURE / "social.txt"), *SETTINGS]
 
 TRAIN = [
     ("full", ["--variant", "full", "--layers", "2", "--set", "agg=sum"]),
@@ -55,6 +56,9 @@ def suite(out):
     # the `full` run again from its config echo alone: the same artifacts
     runs.append(["train", *common, "--config", os.path.join(out, "train", "full", "config"),
                  "--run-name", "full_replay"])
+    # and from the saved dataset directory (RUNNER writes it first)
+    runs.append(["train", "--dataset-dir", os.path.join(out, "dataset"), *SETTINGS,
+                 "--out", out, *TRAIN[0][1], "--run-name", "full_dataset_dir"])
     checkpoint = os.path.join(out, "train", "full", "checkpoint")
     runs += [["eval", *common, "--checkpoint",
               os.path.join(out, "train", name, "checkpoint"), "--run-name", f"eval_{name}"]
@@ -78,8 +82,12 @@ def suite(out):
 RUNNER = """\
 import contextlib, io, json, sys
 from socrec.cli import main
+from socrec.data import build_dataset, load_edges, save_dataset
+fixture, out, runs = json.loads(sys.argv[1])
+save_dataset(build_dataset(load_edges(fixture + "/interactions.txt", "interaction"),
+                           load_edges(fixture + "/social.txt", "social")), out + "/dataset")
 stdouts = []
-for argv in json.loads(sys.argv[1]):
+for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()) as buf:
         if main(argv) != 0:
             sys.exit(f"socrec {argv[0]} failed")
@@ -98,7 +106,8 @@ def digest(root):
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(root, "src")))
         runs = suite(out)
-        proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(runs)],
+        proc = subprocess.run([sys.executable, "-c", RUNNER,
+                               json.dumps([str(FIXTURE), out, runs])],
                               cwd=out, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"suite failed:\n{proc.stderr[-4000:]}")
