@@ -139,22 +139,21 @@ class Dataset:
     def train_item_lists(self):
         """Each user's train items as NeighbourLists over the items (cached)."""
         return self._derived("train_lists", lambda: NeighbourLists.of(
-            _per_user_sets(self.num_users, self.train_edges), self.num_items))
+            self.train_edges, self.num_users, self.num_items))
 
     def tie_lists(self):
         """Each user's ties as NeighbourLists over the users (cached)."""
         return self._derived("tie_lists", lambda: NeighbourLists.of(
-            _per_user_sets(self.num_users, self.social_edges), self.num_users))
+            self.social_edges, self.num_users, self.num_users))
 
 
 @dataclass(eq=False, frozen=True)
 class NeighbourLists:
     """Per-anchor neighbour lists over `width` candidates, as arrays.
 
-    `items[indptr[a]:indptr[a + 1]]` lists anchor a's neighbours in the
-    iteration order of the set `of` was given for it; `keys` holds
-    `a * width + b` of every pair, sorted, then one sentinel above them
-    all, for testing many pairs at once.
+    `items[indptr[a]:indptr[a + 1]]` lists anchor a's distinct neighbours
+    in ascending order; `keys` holds `a * width + b` of every pair, sorted,
+    then one sentinel above them all, for testing many pairs at once.
     """
 
     width: int
@@ -163,16 +162,17 @@ class NeighbourLists:
     keys: np.ndarray
 
     @classmethod
-    def of(cls, sets, width):
-        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-        indptr = np.concatenate([[0], np.cumsum(sizes)])
-        items = np.fromiter((b for s in sets for b in s), dtype=np.int64,
-                            count=int(indptr[-1]))
-        keys = np.sort(np.repeat(np.arange(len(sets)), sizes) * width + items)
-        return cls(width, indptr, items, np.append(keys, np.iinfo(np.int64).max))
+    def of(cls, edges, num_anchors, width):
+        """The lists of anchors [0, num_anchors) over an (n, 2) edge array."""
+        keys = np.sort(edges[:, 0] * width + edges[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # drop repeated pairs
+        anchors = keys // width
+        indptr = np.searchsorted(anchors, np.arange(num_anchors + 1))
+        return cls(width, indptr, keys - anchors * width,
+                   np.append(keys, np.iinfo(np.int64).max))
 
     def holds(self, anchors, others):
-        """Whether each `others[k]` neighbours `anchors[k]` (one bool for scalars)."""
+        """Whether each `others[k]` neighbours `anchors[k]`."""
         query = anchors * self.width + others
         return self.keys[np.searchsorted(self.keys, query)] == query
 
@@ -377,8 +377,9 @@ def save_dataset(ds, out_dir):
 def load_dataset(in_dir):
     """Load a dataset directory written by save_dataset (identity id maps).
 
-    Every index must lie in [0, num_users) or [0, num_items) of `meta`;
-    an error names the file.
+    Refuses an index outside [0, num_users) or [0, num_items) of `meta`, a
+    pair listed twice in one split or in two, a self-tie and a tie without
+    its reverse; an error names the file.
     """
     meta_path = os.path.join(in_dir, "meta")
     meta = parse_config_file(meta_path)
@@ -392,30 +393,50 @@ def load_dataset(in_dir):
             raise ValueError(f"{meta_path}: {err}") from None
 
     num_users, num_items = meta_int("num_users"), meta_int("num_items")
+    widths = {"train.txt": num_items, "val.txt": num_items, "test.txt": num_items,
+              "social.txt": num_users}
+    pairs = {}
 
-    def read_pairs(name, width):
-        path = os.path.join(in_dir, name)
-        with open(path) as fh:
+    def refuse(name, bad, why):
+        if bad.any():
+            a, b = pairs[name][bad.argmax()].tolist()
+            raise ValueError(f"{os.path.join(in_dir, name)}: pair {a} {b} {why}")
+
+    for name, width in widths.items():
+        with open(os.path.join(in_dir, name)) as fh:
             rows = [toks[:2] for toks in map(str.split, fh) if len(toks) >= 2]
         try:
-            edges = _edge_array([(int(a), int(b)) for a, b in rows])
+            pairs[name] = _edge_array([(int(a), int(b)) for a, b in rows])
         except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-        outside = ((edges < 0) | (edges >= (num_users, width))).any(axis=1)
-        if outside.any():
-            a, b = edges[outside.argmax()].tolist()
-            raise ValueError(f"{path}: pair {a} {b} lies outside "
-                             f"[0, {num_users}) x [0, {width})")
-        return edges
+            raise ValueError(f"{os.path.join(in_dir, name)}: {err}") from None
+        outside = (pairs[name] < 0) | (pairs[name] >= (num_users, width))
+        refuse(name, outside.any(axis=1), f"lies outside [0, {num_users}) x [0, {width})")
+
+    for names in (("train.txt", "val.txt", "test.txt"), ("social.txt",)):
+        width = widths[names[0]]
+        keys = np.sort(np.concatenate([pairs[n][:, 0] * width + pairs[n][:, 1]
+                                       for n in names]))
+        twice = keys[1:][np.diff(keys) == 0]
+        if len(twice):
+            a, b = divmod(int(twice[0]), width)
+            where = " and ".join(os.path.join(in_dir, n) for n in names
+                                 if (pairs[n] == (a, b)).all(axis=1).any())
+            raise ValueError(f"{where}: pair {a} {b} is listed twice")
+
+    social = pairs["social.txt"]
+    refuse("social.txt", social[:, 0] == social[:, 1], "is a self-tie")
+    ties = NeighbourLists.of(social, num_users, num_users)
+    refuse("social.txt", ~ties.holds(social[:, 1], social[:, 0]),
+           "has no reverse tie")
 
     return Dataset(
         num_users=num_users,
         num_items=num_items,
         user_ids=list(range(num_users)),
         item_ids=list(range(num_items)),
-        train_edges=read_pairs("train.txt", num_items),
-        val_edges=read_pairs("val.txt", num_items),
-        test_edges=read_pairs("test.txt", num_items),
-        social_edges=read_pairs("social.txt", num_users),
+        train_edges=pairs["train.txt"],
+        val_edges=pairs["val.txt"],
+        test_edges=pairs["test.txt"],
+        social_edges=social,
         split_seed=meta_int("split_seed", "0"),
     )

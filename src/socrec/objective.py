@@ -76,65 +76,34 @@ def sample_batch(ds, batch_size, rng, need_social=True):
     return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
 
 
-# A block spans about BLOCK_REJECTS expected rejected rows.
-BLOCK_REJECTS = 2.0
-
-
 def _bpr_triples(edges, lists, count, rng, exclude_anchor):
     """`count` (anchor, positive, negative) rows over an edge list.
 
     The anchor is the source of a uniformly drawn edge, the positive
-    uniform among the anchor's neighbours in `lists` (in their listed
-    order), the negative uniform over [0, lists.width), redrawn while it is
-    a neighbour or, with `exclude_anchor`, the anchor itself. All edge
-    draws come first, then one positive and the negative draws per row.
-
-    Rows are drawn in blocks, with one `rng.integers(0, bounds)` over the
-    bounds [deg(a0), width, deg(a1), width, ...]: that is the stream of one
-    scalar draw per bound. At the first rejected negative the generator is
-    rewound to the block's start and the prefix up to that draw redrawn,
-    and the row finishes with scalar redraws. Blocks are sized from each
-    row's chance of a rejected first negative, (degree + exclude_anchor) /
-    width, so rewinds stay few at any rejection rate.
+    uniform among the anchor's neighbours in `lists`, the negative uniform
+    over [0, lists.width), redrawn while it is a neighbour or, with
+    `exclude_anchor`, the anchor itself. The draws come in one fixed order:
+    every anchor, then every positive, then every negative, then rounds
+    that redraw the rejected negatives, in row order, until none is
+    rejected.
     """
     N = lists.width
-    out = np.empty((count, 3), dtype=np.int64)
-    anchors = out[:, 0]
-    anchors[:] = edges[rng.integers(len(edges), size=count), 0]
-    degree = lists.indptr[anchors + 1] - lists.indptr[anchors]
+    anchors = edges[rng.integers(len(edges), size=count), 0]
+    start = lists.indptr[anchors]
+    degree = lists.indptr[anchors + 1] - start
     full = degree + exclude_anchor >= N
     if full.any():
         raise ValueError(f"user {anchors[full.argmax()]} leaves no negative among "
                          f"{N} candidates; negative sampling cannot terminate")
-    rejects = np.cumsum((degree + exclude_anchor) / N)
-    bounds = np.empty(2 * count, dtype=np.int64)
-    bounds[0::2], bounds[1::2] = degree, N
-
-    row = 0
-    while row < count:
-        before = rejects[row - 1] if row else 0.0
-        stop = min(int(np.searchsorted(rejects, before + BLOCK_REJECTS)) + 1, count)
-        state = rng.bit_generator.state
-        draws = rng.integers(0, bounds[2 * row:2 * stop])
-        neg = draws[1::2]
-        rejected = lists.holds(anchors[row:stop], neg)
-        if exclude_anchor:
-            rejected |= neg == anchors[row:stop]
-        k = int(rejected.argmax())
-        end = row + k + 1 if rejected[k] else stop  # rows this block settles
-        out[row:end, 1] = lists.items[lists.indptr[anchors[row:end]]
-                                      + draws[0:2 * (end - row):2]]
-        out[row:end, 2] = neg[:end - row]
-        if rejected[k]:
-            if end < stop:
-                rng.bit_generator.state = state
-                rng.integers(0, bounds[2 * row:2 * end])
-            a, v = int(anchors[end - 1]), int(neg[k])
-            while lists.holds(a, v) or (exclude_anchor and v == a):
-                v = int(rng.integers(N))
-            out[end - 1, 2] = v
-        row = end
-    return out
+    positives = lists.items[start + rng.integers(0, degree)]
+    negatives = rng.integers(N, size=count)
+    rows = np.arange(count)
+    while True:
+        a, v = anchors[rows], negatives[rows]
+        rows = rows[lists.holds(a, v) | (exclude_anchor & (v == a))]
+        if not len(rows):
+            return np.column_stack([anchors, positives, negatives])
+        negatives[rows] = rng.integers(N, size=len(rows))
 
 
 # --- loss terms ---------------------------------------------------------------

@@ -115,7 +115,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
                 break
 
     ms.set_params(best_params)
-    ms.buffers.clear()  # drops the step's work arrays, which no later call needs
     encode(ms, g_r, g_s, cfg.layers, cfg.agg)
+    ms.buffers.clear()  # drops the work arrays; ms.agg_r and ms.agg_s keep theirs
     result.best_val_hr = best_val if has_val else float("nan")
     return result

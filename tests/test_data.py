@@ -143,12 +143,20 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("name,line", [
         ("train.txt", "{users} 3"), ("train.txt", "-1 0"), ("val.txt", "0 {items}"),
-        ("test.txt", "0 x"), ("social.txt", "2 {users}")])
+        ("test.txt", "0 x"), ("social.txt", "2 {users}"),
+        # a held-out pair in train, a repeated line, a self-tie, a one-way tie
+        ("train.txt", "{test}"), ("val.txt", "{test}"), ("train.txt", "{train}"),
+        ("social.txt", "{social}"), ("social.txt", "0 0"), ("social.txt", "{untied}")])
     def test_index_outside_meta_names_file(self, tmp_path, name, line):
         ds = build_dataset(*random_tables(10, 15, seed=8), split_seed=42)
         save_dataset(ds, str(tmp_path))
+        ties = {tuple(e) for e in ds.social_edges.tolist()}
+        untied = next((0, b) for b in range(1, ds.num_users) if (0, b) not in ties)
+        first = {key: " ".join(map(str, edges[0])) for key, edges in (
+            ("train", ds.train_edges), ("test", ds.test_edges),
+            ("social", ds.social_edges), ("untied", [untied]))}
         with open(tmp_path / name, "a") as fh:
-            fh.write(line.format(users=ds.num_users, items=ds.num_items) + "\n")
+            fh.write(line.format(users=ds.num_users, items=ds.num_items, **first) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(tmp_path / name))):
             load_dataset(str(tmp_path))
 

@@ -617,39 +617,15 @@ def rows(lists):
 
 
 def seed_sample_batch(ds, batch_size, rng, need_social=True):
-    """The original sampler: separate interaction and social loops."""
-    I, J = ds.num_users, ds.num_items
-    item_sets = seed_user_sets(I, ds.train_edges)
-    items_per_user = [None] * I
-    rec = np.empty((batch_size, 3), dtype=np.int64)
-    edge_idx = rng.integers(len(ds.train_edges), size=batch_size)
-    for row, e in enumerate(edge_idx):
-        u = int(ds.train_edges[e, 0])
-        pos_set = item_sets[u]
-        if items_per_user[u] is None:
-            items_per_user[u] = np.fromiter(pos_set, dtype=np.int64, count=len(pos_set))
-        choices = items_per_user[u]
-        v_pos = int(choices[rng.integers(len(choices))])
-        while True:
-            v_neg = int(rng.integers(J))
-            if v_neg not in pos_set:
-                break
-        rec[row] = (u, v_pos, v_neg)
+    """The sampler as scalar loops: interaction triples, social triples,
+    then the alignment pairs."""
+    I = ds.num_users
+    rec = seed_bpr_triples(ds.train_edges, seed_user_sets(I, ds.train_edges),
+                           ds.num_items, batch_size, rng, False)
     soc = np.zeros((0, 3), dtype=np.int64)
     if need_social:
-        tie_sets = seed_user_sets(I, ds.social_edges)
-        soc = np.empty((batch_size, 3), dtype=np.int64)
-        tie_idx = rng.integers(len(ds.social_edges), size=batch_size)
-        for row, e in enumerate(tie_idx):
-            i = int(ds.social_edges[e, 0])
-            ties = tie_sets[i]
-            nbrs = np.fromiter(ties, dtype=np.int64, count=len(ties))
-            i_pos = int(nbrs[rng.integers(len(nbrs))])
-            while True:
-                i_neg = int(rng.integers(I))
-                if i_neg != i and i_neg not in ties:
-                    break
-            soc[row] = (i, i_pos, i_neg)
+        soc = seed_bpr_triples(ds.social_edges, seed_user_sets(I, ds.social_edges),
+                               I, batch_size, rng, True)
     ssl = rng.integers(I, size=(batch_size, 2)).astype(np.int64)
     return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
 
@@ -667,15 +643,16 @@ def _variants(ds):
 def test_user_sets_match_loop_in_iteration_order(ds, case):
     d = _variants(ds)[case]
     n = d.num_users
-    cases = [(rows(d.train_item_lists()), seed_user_sets(n, d.train_edges)),
-             (d.user_known_items(),
-              seed_user_sets(n, d.train_edges, d.val_edges, d.test_edges)),
-             (rows(d.tie_lists()), seed_user_sets(n, d.social_edges))]
-    for got, want in cases:
-        assert [list(s) for s in got] == [list(s) for s in want]
-        assert all(type(v) is int for s in got for v in s)
+    # neighbour lists hold each set in ascending order
+    for lists, edges in ((d.train_item_lists(), d.train_edges),
+                         (d.tie_lists(), d.social_edges)):
+        assert rows(lists) == [sorted(s) for s in seed_user_sets(n, edges)]
+    got = d.user_known_items()
+    want = seed_user_sets(n, d.train_edges, d.val_edges, d.test_edges)
+    assert [list(s) for s in got] == [list(s) for s in want]
+    assert all(type(v) is int for s in got for v in s)
     # the check can see order: some sets do not iterate in sorted order
-    assert any(list(s) != sorted(s) for s in cases[1][1])
+    assert any(list(s) != sorted(s) for s in want)
     if case == "edgeless_users":
         assert d.user_known_items()[-7:] == [set()] * 7
     if case == "no_ties":
@@ -696,27 +673,29 @@ def test_sample_batch_matches_seed_sampler(ds, case, need_social):
 
 
 def seed_bpr_triples(edges, neighbours, num_candidates, count, rng, exclude_anchor):
-    """The scalar BPR sampler: per row one positive draw, then negative
-    draws until one is not a neighbour (nor, with `exclude_anchor`, the
-    anchor)."""
-    out = np.empty((count, 3), dtype=np.int64)
-    listed = {}  # anchor -> its neighbours as an array
-    for row, e in enumerate(rng.integers(len(edges), size=count)):
-        a = int(edges[e, 0])
-        nbrs = neighbours[a]
-        if len(nbrs) + exclude_anchor >= num_candidates:
+    """The BPR sampler with one scalar draw at a time: an anchor per row,
+    then a positive per row from the anchor's sorted neighbours, then a
+    negative per row, then rounds that redraw, in row order, every negative
+    that is a neighbour (or, with `exclude_anchor`, the anchor)."""
+    anchors = [int(edges[rng.integers(len(edges)), 0]) for _ in range(count)]
+    for a in anchors:
+        if len(neighbours[a]) + exclude_anchor >= num_candidates:
             raise ValueError(f"user {a} leaves no negative among {num_candidates} "
                              "candidates; negative sampling cannot terminate")
-        if a not in listed:
-            listed[a] = np.fromiter(nbrs, dtype=np.int64, count=len(nbrs))
-        choices = listed[a]
-        pos = int(choices[rng.integers(len(choices))])
-        while True:
-            neg = int(rng.integers(num_candidates))
-            if neg not in nbrs and not (exclude_anchor and neg == a):
-                break
-        out[row] = (a, pos, neg)
-    return out
+    positives = [sorted(neighbours[a])[rng.integers(len(neighbours[a]))]
+                 for a in anchors]
+    negatives = [int(rng.integers(num_candidates)) for _ in range(count)]
+
+    def rejected(row):
+        a, v = anchors[row], negatives[row]
+        return v in neighbours[a] or (exclude_anchor and v == a)
+
+    redraw = [row for row in range(count) if rejected(row)]
+    while redraw:
+        for row in redraw:
+            negatives[row] = int(rng.integers(num_candidates))
+        redraw = [row for row in redraw if rejected(row)]
+    return np.array([anchors, positives, negatives], dtype=np.int64).T
 
 
 def _sampler_cases(ds):
@@ -740,27 +719,17 @@ def _sampler_cases(ds):
     }
 
 
-# block sizing: as shipped; the whole rest as one block (a rewind at almost
-# every reject); and blocks of about one row (rejects mostly end a block,
-# and on one_candidate every block is a single row)
-BLOCKINGS = {"default": {}, "one_block": {"BLOCK_REJECTS": np.inf},
-             "short_blocks": {"BLOCK_REJECTS": 0.05}}
-
-
-@pytest.mark.parametrize("blocking", sorted(BLOCKINGS))
 @pytest.mark.parametrize("case,view", [
     ("one_candidate", "interaction"), ("one_candidate", "social"),
     ("rejection_30", "interaction"), ("degree_one", "interaction"),
     ("degree_one", "social"), ("fixture", "interaction"), ("fixture", "social")])
-def test_bpr_triples_match_scalar_loop(ds, case, view, blocking, monkeypatch):
+def test_bpr_triples_match_scalar_loop(ds, case, view):
     d = _sampler_cases(ds)[case]
     if view == "interaction":
         edges, lists, width = d.train_edges, d.train_item_lists(), d.num_items
     else:
         edges, lists, width = d.social_edges, d.tie_lists(), d.num_users
     sets = seed_user_sets(d.num_users, edges)
-    for name, value in BLOCKINGS[blocking].items():
-        monkeypatch.setattr(objective, name, value)
     exclude_anchor = view == "social"
     for seed in range(4):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -785,6 +754,8 @@ def test_sampler_cases_reject_and_use_degree_one_anchors(ds):
 
 @pytest.mark.parametrize("case", ["plain", "noisy", "edgeless_users", "no_ties"])
 def test_neighbour_lists_follow_set_order(ds, case):
+    """Each row lists its seed set in ascending order, and `holds` answers
+    membership in the seed sets."""
     d = _variants(ds)[case]
     rng = np.random.default_rng(0)
     for lists, edges in ((d.train_item_lists(), d.train_edges),
@@ -792,7 +763,7 @@ def test_neighbour_lists_follow_set_order(ds, case):
         sets = seed_user_sets(d.num_users, edges)
         assert len(lists.indptr) == len(sets) + 1
         for a, s in enumerate(sets):
-            assert lists.items[lists.indptr[a]:lists.indptr[a + 1]].tolist() == list(s)
+            assert lists.items[lists.indptr[a]:lists.indptr[a + 1]].tolist() == sorted(s)
         anchors = rng.integers(len(sets), size=2000)
         others = rng.integers(lists.width, size=2000)
         owned = np.repeat(np.arange(len(sets)), np.diff(lists.indptr))

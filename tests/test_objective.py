@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from socrec.data import InteractionTable, SocialTable, build_dataset
+from socrec.data import InteractionTable, SocialTable, build_dataset, load_edges
 from socrec.model import projection_forward
 from socrec.objective import (AdamState, Batch, NonFiniteLossError, TrainConfig,
                               adam_step, bpr_loss, compute_gradients,
@@ -116,6 +118,50 @@ class TestSampleBatch:
         candidates = counts[counts > 0]
         assert len(candidates) == 7
         assert chisquare(candidates).pvalue > 0.01
+
+    def test_positive_distribution_uniform(self):
+        # single user, 6 train items out of 8: v_pos uniform over the 6
+        items = [("u", f"i{k}") for k in range(8)]
+        ds = build_dataset(InteractionTable(edges=items), SocialTable(edges=[]))
+        lists = ds.train_item_lists()
+        train = lists.items[lists.indptr[0]:lists.indptr[1]]
+        assert len(train) == 6
+        rng = np.random.default_rng(998)
+        draws = sample_batch(ds, 60_000, rng, need_social=False).rec_triples[:, 1]
+        counts = np.bincount(draws, minlength=8)
+        assert counts.sum() == counts[train].sum()
+        assert chisquare(counts[train]).pvalue > 0.01
+
+    def test_social_negative_distribution_uniform(self):
+        # ten users, u0 tied to u1 and u2: u0's negatives uniform over the
+        # other 7 users, and no row's negative is its anchor
+        inter = InteractionTable(edges=[(f"u{k}", v) for k in range(10) for v in "ab"])
+        ties = [("u0", "u1"), ("u1", "u0"), ("u0", "u2"), ("u2", "u0")]
+        ds = build_dataset(inter, SocialTable(edges=ties))
+        rng = np.random.default_rng(997)
+        anchor, _, neg = sample_batch(ds, 100_000, rng).soc_triples.T
+        assert (neg != anchor).all()
+        counts = np.bincount(neg[anchor == 0], minlength=10)
+        assert counts[:3].tolist() == [0, 0, 0]
+        assert chisquare(counts[3:]).pvalue > 0.01
+
+    def test_training_stream_is_pinned(self):
+        """The training stream: the batch the pinned fixture gives at seed 0."""
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "pinned")
+        ds = build_dataset(
+            load_edges(os.path.join(fixture, "interactions.txt"), "interaction"),
+            load_edges(os.path.join(fixture, "social.txt"), "social"))
+        batch = sample_batch(ds, 64, np.random.default_rng(0))
+        assert batch.rec_triples[:3].tolist() == [[127, 258, 269], [94, 26, 89],
+                                                  [76, 195, 270]]
+        assert batch.soc_triples[:3].tolist() == [[23, 35, 57], [77, 114, 64],
+                                                  [146, 68, 64]]
+        assert batch.ssl_pairs[:3].tolist() == [[78, 147], [5, 85], [67, 0]]
+        digest = hashlib.sha256()
+        for arr in (batch.rec_triples, batch.soc_triples, batch.ssl_pairs):
+            digest.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        assert digest.hexdigest() == ("5cf97d6b6d0d9933cb5707e616c684d0"
+                                      "75a51a1e7dee15d3f19f7f2ad0bb11e4")
 
 
 class TestBprLoss:

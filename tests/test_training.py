@@ -52,6 +52,20 @@ def test_zero_epochs_evaluates_random_init():
     assert result.model.agg_r is not None  # encoded, ready to evaluate
 
 
+def test_trained_model_keeps_no_work_arrays():
+    """The final encode's work arrays are freed; the aggregations stay."""
+    ds = random_dataset(8, 10, seed=4)
+    cfg = TrainConfig(dim=4, layers=2, batch=8, epochs=2, negatives=3,
+                      cutoffs=(5,), seed=4)
+    ms = train_model(ds, cfg).model
+    assert not [name for name in ms.buffers if name.startswith("work_")]
+    fresh = init_model(ds.num_users, ds.num_items, cfg.dim)
+    fresh.set_params(ms.copy_params())
+    encode(fresh, build_interaction_laplacian(ds), build_social_laplacian(ds), cfg.layers)
+    np.testing.assert_array_equal(ms.agg_r, fresh.agg_r)
+    np.testing.assert_array_equal(ms.agg_s, fresh.agg_s)
+
+
 def test_training_deterministic_given_seed():
     ds = random_dataset(10, 14, seed=5)
     cfg = TrainConfig(dim=4, layers=1, batch=16, epochs=3, negatives=3,
