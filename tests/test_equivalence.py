@@ -719,11 +719,18 @@ def _sampler_cases(ds):
     }
 
 
+# how 300 rows are split into calls on one generator: one training-sized
+# batch, single-row calls, and calls of mixed short lengths (an empty one too)
+BLOCKINGS = {"default": [300], "one_block": [1] * 300,
+             "short_blocks": [0, 1, 2, 5, 13, 29, 50, 200]}
+
+
+@pytest.mark.parametrize("blocking", sorted(BLOCKINGS))
 @pytest.mark.parametrize("case,view", [
     ("one_candidate", "interaction"), ("one_candidate", "social"),
     ("rejection_30", "interaction"), ("degree_one", "interaction"),
     ("degree_one", "social"), ("fixture", "interaction"), ("fixture", "social")])
-def test_bpr_triples_match_scalar_loop(ds, case, view):
+def test_bpr_triples_match_scalar_loop(ds, case, view, blocking):
     d = _sampler_cases(ds)[case]
     if view == "interaction":
         edges, lists, width = d.train_edges, d.train_item_lists(), d.num_items
@@ -733,9 +740,12 @@ def test_bpr_triples_match_scalar_loop(ds, case, view):
     exclude_anchor = view == "social"
     for seed in range(4):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = objective._bpr_triples(edges, lists, 300, got_rng, exclude_anchor)
-        want = seed_bpr_triples(edges, sets, width, 300, want_rng, exclude_anchor)
-        np.testing.assert_array_equal(got, want)
+        for count in BLOCKINGS[blocking]:
+            got = objective._bpr_triples(edges, lists, count, got_rng, exclude_anchor)
+            want = seed_bpr_triples(edges, sets, width, count, want_rng,
+                                    exclude_anchor)
+            assert got.shape == want.shape == (count, 3)
+            np.testing.assert_array_equal(got, want)
         assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
 
 
