@@ -83,6 +83,9 @@ def build_spec(args):
         key, val = entry.split("=", 1)
         cli_values[key.strip()] = val.strip()
     cfg = build_config(file_values, cli_values)
+    eval_seed = read_value("eval_seed", file_values.get("eval_seed", "0"), int)
+    if eval_seed < 0:
+        raise ValueError(f"config key eval_seed must be >= 0, got {eval_seed}")
 
     spec = ExperimentSpec(
         config=cfg,
@@ -93,7 +96,7 @@ def build_spec(args):
         out_dir=args.out,
         split=args.split,
         run_name=args.run_name,
-        eval_seed=read_value("eval_seed", file_values.get("eval_seed", "0"), int),
+        eval_seed=eval_seed,
     )
     if getattr(args, "ratios", None):
         spec.noise_ratios = tuple(read_value("ratios", x, float)

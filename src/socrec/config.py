@@ -50,7 +50,7 @@ class TrainConfig:
                                  f"got {getattr(self, f.name)!r}")
         for key, low in (("dim", 1), ("batch", 1), ("negatives", 1), ("cutoffs", 1),
                          ("layers", 0), ("epochs", 0), ("patience", 0),
-                         ("lambda1", 0), ("lambda2", 0), ("lambda3", 0)):
+                         ("lambda1", 0), ("lambda2", 0), ("lambda3", 0), ("seed", 0)):
             value = getattr(self, key)  # every cutoff, and at least one
             if min(value if key == "cutoffs" else [value], default=-1) < low:
                 raise ValueError(f"config key {key} must be >= {low}, got {value!r}")

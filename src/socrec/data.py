@@ -93,7 +93,7 @@ class Dataset:
     deduplicated interaction set. Social edges are stored with both
     directions present. Everything else is derived from these fields:
     `degree` (train interactions per user) when the dataset is built,
-    the user id map, known-item sets and neighbour lists on first use.
+    the user id map and neighbour lists on first use.
     The fields are read-only, so what is derived stays true; a variant is
     a `dataclasses.replace` copy, which derives its own.
     """
@@ -130,11 +130,12 @@ class Dataset:
         return self._derived("user_index",
                              lambda: {ext: i for i, ext in enumerate(self.user_ids)})
 
-    def user_known_items(self):
-        """Per-user sets of items seen in any split (cached)."""
-        return self._derived("known", lambda: _per_user_sets(
-            self.num_users, np.concatenate([self.train_edges, self.val_edges,
-                                            self.test_edges])))
+    def known_item_lists(self):
+        """Each user's items of all three splits as NeighbourLists over the
+        items (cached)."""
+        return self._derived("known_lists", lambda: NeighbourLists.of(
+            np.concatenate([self.train_edges, self.val_edges, self.test_edges]),
+            self.num_users, self.num_items))
 
     def train_item_lists(self):
         """Each user's train items as NeighbourLists over the items (cached)."""
@@ -175,18 +176,6 @@ class NeighbourLists:
         """Whether each `others[k]` neighbours `anchors[k]`."""
         query = anchors * self.width + others
         return self.keys[np.searchsorted(self.keys, query)] == query
-
-
-def _per_user_sets(num_users, edges):
-    """For each user u < num_users, the set of b over edges (u, b).
-
-    Each set is filled in edge order, so its iteration order is that of
-    adding the edges one by one.
-    """
-    order = np.argsort(edges[:, 0], kind="stable")
-    ends = np.searchsorted(edges[order, 0], np.arange(num_users + 1)).tolist()
-    others = edges[order, 1].tolist()
-    return [set(others[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def _edge_array(pairs):

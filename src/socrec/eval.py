@@ -2,10 +2,12 @@
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import CHUNK
 from .model import _require_encoded, projection_forward, user_vectors
 
 log = logging.getLogger(__name__)
@@ -65,35 +67,160 @@ def _split_edges(ds, split):
     raise ValueError(f"unknown split {split!r}")
 
 
-def _sample_negatives(rng, num_items, known, count):
-    """The first `count` distinct unknown items `rng` draws (None when too
-    few are unknown; when at most 4*count are, a shuffle of them instead).
-    A round's bulk draw of the still-needed k is the stream of k scalars."""
-    pool = num_items - len(known)
-    if pool < count:
-        return None
-    if pool <= 4 * max(count, 1):
-        allowed = np.array([v for v in range(num_items) if v not in known],
-                           dtype=np.int64)
+# numpy's SeedSequence hash constants and the PCG64 multiplier
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const, mult):
+    """SeedSequence's running uint32 hash: each call XORs with the
+    constant, advances it by `mult` and multiplies by the new one."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _stream_states(seed, users):
+    """The PCG64 stream of `default_rng([seed, u])` for each user u in
+    [0, 2**32), as lists of 128-bit ints: its states and its increments.
+
+    SeedSequence's entropy mixing and `generate_state` run as uint32
+    arithmetic over all users at once, then PCG64's seeding step on each
+    user's seed and sequence words. Plain ints, not per-user dicts (see
+    `_pcg64`), give the garbage collector nothing to count.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"evaluation seed must be >= 0, got {seed}")
+    n = len(users)
+    words = [np.full(n, seed >> 32 * k & _MASK32, np.uint32)
+             for k in range(max(1, -(-seed.bit_length() // 32)))]
+    words.append(users.astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[k] if k < len(words) else np.zeros(n, np.uint32))
+            for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    # little-endian word pairs: the seed's high and low halves, then the
+    # sequence's
+    halves = [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states, incs = [], []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        incs.append(((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128)
+        states.append(((incs[-1] + (seed_hi << 64 | seed_lo)) * _PCG_MULT + incs[-1])
+                      & _MASK128)
+    return states, incs
+
+
+def _pcg64(state, inc):
+    """The `bit_generator.state` of a fresh PCG64 stream at (state, inc)."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _fresh(draws, users, known, num_items):
+    """Which of each row's draws is the first of its value in the row and
+    not on `known`'s list of the row's user: from one sort of the draws
+    and those lists' items, as (row, item, position) keys in which the
+    known items come first."""
+    n = len(users)
+    lo, hi = known.indptr[users], known.indptr[users + 1]
+    owner = np.repeat(np.arange(n), hi - lo)
+    offset = np.repeat(hi - np.cumsum(hi - lo), hi - lo)  # list start - output start
+    items = known.items[np.arange(len(owner)) + offset]
+    pairs = np.concatenate([owner * num_items + items,
+                            (np.arange(n)[:, None] * num_items + draws).ravel()])
+    shift = len(pairs).bit_length()
+    if (n * num_items) << shift > np.iinfo(np.int64).max:
+        raise OverflowError(f"{n} rows of {num_items} items overflow the sort keys")
+    keys = np.sort(pairs << shift | np.arange(len(pairs)))
+    first = keys[np.diff(keys >> shift, prepend=-1) != 0] & ((1 << shift) - 1)
+    fresh = np.zeros(len(pairs), dtype=bool)
+    fresh[first] = True
+    return fresh[len(owner):].reshape(draws.shape)
+
+
+def _prefix_length(unknown, num_items, count):
+    """The mean plus the standard deviation, rounded up, of the draws out
+    of `num_items` that pick `count` distinct items of `unknown` ones: the
+    k-th pick takes Geometric((unknown - k) / num_items) draws."""
+    p = (unknown - np.arange(count)) / num_items
+    return math.ceil((1 / p).sum() + math.sqrt(((1 - p) / p ** 2).sum()))
+
+
+def _sample_negatives(rng, streams, users, known, num_items, count):
+    """Each row's `count` negatives and whether the row has that many.
+
+    Row r draws from `rng` set to the r-th stream of `streams`, a pair of
+    lists (states, incs). Its negatives are the first `count` distinct
+    items off `known`'s list of users[r] that it draws: what a loop of
+    rounds that each draw the number still needed with
+    `rng.integers(num_items)` picks, as a round ends on its last pick.
+    They come from one prefix of each row's stream, redrawn twice as long
+    for the rows it leaves short; the first is `_prefix_length` of the
+    row with the fewest unknown items. When at most 4*count items are
+    unknown, a shuffle of them stands instead; with fewer than `count`,
+    the row stays unfilled.
+    """
+    unknown = num_items - np.diff(known.indptr)[users]
+    filled = unknown >= count
+    small = filled & (unknown <= 4 * max(count, 1))
+    negs = np.empty((len(users), count), dtype=np.int64)
+    bits, (states, incs) = rng.bit_generator, streams
+    for r in np.flatnonzero(small).tolist():
+        bits.state = _pcg64(states[r], incs[r])
+        allowed = np.ones(num_items, dtype=bool)
+        allowed[known.items[known.indptr[users[r]]:known.indptr[users[r] + 1]]] = False
+        allowed = np.flatnonzero(allowed)
         rng.shuffle(allowed)
-        return allowed[:count]
-    picked = {}  # insertion-ordered: draw order of first occurrences
-    while len(picked) < count:
-        for v in rng.integers(num_items, size=count - len(picked)).tolist():
-            if v not in known:
-                picked.setdefault(v)
-    return np.array(list(picked), dtype=np.int64)
+        negs[r] = allowed[:count]
+    rows = np.flatnonzero(filled & ~small) if count else np.zeros(0, np.int64)
+    if len(rows):
+        length = _prefix_length(int(unknown[rows].min()), num_items, count)
+    while len(rows):
+        draws = np.empty((len(rows), length), dtype=np.int64)
+        for k, r in enumerate(rows.tolist()):
+            bits.state = _pcg64(states[r], incs[r])
+            draws[k] = rng.integers(num_items, size=length)
+        fresh = _fresh(draws, users[rows], known, num_items)
+        picked = fresh.cumsum(axis=1)
+        done = picked[:, -1] >= count
+        take = fresh[done] & (picked[done] <= count)
+        negs[rows[done]] = draws[done][take].reshape(-1, count)
+        rows, length = rows[~done], 2 * length
+    return negs, filled
 
 
 def held_out_rank(scores, cand):
-    """0-based rank of cand[0] among all candidates.
+    """0-based rank of the held-out item cand[..., 0] among the candidates
+    along the last axis: of one row, or of each row of a block.
 
     A candidate outranks the held-out item when its score is strictly
     higher, or equal with a smaller item index (deterministic ties).
     """
-    better = (scores[1:] > scores[0]) | ((scores[1:] == scores[0])
-                                         & (cand[1:] < cand[0]))
-    return int(better.sum())
+    held, held_score = cand[..., :1], scores[..., :1]
+    better = (scores[..., 1:] > held_score) | ((scores[..., 1:] == held_score)
+                                               & (cand[..., 1:] < held))
+    return better.sum(axis=-1)
 
 
 def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
@@ -101,32 +228,45 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
 
     The held-out item competes against `num_negatives` sampled
     non-interacted items; ties are broken by item index ascending. Each
-    user gets its own seeded stream so runs are comparable across models.
-    Users with too few unknown items are skipped, with one warning per
-    dataset, split and negatives count: these alone decide who is skipped.
+    user gets its own stream, `default_rng([seed, u])`, so runs are
+    comparable across models. Users with too few unknown items are
+    skipped, with one warning per dataset, split and negatives count:
+    these alone decide who is skipped. Users go in blocks of about CHUNK
+    candidates, and each candidate matrix product in sub-blocks of at
+    most CHUNK gathered elements.
     """
     edges = _split_edges(ds, split)
     I = ds.num_users
-    known = ds.user_known_items()
-    users, ranks, skipped = [], [], 0
-    for u, held in zip(*edges.T.tolist()):  # no per-row list for the GC to count
-        rng = np.random.default_rng([seed, u])
-        negs = _sample_negatives(rng, ds.num_items, known[u], num_negatives)
-        if negs is None:
-            skipped += 1
+    known = ds.known_item_lists()
+    states, incs = _stream_states(seed, edges[:, 0])
+    rng = np.random.default_rng(0)  # set to each user's stream in turn
+    users, ranks = [], []
+    width = num_negatives + 1
+    rows = max(1, CHUNK // width)
+    for lo in range(0, len(edges), rows):
+        block = edges[lo:lo + rows]
+        negs, filled = _sample_negatives(rng, (states[lo:lo + rows], incs[lo:lo + rows]),
+                                         block[:, 0], known, ds.num_items, num_negatives)
+        for u in block[~filled, 0].tolist():
             log.debug("user %d skipped: fewer than %d negative candidates",
                       u, num_negatives)
-            continue
-        cand = np.concatenate([[held], negs])
-        scores = ms.agg_r[I + cand] @ user_vectors(ms, u, social_fusion)
-        users.append(u)
+        cand = np.concatenate([block[filled, 1:], negs[filled]], axis=1)
+        vec = user_vectors(ms, block[filled, 0], social_fusion)
+        scores = np.empty(cand.shape, ms.agg_r.dtype)
+        step = max(1, CHUNK // (width * vec.shape[1]))
+        for s in range(0, len(cand), step):
+            np.matmul(ms.agg_r[I + cand[s:s + step]], vec[s:s + step, :, None],
+                      out=scores[s:s + step, :, None])
+        users.append(block[filled, 0])
         ranks.append(held_out_rank(scores, cand))
+    users = np.concatenate(users or [np.zeros(0, np.int64)])
+    skipped = len(edges) - len(users)
     logged = ds._derived("skips_logged", set)
     if skipped and (split, num_negatives) not in logged:
         logged.add((split, num_negatives))
         log.warning("%d user(s) skipped on split %r: fewer than %d negative "
                     "candidates", skipped, split, num_negatives)
-    return np.array(users, dtype=np.int64), np.array(ranks, dtype=np.int64), skipped
+    return users, np.concatenate(ranks or [np.zeros(0, np.int64)]), skipped
 
 
 def _summary(ranks, cutoffs):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .eval import _summary
+from .eval import _summary, held_out_rank
 from .graph import build_interaction_laplacian, build_social_laplacian
 from .model import ModelState, ParamBlock, encode, init_model, projection_forward
 from .objective import (VARIANTS, Batch, TrainConfig, compute_gradients, joint_loss,
@@ -120,24 +120,18 @@ def reference_rank(scores, cand):
 
 def metric_oracle_check(num_vectors=1000, num_candidates=100, seed=0,
                         cutoffs=(5, 10, 20)):
-    """Production counting rank + tallies vs full-sort brute force."""
-    from .eval import held_out_rank
-
+    """Production counting rank, over all vectors at once, and its
+    tallies vs full-sort brute force."""
     rng = np.random.default_rng(seed)
-    mismatches = 0
-    prod_ranks = []
-    ref_ranks = []
+    cands, scores = [], []
     for _ in range(num_vectors):
-        cand = rng.choice(10 * num_candidates, size=num_candidates, replace=False)
-        scores = np.round(rng.normal(size=num_candidates), 2)  # force some ties
-        r_prod = held_out_rank(scores, cand)
-        r_ref = reference_rank(scores, cand)
-        if r_prod != r_ref:
-            mismatches += 1
-        prod_ranks.append(r_prod)
-        ref_ranks.append(r_ref)
+        cands.append(rng.choice(10 * num_candidates, size=num_candidates, replace=False))
+        scores.append(np.round(rng.normal(size=num_candidates), 2))  # force some ties
+    prod_ranks = held_out_rank(np.array(scores), np.array(cands))
+    ref_ranks = [reference_rank(s, c) for s, c in zip(scores, cands)]
+    mismatches = int((prod_ranks != ref_ranks).sum())
 
-    prod = _summary(np.array(prod_ranks), cutoffs)
+    prod = _summary(prod_ranks, cutoffs)
     ref_hits = {n: sum(1 for r in ref_ranks if r < n) for n in cutoffs}
     ref_ndcg = {n: sum(1.0 / math.log2(r + 2) for r in ref_ranks if r < n)
                 for n in cutoffs}

@@ -379,6 +379,19 @@ class TestMainEntry:
                 main(args)
         assert not os.path.exists(tmp_path / "runs")
 
+    @pytest.mark.parametrize("config,flags,key", [("eval_seed=-3\n", [], "eval_seed"),
+                                                  ("", ["--seed", "-1"], "seed")])
+    def test_negative_seed_fatal_before_any_work(self, edge_files, tmp_path, config,
+                                                 flags, key):
+        inter_path, soc_path = edge_files
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(config)
+        with pytest.raises(ValueError, match=f"config key {key} must be >= 0"):
+            main(["train", "--interactions", inter_path, "--social", soc_path,
+                  "--out", str(tmp_path / "runs"), "--epochs", "1", "--dim", "4",
+                  "--config", str(cfg_path), *flags])
+        assert not os.path.exists(tmp_path / "runs")
+
     def test_config_file_with_flag_override(self, edge_files, tmp_path):
         inter_path, soc_path = edge_files
         cfg_path = tmp_path / "exp.cfg"
@@ -413,6 +426,7 @@ class TestMainEntry:
 OUT_OF_RANGE = {("dim", "0"): ">= 1", ("batch", "0"): ">= 1", ("negatives", "0"): ">= 1",
                 ("cutoffs", "5,-2"): ">= 1", ("layers", "-1"): ">= 0",
                 ("epochs", "-1"): ">= 0", ("patience", "-3"): ">= 0",
+                ("seed", "-1"): ">= 0",
                 ("lambda1", "nan"): "finite", ("lr", "nan"): "finite", ("lr", "-1"): "> 0",
                 ("infonce_tau", "nan"): "finite", ("lambda2", "inf"): "finite"}
 

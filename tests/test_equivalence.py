@@ -1,7 +1,7 @@
-"""Bit-for-bit equivalence of the blocked, in-place kernels, the per-user
-set builder, the bulk-drawn BPR triples, the bulk-drawn evaluation
-candidates and the one-pass loss and gradient step with the plain code
-they replace.
+"""Bit-for-bit equivalence of the blocked, in-place kernels, the neighbour
+lists, the bulk-drawn BPR triples, the bulk-seeded evaluation streams, the
+block-drawn evaluation candidates and ranks, and the one-pass loss and
+gradient step with the plain code they replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
@@ -17,9 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from socrec import eval as eval_mod
 from socrec import graph, objective
-from socrec.data import InteractionTable, SocialTable, build_dataset, inject_noise
-from socrec.eval import _sample_negatives, _user_ranks, held_out_rank
+from socrec.data import (InteractionTable, NeighbourLists, SocialTable, build_dataset,
+                         inject_noise)
+from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
+                         held_out_rank)
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
 from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu, aggregate_backward,
@@ -647,14 +650,12 @@ def test_user_sets_match_loop_in_iteration_order(ds, case):
     for lists, edges in ((d.train_item_lists(), d.train_edges),
                          (d.tie_lists(), d.social_edges)):
         assert rows(lists) == [sorted(s) for s in seed_user_sets(n, edges)]
-    got = d.user_known_items()
+    known = d.known_item_lists()
     want = seed_user_sets(n, d.train_edges, d.val_edges, d.test_edges)
-    assert [list(s) for s in got] == [list(s) for s in want]
-    assert all(type(v) is int for s in got for v in s)
-    # the check can see order: some sets do not iterate in sorted order
-    assert any(list(s) != sorted(s) for s in want)
+    assert rows(known) == [sorted(s) for s in want]
+    assert d.known_item_lists() is known  # cached
     if case == "edgeless_users":
-        assert d.user_known_items()[-7:] == [set()] * 7
+        assert rows(known)[-7:] == [[]] * 7
     if case == "no_ties":
         assert rows(d.tie_lists()) == [[]] * n
 
@@ -827,7 +828,7 @@ def seed_sample_negatives(rng, num_items, known, count):
 def seed_user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     """The original per-user ranking loop over the scalar draw."""
     edges = ds.val_edges if split == "val" else ds.test_edges
-    known = ds.user_known_items()
+    known = seed_user_sets(ds.num_users, ds.train_edges, ds.val_edges, ds.test_edges)
     users, ranks, skipped = [], [], 0
     for u, held in edges:
         u, held = int(u), int(held)
@@ -862,22 +863,60 @@ def _known(num_items, num_known, seed):
     return {int(v) for v in order[:num_known]}
 
 
+class RecordingRng:
+    """A Generator stand-in that keeps each array `integers` returns."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng()
+        self.bit_generator = self.rng.bit_generator
+        self.prefixes = []
+
+    def integers(self, n, size):
+        self.prefixes.append(self.rng.integers(n, size=size))
+        return self.prefixes[-1]
+
+    def shuffle(self, values):
+        self.rng.shuffle(values)
+
+
+def block_negatives(rng, seed, users, known_sets, num_items, count):
+    """`_sample_negatives` over one row per user, each user holding the
+    known set at its place."""
+    pairs = [(u, v) for u, known in zip(users, known_sets) for v in sorted(known)]
+    known = NeighbourLists.of(np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                              max(users) + 1, num_items)
+    users = np.array(users, dtype=np.int64)
+    return _sample_negatives(rng, _stream_states(seed, users), users, known,
+                             num_items, count)
+
+
 @pytest.mark.parametrize("case", sorted(NEGATIVE_CASES))
 def test_negatives_match_scalar_draws(case):
     num_items, num_known, count = NEGATIVE_CASES[case]
     for seed in range(20):
         known = _known(num_items, num_known, seed)
-        got_rng = np.random.default_rng([seed, 7])
+        got_rng = RecordingRng()
         want_rng = np.random.default_rng([seed, 7])
-        got = _sample_negatives(got_rng, num_items, known, count)
+        got, filled = block_negatives(got_rng, seed, [7], [known], num_items, count)
         want = seed_sample_negatives(want_rng, num_items, known, count)
         if case == "pool_below_count":
-            assert got is None and want is None
+            assert not filled[0] and want is None
             continue
-        assert got.dtype == want.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
-        # both stopped at the same point of the stream
-        assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+        assert filled[0] and got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got[0], want)
+        # both stopped at the same point of the stream: where the shuffle
+        # left the block path's generator, or right after the count-th pick
+        # of the prefix the block path read
+        at = np.random.default_rng([seed, 7])
+        if num_items - num_known <= 4 * max(count, 1):
+            at = got_rng.rng
+        elif count:
+            prefix = got_rng.prefixes[-1]
+            stream = np.random.default_rng([seed, 7])
+            np.testing.assert_array_equal(prefix,
+                                          stream.integers(num_items, size=len(prefix)))
+            at.integers(num_items, size=int(np.flatnonzero(prefix == want[-1])[0]) + 1)
+        assert at.integers(1 << 62) == want_rng.integers(1 << 62)
 
 
 def test_rejection_cases_see_repeats_and_known_draws():
@@ -906,6 +945,80 @@ def test_user_ranks_match_scalar_loop(social_fusion, negatives):
         assert got[2] == want[2]
         assert len(got[0]) > 0
         assert (got[2] > 0) == (negatives > 110)
+
+
+def _match_scalar_ranks(ms, ds, split, negatives, seed, social_fusion=False):
+    got = _user_ranks(ms, ds, split, negatives, seed, social_fusion)
+    want = seed_user_ranks(ms, ds, split, negatives, seed, social_fusion)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def _pools(ds, split):
+    """Each evaluated user's count of unknown items."""
+    users = (ds.val_edges if split == "val" else ds.test_edges)[:, 0]
+    return ds.num_items - np.diff(ds.known_item_lists().indptr)[users]
+
+
+def test_user_ranks_span_blocks():
+    ds = random_dataset(800, 2000, min_items=3, max_items=8, tie_prob=0.002, seed=8)
+    ms, _, _ = make_encoded(ds, dim=8, layers=1)
+    rows = graph.CHUNK // 100  # users per block at 99 negatives
+    for split, seed in (("test", 0), ("val", 5)):
+        users = len(_pools(ds, split))
+        assert users > rows and users % rows
+        _match_scalar_ranks(ms, ds, split, 99, seed, social_fusion=split == "val")
+
+
+def test_user_ranks_redraw_short_prefixes(monkeypatch):
+    """With a first prefix of `count` draws, only the rows whose first
+    round draws no known item and no repeat are done; the rest redraw."""
+    ds = random_dataset(120, 300, min_items=20, max_items=60, tie_prob=0.02, seed=9)
+    ms, _, _ = make_encoded(ds, dim=8, layers=1)
+    assert (_pools(ds, "test") > 4 * 30).all()  # every row draws a prefix
+    monkeypatch.setattr(eval_mod, "_prefix_length", lambda unknown, items, count: count)
+    drawn, fresh = [], eval_mod._fresh
+
+    def recorded(draws, *args):
+        drawn.append(draws.shape)
+        return fresh(draws, *args)
+
+    monkeypatch.setattr(eval_mod, "_fresh", recorded)
+    _match_scalar_ranks(ms, ds, "test", 30, 2)
+    assert drawn[0] == (len(ds.test_edges), 30)
+    # most rows, not all, needed a longer prefix
+    assert len(ds.test_edges) // 2 < drawn[1][0] < len(ds.test_edges)
+
+
+def test_user_ranks_mix_branches_in_one_block():
+    """Shuffled, prefix-drawn and skipped users side by side in one block."""
+    ds = random_dataset(90, 150, min_items=3, max_items=130, tie_prob=0.05, seed=10)
+    ms, _, _ = make_encoded(ds, dim=8, layers=1)
+    pools = _pools(ds, "test")
+    assert len(pools) <= graph.CHUNK // 31
+    assert (pools < 30).any() and ((pools >= 30) & (pools <= 120)).any()
+    assert (pools > 120).any()
+    for social_fusion in (False, True):
+        _match_scalar_ranks(ms, ds, "test", 30, 4, social_fusion)
+
+
+@settings(max_examples=100, deadline=None)
+@example(seed=0, users=[0, 2**32 - 1])
+@example(seed=2**32, users=[1, 0])
+@example(seed=2**96 + 3, users=[5, 2**32 - 1])  # seed and user fill the 4-word pool
+@example(seed=2**128 - 1, users=[0, 2**31])     # one entropy word past the pool
+@given(seed=st.integers(0, 2**128 - 1),
+       users=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12))
+def test_bulk_stream_states_equal_default_rng(seed, users):
+    states, incs = _stream_states(seed, np.array(users, dtype=np.int64))
+    assert [_pcg64(s, i) for s, i in zip(states, incs)] == [
+        np.random.default_rng([seed, u]).bit_generator.state for u in users]
+
+
+def test_negative_evaluation_seed_refused():
+    with pytest.raises(ValueError, match="evaluation seed must be >= 0"):
+        _stream_states(-1, np.arange(3))
 
 
 @settings(max_examples=60, deadline=None)

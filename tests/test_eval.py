@@ -28,6 +28,17 @@ class TestHeldOutRank:
             scores = np.round(rng.normal(size=40), 1)  # ties on purpose
             assert held_out_rank(scores, cand) == reference_rank(scores, cand)
 
+    def test_block_ranks_each_row_as_full_sort(self, rng):
+        cand = np.array([rng.choice(500, size=40, replace=False) for _ in range(200)])
+        scores = np.round(rng.normal(size=(200, 40)), 1)  # ties on purpose
+        got = held_out_rank(scores, cand)
+        assert got.shape == (200,)
+        assert got.tolist() == [reference_rank(s, c) for s, c in zip(scores, cand)]
+        ties = (scores[:, 1:] == scores[:, :1]).any(axis=1)
+        assert ties.sum() > 50  # with candidates on both sides of the held-out index
+        assert ((cand[:, 1:] < cand[:, :1]) & (scores[:, 1:] == scores[:, :1])).any()
+        assert ((cand[:, 1:] > cand[:, :1]) & (scores[:, 1:] == scores[:, :1])).any()
+
     def test_tie_broken_by_item_index(self):
         cand = np.array([10, 3, 20])
         scores = np.array([1.0, 1.0, 1.0])
@@ -101,7 +112,7 @@ class TestEvaluate:
                             seed=3)
         ms, _, _ = make_encoded(ds, dim=8)
         assert len(ds.test_edges) > 2 * gc.get_threshold()[0]
-        ds.user_known_items()
+        ds.known_item_lists()
         started = []
 
         def note(phase, info):
