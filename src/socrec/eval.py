@@ -240,7 +240,7 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     known = ds.known_item_lists()
     states, incs = _stream_states(seed, edges[:, 0])
     rng = np.random.default_rng(0)  # set to each user's stream in turn
-    users, ranks = [], []
+    users, ranks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     width = num_negatives + 1
     rows = max(1, CHUNK // width)
     for lo in range(0, len(edges), rows):
@@ -259,14 +259,14 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
                       out=scores[s:s + step, :, None])
         users.append(block[filled, 0])
         ranks.append(held_out_rank(scores, cand))
-    users = np.concatenate(users or [np.zeros(0, np.int64)])
+    users = np.concatenate(users)
     skipped = len(edges) - len(users)
     logged = ds._derived("skips_logged", set)
     if skipped and (split, num_negatives) not in logged:
         logged.add((split, num_negatives))
         log.warning("%d user(s) skipped on split %r: fewer than %d negative "
                     "candidates", skipped, split, num_negatives)
-    return users, np.concatenate(ranks or [np.zeros(0, np.int64)]), skipped
+    return users, np.concatenate(ranks), skipped
 
 
 def _summary(ranks, cutoffs):

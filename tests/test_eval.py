@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -106,13 +107,15 @@ class TestEvaluate:
         # Per-user objects that outlive their iteration (one list per edge
         # row, say) hand the collector thousands of tracked objects per
         # call; they set off collections, now and then a full one, inside
-        # the evaluation. With the known-item sets cached, ranking a split
-        # must not reach a collection.
+        # the evaluation. Ranking a split must not reach a collection, with
+        # the known-item lists cached or built inside the first call (a
+        # `replace` copy derives its own).
         ds = random_dataset(1600, 400, min_items=3, max_items=6, tie_prob=0.002,
                             seed=3)
         ms, _, _ = make_encoded(ds, dim=8)
         assert len(ds.test_edges) > 2 * gc.get_threshold()[0]
         ds.known_item_lists()
+        cold = dataclasses.replace(ds)
         started = []
 
         def note(phase, info):
@@ -122,10 +125,11 @@ class TestEvaluate:
         gc.collect()
         gc.callbacks.append(note)
         try:
-            rep = evaluate(ms, ds, "test", num_negatives=20, cutoffs=(10,), seed=0)
+            reps = [evaluate(ms, d, "test", num_negatives=20, cutoffs=(10,), seed=0)
+                    for d in (ds, cold)]
         finally:
             gc.callbacks.remove(note)
-        assert rep.num_users == len(ds.test_edges)
+        assert [rep.num_users for rep in reps] == [len(ds.test_edges)] * 2
         assert started == []
 
 
