@@ -24,10 +24,10 @@ inter_path, soc_path = write_edge_files(inter_raw, soc_raw,
                                         os.path.join(workdir, "raw"))
 inter = load_edges(inter_path, "interaction")
 soc = load_edges(soc_path, "social")
-print(f"loaded {len(inter.edges)} interactions "
+print(f"loaded {len(inter.pairs)} interactions "
       f"({inter.malformed} malformed lines)")
-print(f"loaded {len(soc.edges)} directed social records "
-      f"({len(soc.edges) // 2} undirected ties)\n")
+print(f"loaded {len(soc.pairs)} directed social records "
+      f"({len(soc.pairs) // 2} undirected ties)\n")
 
 # --- 2. leave-one-out splits --------------------------------------------------
 ds = build_dataset(inter, soc, split_seed=7)

@@ -8,6 +8,8 @@ All artifacts land in a temporary run directory.
 import os
 import tempfile
 
+import numpy as np
+
 from socrec import TrainConfig
 from socrec.experiments import ExperimentSpec, run_robustness, run_sweep
 from socrec.synthetic import planted_clusters, write_edge_files
@@ -18,11 +20,9 @@ workdir = tempfile.mkdtemp(prefix="socrec_demo_")
 # materialize a planted dataset as raw edge files for the harness
 ds, _ = planted_clusters(num_users=40, num_items=120, items_per_user=10,
                          ties_per_user=4, seed=0)
-inter = InteractionTable(edges=[(int(u), int(v))
-                                for arr in (ds.train_edges, ds.val_edges,
-                                            ds.test_edges)
-                                for u, v in arr])
-soc = SocialTable(edges=[(int(a), int(b)) for a, b in ds.social_edges])
+inter = InteractionTable.of(np.concatenate([ds.train_edges, ds.val_edges,
+                                            ds.test_edges]))
+soc = SocialTable.of(ds.social_edges)
 inter_path, soc_path = write_edge_files(inter, soc, os.path.join(workdir, "raw"))
 
 cfg = TrainConfig(dim=16, layers=2, batch=256, epochs=25, patience=999,

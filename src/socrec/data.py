@@ -15,74 +15,97 @@ log = logging.getLogger(__name__)
 DEFAULT_STRATA = ((0, 5), (5, 10), (10, 15), (15, math.inf))
 
 
-@dataclass
-class InteractionTable:
-    """Raw user-item edges with external ids, deduplicated in load order."""
+def _codes(column):
+    """Dense codes of the ids in `column`, numbered in order of first
+    appearance, and the distinct ids."""
+    index = dict.fromkeys(column)
+    index = dict(zip(index, range(len(index))))
+    return (np.fromiter(map(index.__getitem__, column), np.int64, len(column)),
+            list(index))
 
-    edges: list  # list of (user, item) external-id pairs
+
+def _first_rows(pairs, width):
+    """The rows of an (n, 2) code array without repeats, in load order."""
+    _, first = np.unique(pairs[:, 0] * width + pairs[:, 1], return_index=True)
+    return pairs[np.sort(first)]
+
+
+@dataclass(eq=False, frozen=True)
+class InteractionTable:
+    """Raw user-item edges as codes, deduplicated in load order.
+
+    Row k of `pairs` is (u, v): user `user_ids[u]` and item `item_ids[v]`.
+    Both id lists follow first appearance.
+    """
+
+    pairs: np.ndarray  # (n, 2) int64
+    user_ids: list
+    item_ids: list
     malformed: int = 0
 
+    @classmethod
+    def of(cls, pairs, malformed=0):
+        """The table of raw (user, item) id pairs, an (n, 2) array-like."""
+        pairs = np.asarray(pairs, dtype=object).reshape(-1, 2)
+        users, user_ids = _codes(pairs[:, 0].tolist())
+        items, item_ids = _codes(pairs[:, 1].tolist())
+        return cls(_first_rows(np.column_stack((users, items)), len(item_ids)),
+                   user_ids, item_ids, malformed)
 
-@dataclass
+
+@dataclass(eq=False, frozen=True)
 class SocialTable:
-    """Raw user-user ties, symmetrized (both directions stored), no self-loops."""
+    """Raw user-user ties as codes into `user_ids`: each tie (a, b) gives
+    rows (a, b) and (b, a), deduplicated in load order; self-ties are
+    dropped and counted."""
 
-    edges: list  # list of (user, user) external-id pairs, both directions
+    pairs: np.ndarray  # (m, 2) int64, both directions
+    user_ids: list
     malformed: int = 0
     self_loops_dropped: int = 0
 
-
-def _tokenize(line):
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
-    return line.replace(",", " ").split()
+    @classmethod
+    def of(cls, pairs, malformed=0):
+        """The table of raw (user, user) id pairs, an (n, 2) array-like."""
+        pairs = np.asarray(pairs, dtype=object).reshape(-1, 2)
+        self_tie = pairs[:, 0] == pairs[:, 1]
+        codes, user_ids = _codes(pairs[~self_tie].ravel().tolist())
+        ties = codes.reshape(-1, 2)
+        both = np.stack((ties, ties[:, ::-1]), axis=1).reshape(-1, 2)
+        return cls(_first_rows(both, len(user_ids)), user_ids, malformed,
+                   int(self_tie.sum()))
 
 
 def load_edges(path, kind):
     """Parse an edge file into an InteractionTable or SocialTable.
 
     Lines hold at least two whitespace- or comma-separated tokens; extra
-    columns (ratings, timestamps) are parsed and ignored. Lines with fewer
-    than two tokens are counted as malformed and skipped. Social tables are
-    symmetrized and self-ties dropped.
+    columns (ratings, timestamps) are ignored. Lines with fewer than two
+    tokens are counted as malformed and skipped; blank lines and lines
+    whose first non-blank character is '#' (before commas are read) are
+    skipped.
     """
     if kind not in ("interaction", "social"):
         raise ValueError(f"unknown edge kind: {kind!r}")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"edge file not found: {path}")
 
-    seen = set()
-    edges = []
+    ids = []  # the two ids of every edge line, flat
     malformed = 0
-    self_loops = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            toks = _tokenize(line)
-            if toks is None:
+            line = line.strip()
+            if not line or line[0] == "#":
                 continue
+            toks = line.replace(",", " ").split(None, 2)
             if len(toks) < 2:
                 malformed += 1
-                continue
-            a, b = toks[0], toks[1]
-            if kind == "social":
-                if a == b:
-                    self_loops += 1
-                    continue
-                for pair in ((a, b), (b, a)):
-                    if pair not in seen:
-                        seen.add(pair)
-                        edges.append(pair)
             else:
-                if (a, b) not in seen:
-                    seen.add((a, b))
-                    edges.append((a, b))
+                ids += toks[:2]
     if malformed:
         log.warning("%s: skipped %d malformed line(s)", path, malformed)
-    if kind == "social":
-        return SocialTable(edges=edges, malformed=malformed,
-                           self_loops_dropped=self_loops)
-    return InteractionTable(edges=edges, malformed=malformed)
+    table = SocialTable if kind == "social" else InteractionTable
+    return table.of(np.array(ids, dtype=object).reshape(-1, 2), malformed)
 
 
 @dataclass(eq=False, frozen=True)
@@ -178,12 +201,6 @@ class NeighbourLists:
         return self.keys[np.searchsorted(self.keys, query)] == query
 
 
-def _edge_array(pairs):
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
-
-
 def build_dataset(inter, soc=None, split_seed=0):
     """Remap ids densely and build leave-one-out train/val/test splits.
 
@@ -193,65 +210,43 @@ def build_dataset(inter, soc=None, split_seed=0):
     first appearance in the interaction table (social-only users appended),
     so identical inputs and seed rebuild the same dataset bit for bit.
     """
-    if not inter.edges:
+    if not len(inter.pairs):
         raise ValueError("empty interaction table")
 
-    user_index, user_ids = {}, []
-    item_index, item_ids = {}, []
-    per_user = []  # item index lists in load order
-    for a, b in inter.edges:
-        if a not in user_index:
-            user_index[a] = len(user_ids)
-            user_ids.append(a)
-            per_user.append([])
-        if b not in item_index:
-            item_index[b] = len(item_ids)
-            item_ids.append(b)
-        per_user[user_index[a]].append(item_index[b])
-
-    social_pairs = []
+    index = dict(zip(inter.user_ids, range(len(inter.user_ids))))
+    social = np.zeros((0, 2), dtype=np.int64)
     if soc is not None:
-        for a, b in soc.edges:
-            for ext in (a, b):
-                if ext not in user_index:
-                    # social-only users are retained with zero interactions
-                    user_index[ext] = len(user_ids)
-                    user_ids.append(ext)
-                    per_user.append([])
-            social_pairs.append((user_index[a], user_index[b]))
-
+        # social-only users are retained with zero interactions
+        users = [index.setdefault(ext, len(index)) for ext in soc.user_ids]
+        social = np.array(users, dtype=np.int64)[soc.pairs]
+    user_ids = list(index)
     num_users = len(user_ids)
-    num_items = len(item_ids)
-    rng = np.random.default_rng(split_seed)
+    # sorted tie keys; a table holds no repeats and the id map is one-to-one
+    social = np.sort(social[:, 0] * num_users + social[:, 1])
 
-    train, val, test = [], [], []
-    for u in range(num_users):
-        items = per_user[u]
-        k = len(items)
-        if k == 0:
-            continue
-        if k == 1:
-            train.append((u, items[0]))
-            continue
-        pick = rng.choice(k, size=2 if k >= 3 else 1, replace=False)
-        test.append((u, items[pick[0]]))
-        held = {int(pick[0])}
-        if k >= 3:
-            val.append((u, items[pick[1]]))
-            held.add(int(pick[1]))
-        for j, v in enumerate(items):
-            if j not in held:
-                train.append((u, v))
+    # each user's items in load order, users in index order
+    pairs = inter.pairs[np.argsort(inter.pairs[:, 0], kind="stable")]
+    counts = np.bincount(pairs[:, 0], minlength=num_users)
+    rng = np.random.default_rng(split_seed)
+    test, val = [], []
+    for start, k in zip((np.cumsum(counts) - counts).tolist(), counts.tolist()):
+        if k >= 2:
+            pick = start + rng.choice(k, size=2 if k >= 3 else 1, replace=False)
+            test.append(pick[0])
+            val.extend(pick[1:])
+    test, val = np.array(test, dtype=np.int64), np.array(val, dtype=np.int64)
+    held = np.zeros(len(pairs), dtype=bool)
+    held[test] = held[val] = True
 
     return Dataset(
         num_users=num_users,
-        num_items=num_items,
+        num_items=len(inter.item_ids),
         user_ids=user_ids,
-        item_ids=item_ids,
-        train_edges=_edge_array(train),
-        val_edges=_edge_array(val),
-        test_edges=_edge_array(test),
-        social_edges=_edge_array(sorted(set(social_pairs))),
+        item_ids=list(inter.item_ids),
+        train_edges=pairs[~held],
+        val_edges=pairs[val],
+        test_edges=pairs[test],
+        social_edges=np.column_stack(np.divmod(social, num_users)),
         split_seed=split_seed,
     )
 
@@ -265,25 +260,32 @@ def inject_noise(ds, ratio, seed):
     if count == 0:
         return ds
 
-    existing = set()
-    for arr in (ds.train_edges, ds.val_edges, ds.test_edges):
-        for u, v in arr:
-            existing.add((int(u), int(v)))
-    capacity = ds.num_users * ds.num_items - len(existing)
+    width = ds.num_items
+    cells = ds.num_users * width
+    taken = np.unique(np.concatenate([e[:, 0] * width + e[:, 1] for e in
+                                      (ds.train_edges, ds.val_edges, ds.test_edges)]))
+    capacity = cells - len(taken)
     if count > capacity:
         raise ValueError(f"cannot place {count} fake edges, only {capacity} free cells")
 
+    # Fakes are the first distinct free cells of a stream that draws a user,
+    # then an item; one draw with bounds [I, J, I, J, ...] is that stream.
     rng = np.random.default_rng(seed)
-    fake = []
+    fake = np.zeros(0, dtype=np.int64)
     while len(fake) < count:
-        u = int(rng.integers(ds.num_users))
-        v = int(rng.integers(ds.num_items))
-        if (u, v) in existing:
-            continue
-        existing.add((u, v))
-        fake.append((u, v))
+        need = count - len(fake)
+        # twice the draws that `need` free cells take on average
+        draws = 2 * need * cells // (capacity - len(fake)) + 64
+        cell = rng.integers(0, np.tile((ds.num_users, width), draws)).reshape(-1, 2)
+        keys = cell[:, 0] * width + cell[:, 1]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        keys = keys[~np.isin(keys, taken)][:need]
+        fake = np.append(fake, keys)
+        taken = np.union1d(taken, keys)
 
-    return replace(ds, train_edges=np.concatenate([ds.train_edges, _edge_array(fake)]))
+    fake = np.column_stack(np.divmod(fake, width))
+    return replace(ds, train_edges=np.concatenate([ds.train_edges, fake]))
 
 
 @dataclass(eq=False)
@@ -392,10 +394,14 @@ def load_dataset(in_dir):
             raise ValueError(f"{os.path.join(in_dir, name)}: pair {a} {b} {why}")
 
     for name, width in widths.items():
+        tokens = []  # the first two tokens of every line, flat
         with open(os.path.join(in_dir, name)) as fh:
-            rows = [toks[:2] for toks in map(str.split, fh) if len(toks) >= 2]
+            for toks in map(str.split, fh):
+                if len(toks) >= 2:
+                    tokens += toks[:2]
         try:
-            pairs[name] = _edge_array([(int(a), int(b)) for a, b in rows])
+            pairs[name] = np.array([int(t) for t in tokens],
+                                   dtype=np.int64).reshape(-1, 2)
         except ValueError as err:
             raise ValueError(f"{os.path.join(in_dir, name)}: {err}") from None
         outside = (pairs[name] < 0) | (pairs[name] >= (num_users, width))

@@ -7,14 +7,6 @@ import numpy as np
 from .data import InteractionTable, SocialTable, build_dataset
 
 
-def _symmetric_social(pairs):
-    edges = []
-    for a, b in sorted(pairs):
-        edges.append((a, b))
-        edges.append((b, a))
-    return SocialTable(edges=edges)
-
-
 def random_tables(num_users, num_items, min_items=3, max_items=6,
                   tie_prob=0.25, seed=0):
     """Random raw tables: every user gets min..max distinct items, plus an
@@ -37,7 +29,7 @@ def random_tables(num_users, num_items, min_items=3, max_items=6,
                 tie_count[b] += 1
     if not ties and num_users >= 2:
         ties.add((0, 1))
-    return InteractionTable(edges=inter), _symmetric_social(ties)
+    return InteractionTable.of(inter), SocialTable.of(sorted(ties))
 
 
 def random_dataset(num_users, num_items, min_items=3, max_items=6,
@@ -95,7 +87,7 @@ def planted_clusters(num_users=40, num_items=120, items_per_user=12,
         for x in rng.choice(other, size=min(n_cross, len(other)), replace=False):
             ties.add((min(u, int(x)), max(u, int(x))))
 
-    ds = build_dataset(InteractionTable(edges=inter), _symmetric_social(ties),
+    ds = build_dataset(InteractionTable.of(inter), SocialTable.of(sorted(ties)),
                        split_seed=seed)
     # dense user index == generation index: users appear in order in `inter`
     tie_kind = {}
@@ -117,14 +109,10 @@ def write_edge_files(inter, soc, out_dir):
     ipath = os.path.join(out_dir, "interactions.txt")
     spath = os.path.join(out_dir, "social.txt")
     with open(ipath, "w") as fh:
-        for a, b in inter.edges:
-            fh.write(f"{a} {b}\n")
-    seen = set()
+        for u, v in inter.pairs.tolist():
+            fh.write(f"{inter.user_ids[u]} {inter.item_ids[v]}\n")
     with open(spath, "w") as fh:
-        for a, b in soc.edges:
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            fh.write(f"{key[0]} {key[1]}\n")
+        for a, b in soc.pairs[0::2].tolist():  # a tie's two rows are adjacent
+            a, b = soc.user_ids[a], soc.user_ids[b]
+            fh.write(f"{min(a, b)} {max(a, b)}\n")
     return ipath, spath

@@ -73,7 +73,7 @@ def _load_counts(inter_path, soc_path, split_seed=0):
     inter = load_edges(inter_path, "interaction")
     soc = load_edges(soc_path, "social")
     ds = build_dataset(inter, soc, split_seed=split_seed)
-    return ds, len(inter.edges), len(soc.edges) // 2
+    return ds, len(inter.pairs), len(soc.pairs) // 2
 
 
 def test_criterion_4_ingestion_counts():
@@ -202,10 +202,9 @@ def test_criterion_8_robustness_harness(tmp_path):
     ds, _ = planted_clusters(num_users=30, num_items=80, items_per_user=8,
                              ties_per_user=4, seed=0)
     from socrec.data import InteractionTable, SocialTable
-    inter = InteractionTable(edges=[(int(u), int(v)) for arr in
-                                    (ds.train_edges, ds.val_edges, ds.test_edges)
-                                    for u, v in arr])
-    soc = SocialTable(edges=[(int(a), int(b)) for a, b in ds.social_edges])
+    inter = InteractionTable.of(np.concatenate([ds.train_edges, ds.val_edges,
+                                                ds.test_edges]))
+    soc = SocialTable.of(ds.social_edges)
     inter_path, soc_path = write_edge_files(inter, soc, str(tmp_path / "raw"))
 
     cfg = TrainConfig(dim=8, layers=1, batch=64, epochs=3, patience=999,

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -20,39 +21,45 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def id_pairs(table):
+    """A table's rows as external-id pairs, in row order."""
+    items = getattr(table, "item_ids", table.user_ids)
+    return [(table.user_ids[a], items[b]) for a, b in table.pairs.tolist()]
+
+
 class TestLoadEdges:
     def test_interaction_dedup(self, tmp_path):
         path = write(tmp_path, "i.txt", "u1 i1\nu1 i1\nu2 i3\n")
         table = load_edges(path, "interaction")
-        assert table.edges == [("u1", "i1"), ("u2", "i3")]
+        assert id_pairs(table) == [("u1", "i1"), ("u2", "i3")]
 
     def test_social_symmetrized(self, tmp_path):
         path = write(tmp_path, "s.txt", "u1 u2\n")
         table = load_edges(path, "social")
-        assert sorted(table.edges) == [("u1", "u2"), ("u2", "u1")]
+        assert id_pairs(table) == [("u1", "u2"), ("u2", "u1")]
 
     def test_social_self_loop_dropped(self, tmp_path):
         path = write(tmp_path, "s.txt", "u1 u1\nu1 u2\n")
         table = load_edges(path, "social")
         assert table.self_loops_dropped == 1
-        assert len(table.edges) == 2
+        assert len(table.pairs) == 2
 
     def test_malformed_lines_counted(self, tmp_path):
         path = write(tmp_path, "i.txt", "u1 i1\njunk\nu2 i2\n")
         table = load_edges(path, "interaction")
         assert table.malformed == 1
-        assert len(table.edges) == 2
+        assert len(table.pairs) == 2
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "i.txt", "# header\n\nu1 i1\n")
         table = load_edges(path, "interaction")
-        assert table.edges == [("u1", "i1")]
+        assert id_pairs(table) == [("u1", "i1")]
         assert table.malformed == 0
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write(tmp_path, "i.txt", "u1 i1 4 1234567\nu2,i2,5\n")
         table = load_edges(path, "interaction")
-        assert table.edges == [("u1", "i1"), ("u2", "i2")]
+        assert id_pairs(table) == [("u1", "i1"), ("u2", "i2")]
 
     def test_missing_file_fatal(self):
         with pytest.raises(FileNotFoundError):
@@ -66,8 +73,8 @@ class TestLoadEdges:
 
 class TestBuildDataset:
     def test_three_interactions_split_one_each(self):
-        inter = InteractionTable(edges=[("u", "a"), ("u", "b"), ("u", "c")])
-        ds = build_dataset(inter, SocialTable(edges=[]), split_seed=5)
+        inter = InteractionTable.of([("u", "a"), ("u", "b"), ("u", "c")])
+        ds = build_dataset(inter, SocialTable.of([]), split_seed=5)
         assert len(ds.train_edges) == 1
         assert len(ds.val_edges) == 1
         assert len(ds.test_edges) == 1
@@ -76,26 +83,26 @@ class TestBuildDataset:
         assert all_items == {0, 1, 2}
 
     def test_single_interaction_stays_in_train(self):
-        inter = InteractionTable(edges=[("u", "a")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "a")])
+        ds = build_dataset(inter, SocialTable.of([]))
         assert len(ds.train_edges) == 1
         assert len(ds.val_edges) == 0
         assert len(ds.test_edges) == 0
 
     def test_two_interactions_test_only(self):
-        inter = InteractionTable(edges=[("u", "a"), ("u", "b")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "a"), ("u", "b")])
+        ds = build_dataset(inter, SocialTable.of([]))
         assert len(ds.train_edges) == 1
         assert len(ds.val_edges) == 0
         assert len(ds.test_edges) == 1
 
     def test_empty_interactions_fatal(self):
         with pytest.raises(ValueError):
-            build_dataset(InteractionTable(edges=[]), SocialTable(edges=[]))
+            build_dataset(InteractionTable.of([]), SocialTable.of([]))
 
     def test_social_only_user_retained(self):
-        inter = InteractionTable(edges=[("u1", "a")])
-        soc = SocialTable(edges=[("u1", "u9"), ("u9", "u1")])
+        inter = InteractionTable.of([("u1", "a")])
+        soc = SocialTable.of([("u1", "u9"), ("u9", "u1")])
         ds = build_dataset(inter, soc)
         assert ds.num_users == 2
         assert ds.degree[ds.user_index["u9"]] == 0
@@ -107,7 +114,7 @@ class TestBuildDataset:
         val = {tuple(e) for e in ds.val_edges}
         test = {tuple(e) for e in ds.test_edges}
         assert not train & val and not train & test and not val & test
-        assert len(train) + len(val) + len(test) == len(inter.edges)
+        assert len(train) + len(val) + len(test) == len(inter.pairs)
         # every held-out user still trains on something
         train_users = {u for u, _ in train}
         assert {u for u, _ in val} <= train_users
@@ -117,7 +124,7 @@ class TestBuildDataset:
         inter, soc = random_tables(10, 15, seed=4)
         ds = build_dataset(inter, soc)
         assert ds.density == pytest.approx(
-            len(inter.edges) / (ds.num_users * ds.num_items))
+            len(inter.pairs) / (ds.num_users * ds.num_items))
 
     def test_deterministic_byte_identical_serialization(self, tmp_path):
         inter, soc = random_tables(10, 15, seed=8)
@@ -172,16 +179,72 @@ class TestBuildDataset:
             load_dataset(str(tmp_path))
 
 
+@pytest.mark.parametrize("ties", [[], [("u", "v")], [("u", "u")]])
+@pytest.mark.parametrize("seed", range(5))
+def test_hand_built_tables_round_trip(tmp_path, ties, seed):
+    """A hand-built table dedupes a repeated pair, symmetrizes a one-way tie
+    and drops a self-tie as load_edges does, so no held-out pair leaks
+    into train and the saved dataset loads back."""
+    inter = InteractionTable.of([("u", "a"), ("u", "a"), ("u", "b")])
+    assert id_pairs(inter) == [("u", "a"), ("u", "b")]
+    soc = SocialTable.of(ties)
+    assert id_pairs(soc) == [(a, b) for a, b in ties[:1] for a, b in ((a, b), (b, a))
+                             if a != b]
+    assert soc.self_loops_dropped == sum(a == b for a, b in ties)
+    ds = build_dataset(inter, soc, split_seed=seed)
+    assert len(ds.train_edges) == len(ds.test_edges) == 1
+    save_dataset(ds, str(tmp_path))
+    back = load_dataset(str(tmp_path))
+    for name in ("train_edges", "val_edges", "test_edges", "social_edges"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+
+
+def test_ingest_sets_off_no_garbage_collection(tmp_path):
+    # An object per edge that outlives its line (a tuple, a set entry, a
+    # list per row) hands the collector thousands of tracked objects per
+    # file; they set off collections, now and then a full one, inside
+    # ingest. Loading and building a dataset, and loading it back from a
+    # dataset directory, must not reach a collection.
+    lines = 4 * gc.get_threshold()[0]
+    ipath = write(tmp_path, "i.txt", "".join(
+        f"u{k % 400} i{k * 7 % 900} 5\n" for k in range(lines)))
+    spath = write(tmp_path, "s.txt", "".join(
+        f"u{k % 400},u{k * 13 % 450}\n" for k in range(lines)))
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    def watched(call, *args, **kwargs):
+        gc.collect()
+        gc.callbacks.append(note)
+        try:
+            return call(*args, **kwargs)
+        finally:
+            gc.callbacks.remove(note)
+
+    inter = watched(load_edges, ipath, "interaction")
+    soc = watched(load_edges, spath, "social")
+    ds = watched(build_dataset, inter, soc, split_seed=0)
+    assert len(ds.train_edges) > 2 * gc.get_threshold()[0]
+    assert len(ds.social_edges) > 2 * gc.get_threshold()[0]
+    save_dataset(ds, str(tmp_path / "ds"))
+    back = watched(load_dataset, str(tmp_path / "ds"))
+    np.testing.assert_array_equal(back.train_edges, ds.train_edges)
+    assert started == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)),
                 min_size=1, max_size=60),
        st.integers(0, 2 ** 31 - 1))
 def test_split_partition_property(raw_edges, seed):
-    inter = InteractionTable(edges=list(dict.fromkeys(raw_edges)))
-    ds = build_dataset(inter, SocialTable(edges=[]), split_seed=seed)
+    inter = InteractionTable.of(list(dict.fromkeys(raw_edges)))
+    ds = build_dataset(inter, SocialTable.of([]), split_seed=seed)
     parts = [set(map(tuple, ds.train_edges)), set(map(tuple, ds.val_edges)),
              set(map(tuple, ds.test_edges))]
-    assert sum(len(p) for p in parts) == len(inter.edges)
+    assert sum(len(p) for p in parts) == len(inter.pairs)
     assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
 
@@ -219,8 +282,8 @@ class TestInjectNoise:
 
     def test_capacity_exceeded_fatal(self):
         # 1 user x 2 items, both already interacted: no room for fakes
-        inter = InteractionTable(edges=[("u", "a"), ("u", "b")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "a"), ("u", "b")])
+        ds = build_dataset(inter, SocialTable.of([]))
         with pytest.raises(ValueError):
             inject_noise(ds, 1.0, seed=0)
 
@@ -253,8 +316,8 @@ class TestDerivedFields:
         assert "x0" not in ds.user_index  # the original keeps its own
 
     def test_empty_train_has_zero_degrees(self):
-        inter = InteractionTable(edges=[("u", "a"), ("v", "b")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "a"), ("v", "b")])
+        ds = build_dataset(inter, SocialTable.of([]))
         empty = replace(ds, train_edges=ds.train_edges[:0])
         np.testing.assert_array_equal(empty.degree, [0, 0])
         lists = empty.train_item_lists()
@@ -273,15 +336,15 @@ class TestStratify:
             assert lo <= ds.degree[u] < hi
 
     def test_degree_zero_first_stratum(self):
-        inter = InteractionTable(edges=[("u1", "a")])
-        soc = SocialTable(edges=[("u1", "u2"), ("u2", "u1")])
+        inter = InteractionTable.of([("u1", "a")])
+        soc = SocialTable.of([("u1", "u2"), ("u2", "u1")])
         ds = build_dataset(inter, soc)
         strata = stratify_by_degree(ds)
         assert strata.boundaries[strata.assignment[ds.user_index["u2"]]] == (0.0, 5.0)
 
     def test_degree_twelve_assignment(self):
         edges = [("u", f"i{k}") for k in range(14)]  # 14 -> 12 in train
-        ds = build_dataset(InteractionTable(edges=edges), SocialTable(edges=[]))
+        ds = build_dataset(InteractionTable.of(edges), SocialTable.of([]))
         assert ds.degree[0] == 12
         strata = stratify_by_degree(ds)
         assert strata.boundaries[strata.assignment[0]] == (10.0, 15.0)

@@ -1,7 +1,8 @@
 """Bit-for-bit equivalence of the blocked, in-place kernels, the neighbour
 lists, the bulk-drawn BPR triples, the bulk-seeded evaluation streams, the
-block-drawn evaluation candidates and ranks, and the one-pass loss and
-gradient step with the plain code they replace.
+block-drawn evaluation candidates and ranks, the one-pass loss and
+gradient step, and the columnar edge-file ingestion and bulk noise
+injection with the plain code they replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
@@ -703,16 +704,16 @@ def _sampler_cases(ds):
     """Datasets whose rows reject often or never, by the rejection share of
     a row's first negative."""
     pairs = [(f"u{k}", v) for k in range(3) for v in "ab"]
-    one_candidate = build_dataset(InteractionTable(edges=pairs),
-                                  SocialTable(edges=[("u0", "u1"), ("u1", "u0")]))
+    one_candidate = build_dataset(InteractionTable.of(pairs),
+                                  SocialTable.of([("u0", "u1"), ("u1", "u0")]))
     single = [("u", f"i{k}") for k in range(5)]
     return {
         # one train item of two, u0-u1 tied among three users: every first
         # negative is rejected with probability 1/2 (items) or 2/3 (users)
         "one_candidate": one_candidate,
         # 3 train items of 10: 30% rejection, as in the uniformity test
-        "rejection_30": replace(build_dataset(InteractionTable(edges=single),
-                                              SocialTable(edges=[])), num_items=10),
+        "rejection_30": replace(build_dataset(InteractionTable.of(single),
+                                              SocialTable.of([])), num_items=10),
         # every user one train item of 40; many anchors have a single tie
         "degree_one": random_dataset(200, 40, min_items=1, max_items=1,
                                      tie_prob=0.005, seed=1),
@@ -1037,3 +1038,211 @@ def test_bulk_draws_equal_scalar_draws(n, seed, chunks):
     chunk_rng = np.random.default_rng(seed)
     assert [v for c in chunks for v in chunk_rng.integers(n, size=c).tolist()] == scalar
     assert scalar_rng.integers(1 << 62) == bulk_rng.integers(1 << 62)
+
+
+# --- ingestion: the columnar tables against the per-edge loader they replace --
+
+def seed_load_edges(path, kind):
+    """The original loader: one tuple per edge, a set of them for the
+    dedupe. Returns (edges, malformed, self-ties dropped)."""
+    seen, edges, malformed, self_loops = set(), [], 0, 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = line.replace(",", " ").split()
+            if len(toks) < 2:
+                malformed += 1
+                continue
+            a, b = toks[0], toks[1]
+            if kind == "social":
+                if a == b:
+                    self_loops += 1
+                    continue
+                for pair in ((a, b), (b, a)):
+                    if pair not in seen:
+                        seen.add(pair)
+                        edges.append(pair)
+            elif (a, b) not in seen:
+                seen.add((a, b))
+                edges.append((a, b))
+    return edges, malformed, self_loops
+
+
+def seed_build_dataset(inter_edges, soc_edges, split_seed):
+    """The original builder over id-pair lists: per-edge dict lookups, one
+    rng.choice per user with two or more items, sorted set of ties.
+    Returns (user_ids, item_ids, train, val, test, social)."""
+    if not inter_edges:
+        raise ValueError("empty interaction table")
+    user_index, user_ids, item_index, item_ids, per_user = {}, [], {}, [], []
+    for a, b in inter_edges:
+        if a not in user_index:
+            user_index[a] = len(user_ids)
+            user_ids.append(a)
+            per_user.append([])
+        if b not in item_index:
+            item_index[b] = len(item_ids)
+            item_ids.append(b)
+        per_user[user_index[a]].append(item_index[b])
+    social_pairs = []
+    for a, b in soc_edges:
+        for ext in (a, b):
+            if ext not in user_index:
+                user_index[ext] = len(user_ids)
+                user_ids.append(ext)
+                per_user.append([])
+        social_pairs.append((user_index[a], user_index[b]))
+    rng = np.random.default_rng(split_seed)
+    train, val, test = [], [], []
+    for u, items in enumerate(per_user):
+        k = len(items)
+        if k == 0:
+            continue
+        if k == 1:
+            train.append((u, items[0]))
+            continue
+        pick = rng.choice(k, size=2 if k >= 3 else 1, replace=False)
+        test.append((u, items[pick[0]]))
+        held = {int(pick[0])}
+        if k >= 3:
+            val.append((u, items[pick[1]]))
+            held.add(int(pick[1]))
+        train.extend((u, v) for j, v in enumerate(items) if j not in held)
+    arrays = [np.array(p, dtype=np.int64).reshape(-1, 2)
+              for p in (train, val, test, sorted(set(social_pairs)))]
+    return (user_ids, item_ids, *arrays)
+
+
+def _assert_dataset_equals_seed(got, want):
+    assert got.user_ids == want[0] and got.item_ids == want[1]
+    assert [type(i) for i in got.user_ids] == [type(i) for i in want[0]]
+    for name, arr in zip(("train_edges", "val_edges", "test_edges", "social_edges"),
+                         want[2:]):
+        assert getattr(got, name).dtype == np.int64
+        np.testing.assert_array_equal(getattr(got, name), arr)
+
+
+IDS = ["1", "2", "10", "01", "u1", "u2", "a", "#b", "é"]
+SEPARATORS = [" ", "\t", ",", " , ", ",,", "\x0b", "\x1f", " "]
+
+
+@st.composite
+def edge_lines(draw):
+    """One raw line: an edge (maybe with extra columns and padding), a
+    comment, a blank line, a one-token line, or the comma/hash mixes that
+    only the order of the comment test tells apart."""
+    kind = draw(st.sampled_from(["edge"] * 6 + ["self", "comment", "blank", "one",
+                                                 "comma_hash", "hash_comma"]))
+    a, b = draw(st.sampled_from(IDS)), draw(st.sampled_from(IDS))
+    sep = draw(st.sampled_from(SEPARATORS))
+    pad = draw(st.sampled_from(["", " ", "\t", " \t "]))
+    extra = draw(st.lists(st.sampled_from(["4", "1234567", "x,y", "#"]), max_size=2))
+    line = {"edge": sep.join([a, b, *extra]), "self": f"{a}{sep}{a}",
+            "comment": f"# {a} {b}", "blank": "", "one": a,
+            "comma_hash": f",#{sep}{b}", "hash_comma": f"#,{a}"}[kind]
+    return pad + line + pad + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
+
+
+@settings(max_examples=150, deadline=None)
+@example(inter_lines=["u1 a\n", ",# x\n", "#,x\n", "u1 a 5\n"],
+         soc_lines=["u1,u2\r\n", "u2 u1\n", "u9 u9\n", "u1\n", "u2\tu9 3\n"],
+         split_seed=0)
+@given(inter_lines=st.lists(edge_lines(), max_size=40),
+       soc_lines=st.lists(edge_lines(), max_size=25),
+       split_seed=st.integers(0, 3))
+def test_loader_matches_per_edge_loader(tmp_path_factory, inter_lines, soc_lines,
+                                        split_seed):
+    from socrec.data import load_edges
+    root = tmp_path_factory.mktemp("edges")
+    _write_lines(root / "i.txt", inter_lines)
+    _write_lines(root / "s.txt", soc_lines)
+    inter = load_edges(str(root / "i.txt"), "interaction")
+    soc = load_edges(str(root / "s.txt"), "social")
+    inter_edges, inter_bad, _ = seed_load_edges(str(root / "i.txt"), "interaction")
+    soc_edges, soc_bad, self_loops = seed_load_edges(str(root / "s.txt"), "social")
+    assert (inter.malformed, soc.malformed, soc.self_loops_dropped) == (
+        inter_bad, soc_bad, self_loops)
+    assert len(inter.pairs) == len(inter_edges) and len(soc.pairs) == len(soc_edges)
+    try:
+        want = seed_build_dataset(inter_edges, soc_edges, split_seed)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            build_dataset(inter, soc, split_seed=split_seed)
+        return
+    _assert_dataset_equals_seed(build_dataset(inter, soc, split_seed=split_seed), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.one_of(st.integers(0, 4), st.sampled_from(["0", "a"])),
+                                st.one_of(st.integers(0, 6), st.sampled_from(["0", "x"]))),
+                      min_size=1, max_size=40),
+       ties=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=15),
+       split_seed=st.integers(0, 3))
+def test_hand_built_tables_match_loaded_ones(pairs, ties, split_seed):
+    """Tables of int and str ids build what the per-edge builder builds
+    from the same pairs deduplicated, and ties symmetrized without
+    self-ties, as load_edges left them; ids keep their type."""
+    soc_edges = list(dict.fromkeys(p for a, b in ties if a != b
+                                   for p in ((a, b), (b, a))))
+    want = seed_build_dataset(list(dict.fromkeys(pairs)), soc_edges, split_seed)
+    soc = SocialTable.of(ties)
+    assert soc.self_loops_dropped == sum(a == b for a, b in ties)
+    got = build_dataset(InteractionTable.of(pairs), soc, split_seed=split_seed)
+    _assert_dataset_equals_seed(got, want)
+
+
+def seed_inject_noise(ds, ratio, seed):
+    """The original noise injection: one scalar user and item draw per try,
+    a set of every taken pair."""
+    count = int(ratio * len(ds.train_edges))
+    if count == 0:
+        return ds.train_edges
+    existing = {(int(u), int(v)) for arr in (ds.train_edges, ds.val_edges, ds.test_edges)
+                for u, v in arr}
+    capacity = ds.num_users * ds.num_items - len(existing)
+    if count > capacity:
+        raise ValueError(f"cannot place {count} fake edges, only {capacity} free cells")
+    rng = np.random.default_rng(seed)
+    fake = []
+    while len(fake) < count:
+        u = int(rng.integers(ds.num_users))
+        v = int(rng.integers(ds.num_items))
+        if (u, v) not in existing:
+            existing.add((u, v))
+            fake.append((u, v))
+    return np.concatenate([ds.train_edges, np.array(fake, dtype=np.int64)])
+
+
+@settings(max_examples=120, deadline=None)
+# 1 user, 6 items: train 4, val 1, test 1; with 10 items the 4 fakes fill
+# every free cell, with 9 there is one cell too few
+@example(rows=[list(range(6))], extra_items=4, ratio=1.0, seed=0)
+@example(rows=[list(range(6))], extra_items=3, ratio=1.0, seed=0)
+@example(rows=[[0, 1, 2], [1, 2, 3], [0, 3, 4]], extra_items=0, ratio=1.0, seed=1)
+# 36 fakes fill the 36 free cells of 84: more draws than one block holds
+@example(rows=[list(range(8))] * 6, extra_items=6, ratio=1.0, seed=2)
+@given(rows=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+                     min_size=1, max_size=6),
+       extra_items=st.integers(0, 12),
+       ratio=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_inject_noise_matches_scalar_loop(rows, extra_items, ratio, seed):
+    """Bulk-drawn fakes are the scalar loop's fakes, up to a full matrix;
+    past capacity both refuse with the same message."""
+    pairs = [(u, v) for u, items in enumerate(rows) for v in items]
+    ds = build_dataset(InteractionTable.of(pairs), SocialTable.of([]), split_seed=seed)
+    ds = replace(ds, num_items=ds.num_items + extra_items)
+    try:
+        want = seed_inject_noise(ds, ratio, seed)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            inject_noise(ds, ratio, seed)
+        return
+    np.testing.assert_array_equal(inject_noise(ds, ratio, seed).train_edges, want)

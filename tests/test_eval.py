@@ -151,7 +151,7 @@ def test_degenerate_data_skips_short_users_or_raises(rows, negatives, split,
     """Users with fewer than `negatives` unknown items are skipped, and
     the rest ranked; a split that leaves none to rank is an error."""
     edges = [(f"u{k}", f"i{v}") for k, items in enumerate(rows) for v in sorted(items)]
-    ds = build_dataset(InteractionTable(edges=edges), SocialTable(edges=[]),
+    ds = build_dataset(InteractionTable.of(edges), SocialTable.of([]),
                        split_seed=split_seed)
     ms, _, _ = make_encoded(ds, dim=2, layers=1)
     held = ds.val_edges if split == "val" else ds.test_edges

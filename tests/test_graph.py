@@ -19,8 +19,8 @@ def dense_reference(edges, deg_a, deg_b, n):
 
 def train_only_ds(pairs, num_users, num_items):
     """Dataset stub whose train edges are exactly `pairs`."""
-    inter = InteractionTable(edges=[(f"u{u}", f"i{v}") for u, v in pairs])
-    ds = build_dataset(inter, SocialTable(edges=[]))
+    inter = InteractionTable.of([(f"u{u}", f"i{v}") for u, v in pairs])
+    ds = build_dataset(inter, SocialTable.of([]))
     # route every edge into train: rebuild edges directly
     return dataclasses.replace(ds, train_edges=np.array(pairs, dtype=np.int64),
                                val_edges=np.zeros((0, 2), dtype=np.int64),
@@ -74,16 +74,16 @@ class TestInteractionLaplacian:
 
 class TestSocialLaplacian:
     def test_lone_tie_unit_values(self):
-        inter = InteractionTable(edges=[("u0", "a"), ("u1", "a")])
-        soc = SocialTable(edges=[("u0", "u1"), ("u1", "u0")])
+        inter = InteractionTable.of([("u0", "a"), ("u1", "a")])
+        soc = SocialTable.of([("u0", "u1"), ("u1", "u0")])
         ds = build_dataset(inter, soc)
         g = build_social_laplacian(ds)
         dense = g.matrix.toarray()
         np.testing.assert_allclose(dense, [[0, 1], [1, 0]])
 
     def test_hub_values(self):
-        inter = InteractionTable(edges=[(f"u{k}", "a") for k in range(3)])
-        soc = SocialTable(edges=[("u0", "u1"), ("u1", "u0"),
+        inter = InteractionTable.of([(f"u{k}", "a") for k in range(3)])
+        soc = SocialTable.of([("u0", "u1"), ("u1", "u0"),
                                  ("u0", "u2"), ("u2", "u0")])
         ds = build_dataset(inter, soc)
         g = build_social_laplacian(ds)
@@ -112,8 +112,8 @@ class TestSymmetry:
 
 class TestPropagate:
     def test_empty_graph_is_identity(self, rng):
-        inter = InteractionTable(edges=[("u", "a")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "a")])
+        ds = build_dataset(inter, SocialTable.of([]))
         g = build_social_laplacian(ds)  # no ties: empty matrix
         E = rng.normal(size=(ds.num_users, 3))
         np.testing.assert_array_equal(propagate(g, E), E)

@@ -57,8 +57,8 @@ class TestEncode:
         np.testing.assert_array_equal(ms.agg_s, ms.E_u)
 
     def test_single_edge_one_layer(self):
-        inter = InteractionTable(edges=[("u", "v")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "v")])
+        ds = build_dataset(inter, SocialTable.of([]))
         ms, _, _ = make_encoded(ds, dim=3, layers=1)
         e_u, e_v = ms.E_u[0], ms.E_v[0]
         np.testing.assert_allclose(ms.agg_r[0], 2 * e_u + e_v, atol=1e-12)

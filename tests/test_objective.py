@@ -57,8 +57,8 @@ class TestSampleBatch:
 
     def test_forced_negative(self, rng):
         # one user, two items, one train positive: v_neg is pinned
-        inter = InteractionTable(edges=[("u", "a"), ("u", "b")])
-        ds = build_dataset(inter, SocialTable(edges=[]))  # 1 train + 1 test
+        inter = InteractionTable.of([("u", "a"), ("u", "b")])
+        ds = build_dataset(inter, SocialTable.of([]))  # 1 train + 1 test
         batch = sample_batch(ds, 16, rng, need_social=False)
         train_item = int(ds.train_edges[0, 1])
         other = 1 - train_item
@@ -83,23 +83,23 @@ class TestSampleBatch:
             assert int(ineg) != int(i)
 
     def test_social_empty_allowed_when_skipped(self, rng):
-        inter = InteractionTable(edges=[("u", "a"), ("u", "b"), ("u", "c")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "a"), ("u", "b"), ("u", "c")])
+        ds = build_dataset(inter, SocialTable.of([]))
         batch = sample_batch(ds, 4, rng, need_social=False)
         assert batch.soc_triples.shape == (0, 3)
         with pytest.raises(ValueError):
             sample_batch(ds, 4, rng, need_social=True)
 
     def test_user_with_every_item_fatal(self, rng):
-        inter = InteractionTable(edges=[("u", "a")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "a")])
+        ds = build_dataset(inter, SocialTable.of([]))
         with pytest.raises(ValueError):
             sample_batch(ds, 2, rng, need_social=False)
 
     def test_user_tied_to_everyone_fatal(self, rng):
-        inter = InteractionTable(edges=[("u0", "a"), ("u0", "b"),
+        inter = InteractionTable.of([("u0", "a"), ("u0", "b"),
                                         ("u1", "a"), ("u1", "b")])
-        soc = SocialTable(edges=[("u0", "u1"), ("u1", "u0")])
+        soc = SocialTable.of([("u0", "u1"), ("u1", "u0")])
         ds = build_dataset(inter, soc)
         with pytest.raises(ValueError):
             sample_batch(ds, 2, rng, need_social=True)
@@ -107,8 +107,8 @@ class TestSampleBatch:
     def test_negative_distribution_uniform(self):
         # single user, 3 train items out of 10: v_neg uniform over the other 7
         items = [("u", f"i{k}") for k in range(5)]
-        ds = dataclasses.replace(build_dataset(InteractionTable(edges=items),
-                                               SocialTable(edges=[]), split_seed=0),
+        ds = dataclasses.replace(build_dataset(InteractionTable.of(items),
+                                               SocialTable.of([]), split_seed=0),
                                  num_items=10)
         lists = ds.train_item_lists()
         assert len(lists.items[lists.indptr[0]:lists.indptr[1]]) == 3
@@ -122,7 +122,7 @@ class TestSampleBatch:
     def test_positive_distribution_uniform(self):
         # single user, 6 train items out of 8: v_pos uniform over the 6
         items = [("u", f"i{k}") for k in range(8)]
-        ds = build_dataset(InteractionTable(edges=items), SocialTable(edges=[]))
+        ds = build_dataset(InteractionTable.of(items), SocialTable.of([]))
         lists = ds.train_item_lists()
         train = lists.items[lists.indptr[0]:lists.indptr[1]]
         assert len(train) == 6
@@ -135,9 +135,9 @@ class TestSampleBatch:
     def test_social_negative_distribution_uniform(self):
         # ten users, u0 tied to u1 and u2: u0's negatives uniform over the
         # other 7 users, and no row's negative is its anchor
-        inter = InteractionTable(edges=[(f"u{k}", v) for k in range(10) for v in "ab"])
+        inter = InteractionTable.of([(f"u{k}", v) for k in range(10) for v in "ab"])
         ties = [("u0", "u1"), ("u1", "u0"), ("u0", "u2"), ("u2", "u0")]
-        ds = build_dataset(inter, SocialTable(edges=ties))
+        ds = build_dataset(inter, SocialTable.of(ties))
         rng = np.random.default_rng(997)
         anchor, _, neg = sample_batch(ds, 100_000, rng).soc_triples.T
         assert (neg != anchor).all()

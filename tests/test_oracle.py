@@ -48,8 +48,8 @@ class TestFiniteDifference:
 
 class TestDenseForward:
     def test_empty_graphs_identity(self, rng):
-        inter = InteractionTable(edges=[("u0", "a"), ("u1", "b")])
-        ds = dataclasses.replace(build_dataset(inter, SocialTable(edges=[])),
+        inter = InteractionTable.of([("u0", "a"), ("u1", "b")])
+        ds = dataclasses.replace(build_dataset(inter, SocialTable.of([])),
                                  train_edges=np.zeros((0, 2), dtype=np.int64))
         E_u = rng.normal(size=(ds.num_users, 3))
         E_v = rng.normal(size=(ds.num_items, 3))
@@ -58,16 +58,16 @@ class TestDenseForward:
         np.testing.assert_allclose(agg_s, 4 * E_u, atol=1e-12)
 
     def test_single_edge_one_layer(self, rng):
-        inter = InteractionTable(edges=[("u", "v")])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([("u", "v")])
+        ds = build_dataset(inter, SocialTable.of([]))
         E_u = rng.normal(size=(1, 2))
         E_v = rng.normal(size=(1, 2))
         agg_r, _ = dense_forward(ds, E_u, E_v, 1)
         np.testing.assert_allclose(agg_r[0], 2 * E_u[0] + E_v[0], atol=1e-12)
 
     def test_size_cap_fatal(self):
-        inter = InteractionTable(edges=[(f"u{k}", f"i{k}") for k in range(200)])
-        ds = build_dataset(inter, SocialTable(edges=[]))
+        inter = InteractionTable.of([(f"u{k}", f"i{k}") for k in range(200)])
+        ds = build_dataset(inter, SocialTable.of([]))
         with pytest.raises(ValueError):
             dense_forward(ds, np.zeros((200, 2)), np.zeros((200, 2)), 1)
 

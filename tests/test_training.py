@@ -224,7 +224,7 @@ def _tables(rows, ties):
     """Interaction and social tables of per-user item rows and tie pairs."""
     edges = [(f"u{k}", f"i{v}") for k, items in enumerate(rows) for v in sorted(items)]
     both = [(f"u{a}", f"u{b}") for i, j in ties for a, b in ((i, j), (j, i))]
-    return InteractionTable(edges=edges), SocialTable(edges=both)
+    return InteractionTable.of(edges), SocialTable.of(both)
 
 
 @settings(max_examples=25, deadline=None)
