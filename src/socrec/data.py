@@ -260,11 +260,10 @@ def inject_noise(ds, ratio, seed):
     if count == 0:
         return ds
 
+    known = ds.known_item_lists()
     width = ds.num_items
     cells = ds.num_users * width
-    taken = np.unique(np.concatenate([e[:, 0] * width + e[:, 1] for e in
-                                      (ds.train_edges, ds.val_edges, ds.test_edges)]))
-    capacity = cells - len(taken)
+    capacity = cells - len(known.items)
     if count > capacity:
         raise ValueError(f"cannot place {count} fake edges, only {capacity} free cells")
 
@@ -273,16 +272,14 @@ def inject_noise(ds, ratio, seed):
     rng = np.random.default_rng(seed)
     fake = np.zeros(0, dtype=np.int64)
     while len(fake) < count:
-        need = count - len(fake)
-        # twice the draws that `need` free cells take on average
-        draws = 2 * need * cells // (capacity - len(fake)) + 64
+        # twice the draws that the missing fakes take on average
+        draws = 2 * (count - len(fake)) * cells // (capacity - len(fake)) + 64
         cell = rng.integers(0, np.tile((ds.num_users, width), draws)).reshape(-1, 2)
-        keys = cell[:, 0] * width + cell[:, 1]
+        cell = cell[~known.holds(cell[:, 0], cell[:, 1])]
+        # the fakes so far come first, so a cell drawn again is dropped
+        keys = np.concatenate([fake, cell[:, 0] * width + cell[:, 1]])
         _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)]
-        keys = keys[~np.isin(keys, taken)][:need]
-        fake = np.append(fake, keys)
-        taken = np.union1d(taken, keys)
+        fake = keys[np.sort(first)][:count]
 
     fake = np.column_stack(np.divmod(fake, width))
     return replace(ds, train_edges=np.concatenate([ds.train_edges, fake]))
