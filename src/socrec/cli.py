@@ -10,8 +10,7 @@ import dataclasses
 import logging
 import sys
 
-from .config import TrainConfig, read_value
-from .data import parse_config_file
+from .config import TrainConfig, parse_config_file, read_int, read_value
 from .experiments import (DEFAULT_NOISE_RATIOS, ExperimentSpec, run_ablation,
                           run_case_study, run_eval, run_robustness, run_sweep,
                           run_train)
@@ -83,7 +82,7 @@ def build_spec(args):
         key, val = entry.split("=", 1)
         cli_values[key.strip()] = val.strip()
     cfg = build_config(file_values, cli_values)
-    eval_seed = read_value("eval_seed", file_values.get("eval_seed", "0"), int)
+    eval_seed = read_int(file_values, "eval_seed", args.config, 0)
     if eval_seed < 0:
         raise ValueError(f"config key eval_seed must be >= 0, got {eval_seed}")
 

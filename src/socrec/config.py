@@ -1,4 +1,5 @@
-"""The training config and its one text form: `key=value` lines."""
+"""The training config, and the one reader and writer of `key=value` files:
+config files, run and checkpoint config echoes and dataset `meta`."""
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -14,6 +15,41 @@ def read_value(key, text, kind):
     except ValueError:
         raise ValueError(f"config key {key}: cannot read {text!r} "
                          f"as {kind.__name__}") from None
+
+
+def read_int(values, key, where, default=None):
+    """`values[key]` read as an int, or `default` if the key is absent; an
+    absent key without a default, or text that is no int, is an error
+    naming `where`."""
+    if key not in values:
+        if default is None:
+            raise ValueError(f"{where} has no {key}= line")
+        return default
+    try:
+        return read_value(key, values[key], int)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
+def parse_config_file(path):
+    """key=value lines, '#' comments; values stay strings until coercion."""
+    out = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, val = line.split("=", 1)
+            out[key.strip()] = val.strip()
+    return out
+
+
+def write_lines(path, lines):
+    """Write `lines` to `path`, each ended by a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass

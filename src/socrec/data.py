@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import read_value
+from .config import parse_config_file, read_int, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -76,21 +76,17 @@ class SocialTable:
                    int(self_tie.sum()))
 
 
-def load_edges(path, kind):
-    """Parse an edge file into an InteractionTable or SocialTable.
+def _edge_tokens(path):
+    """The edge-file syntax, shared by raw edge files and the pair files of
+    a dataset directory: (the first two tokens of every edge line, flat,
+    the count of malformed lines).
 
     Lines hold at least two whitespace- or comma-separated tokens; extra
     columns (ratings, timestamps) are ignored. Lines with fewer than two
-    tokens are counted as malformed and skipped; blank lines and lines
-    whose first non-blank character is '#' (before commas are read) are
-    skipped.
+    tokens are malformed; blank lines and lines whose first non-blank
+    character is '#' (before commas are read) are skipped.
     """
-    if kind not in ("interaction", "social"):
-        raise ValueError(f"unknown edge kind: {kind!r}")
-    if not os.path.isfile(path):
-        raise FileNotFoundError(f"edge file not found: {path}")
-
-    ids = []  # the two ids of every edge line, flat
+    ids = []
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -102,6 +98,17 @@ def load_edges(path, kind):
                 malformed += 1
             else:
                 ids += toks[:2]
+    return ids, malformed
+
+
+def load_edges(path, kind):
+    """Parse an edge file into an InteractionTable or SocialTable; malformed
+    lines (see `_edge_tokens`) are counted and skipped."""
+    if kind not in ("interaction", "social"):
+        raise ValueError(f"unknown edge kind: {kind!r}")
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"edge file not found: {path}")
+    ids, malformed = _edge_tokens(path)
     if malformed:
         log.warning("%s: skipped %d malformed line(s)", path, malformed)
     table = SocialTable if kind == "social" else InteractionTable
@@ -116,7 +123,7 @@ class Dataset:
     deduplicated interaction set. Social edges are stored with both
     directions present. Everything else is derived from these fields:
     `degree` (train interactions per user) when the dataset is built,
-    the user id map and neighbour lists on first use.
+    the neighbour lists on first use.
     The fields are read-only, so what is derived stays true; a variant is
     a `dataclasses.replace` copy, which derives its own.
     """
@@ -146,12 +153,6 @@ class Dataset:
     def density(self):
         n = len(self.train_edges) + len(self.val_edges) + len(self.test_edges)
         return n / (self.num_users * self.num_items)
-
-    @property
-    def user_index(self):
-        """External user id -> dense index."""
-        return self._derived("user_index",
-                             lambda: {ext: i for i, ext in enumerate(self.user_ids)})
 
     def known_item_lists(self):
         """Each user's items of all three splits as NeighbourLists over the
@@ -212,6 +213,8 @@ def build_dataset(inter, soc=None, split_seed=0):
     """
     if not len(inter.pairs):
         raise ValueError("empty interaction table")
+    if split_seed < 0:
+        raise ValueError(f"split_seed must be >= 0, got {split_seed}")
 
     index = dict(zip(inter.user_ids, range(len(inter.user_ids))))
     social = np.zeros((0, 2), dtype=np.int64)
@@ -325,25 +328,10 @@ def stratify_by_degree(ds, boundaries=DEFAULT_STRATA):
 
 # --- plain-text serialization ------------------------------------------------
 
-def parse_config_file(path):
-    """key=value lines, '#' comments; values stay strings until coercion."""
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
-
-
 def save_dataset(ds, out_dir):
     """Write the dataset as a directory of deterministic text files."""
     os.makedirs(out_dir, exist_ok=True)
-    meta = [
+    write_lines(os.path.join(out_dir, "meta"), [
         f"num_users={ds.num_users}",
         f"num_items={ds.num_items}",
         f"num_train={len(ds.train_edges)}",
@@ -352,35 +340,24 @@ def save_dataset(ds, out_dir):
         f"num_social={len(ds.social_edges)}",
         f"split_seed={ds.split_seed}",
         f"density={ds.density:.10e}",
-    ]
-    with open(os.path.join(out_dir, "meta"), "w") as fh:
-        fh.write("\n".join(meta) + "\n")
+    ])
     for name, arr in (("train.txt", ds.train_edges), ("val.txt", ds.val_edges),
                       ("test.txt", ds.test_edges), ("social.txt", ds.social_edges)):
-        with open(os.path.join(out_dir, name), "w") as fh:
-            for a, b in arr:
-                fh.write(f"{a} {b}\n")
+        np.savetxt(os.path.join(out_dir, name), arr, fmt="%d")
 
 
 def load_dataset(in_dir):
     """Load a dataset directory written by save_dataset (identity id maps).
 
-    Refuses an index outside [0, num_users) or [0, num_items) of `meta`, a
-    pair listed twice in one split or in two, a self-tie and a tie without
-    its reverse; an error names the file.
+    The pair files are edge files (see `_edge_tokens`) of dense indices.
+    Refuses a malformed line, an index outside [0, num_users) or
+    [0, num_items) of `meta`, a pair listed twice in one split or in two,
+    a self-tie and a tie without its reverse; an error names the file.
     """
     meta_path = os.path.join(in_dir, "meta")
     meta = parse_config_file(meta_path)
-
-    def meta_int(key, default=None):
-        if key not in meta and default is None:
-            raise ValueError(f"{meta_path} has no {key}= line")
-        try:
-            return read_value(key, meta.get(key, default), int)
-        except ValueError as err:
-            raise ValueError(f"{meta_path}: {err}") from None
-
-    num_users, num_items = meta_int("num_users"), meta_int("num_items")
+    num_users = read_int(meta, "num_users", meta_path)
+    num_items = read_int(meta, "num_items", meta_path)
     widths = {"train.txt": num_items, "val.txt": num_items, "test.txt": num_items,
               "social.txt": num_users}
     pairs = {}
@@ -391,16 +368,15 @@ def load_dataset(in_dir):
             raise ValueError(f"{os.path.join(in_dir, name)}: pair {a} {b} {why}")
 
     for name, width in widths.items():
-        tokens = []  # the first two tokens of every line, flat
-        with open(os.path.join(in_dir, name)) as fh:
-            for toks in map(str.split, fh):
-                if len(toks) >= 2:
-                    tokens += toks[:2]
+        path = os.path.join(in_dir, name)
+        tokens, malformed = _edge_tokens(path)
+        if malformed:
+            raise ValueError(f"{path}: {malformed} line(s) with fewer than two tokens")
         try:
             pairs[name] = np.array([int(t) for t in tokens],
                                    dtype=np.int64).reshape(-1, 2)
         except ValueError as err:
-            raise ValueError(f"{os.path.join(in_dir, name)}: {err}") from None
+            raise ValueError(f"{path}: {err}") from None
         outside = (pairs[name] < 0) | (pairs[name] >= (num_users, width))
         refuse(name, outside.any(axis=1), f"lies outside [0, {num_users}) x [0, {width})")
 
@@ -430,5 +406,5 @@ def load_dataset(in_dir):
         val_edges=pairs["val.txt"],
         test_edges=pairs["test.txt"],
         social_edges=social,
-        split_seed=meta_int("split_seed", "0"),
+        split_seed=read_int(meta, "split_seed", meta_path, 0),
     )

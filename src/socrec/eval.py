@@ -59,14 +59,6 @@ class EvalReport:
         return "\n".join(rows)
 
 
-def _split_edges(ds, split):
-    if split == "val":
-        return ds.val_edges
-    if split == "test":
-        return ds.test_edges
-    raise ValueError(f"unknown split {split!r}")
-
-
 # numpy's SeedSequence hash constants and the PCG64 multiplier
 # (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -235,7 +227,9 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     candidates, and each candidate matrix product in sub-blocks of at
     most CHUNK gathered elements.
     """
-    edges = _split_edges(ds, split)
+    if split not in ("val", "test"):
+        raise ValueError(f"unknown split {split!r}")
+    edges = ds.val_edges if split == "val" else ds.test_edges
     I = ds.num_users
     known = ds.known_item_lists()
     states, incs = _stream_states(seed, edges[:, 0])

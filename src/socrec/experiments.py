@@ -12,7 +12,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .config import VARIANTS, TrainConfig
+from .config import VARIANTS, TrainConfig, write_lines
 from .data import (DEFAULT_STRATA, build_dataset, inject_noise, load_dataset,
                    load_edges, stratify_by_degree)
 from .eval import evaluate_stratified, export_relevance_weights
@@ -62,11 +62,6 @@ def make_run_dir(spec, task):
     path = os.path.join(spec.out_dir, task, name)
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def write_lines(path, lines):
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_report(spec, ds, ms, cfg, run_dir):
@@ -226,6 +221,5 @@ def run_case_study(spec):
     if not spec.checkpoint:
         save_checkpoint(ms, os.path.join(run_dir, "checkpoint"), spec.config.lines())
     export = export_relevance_weights(ms, ds, sample=sample, seed=spec.eval_seed)
-    write_lines(os.path.join(run_dir, "relevance_weights.txt"),
-                export.to_lines() or ["# no ties"])
+    write_lines(os.path.join(run_dir, "relevance_weights.txt"), export.to_lines())
     return export, run_dir

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LEAKY_SLOPE, TrainConfig, read_value
-from .data import parse_config_file
+from .config import LEAKY_SLOPE, TrainConfig, parse_config_file, read_int, write_lines
 from .graph import for_each_chunk, propagate
 
 
@@ -247,9 +246,8 @@ def save_checkpoint(ms, out_dir, config_lines):
     for name, view in ms.params.as_dict().items():
         with open(os.path.join(out_dir, name), "wb") as fh:
             np.ascontiguousarray(view, dtype=CHECKPOINT_DTYPE).tofile(fh)
-    with open(os.path.join(out_dir, "config"), "w") as fh:
-        fh.write("\n".join([f"num_users={ms.num_users}", f"num_items={ms.num_items}",
-                            *config_lines]) + "\n")
+    write_lines(os.path.join(out_dir, "config"), [
+        f"num_users={ms.num_users}", f"num_items={ms.num_items}", *config_lines])
 
 
 def checkpoint_config(in_dir):
@@ -259,13 +257,8 @@ def checkpoint_config(in_dir):
     if not os.path.isfile(path):
         raise ValueError(f"checkpoint {in_dir} has no config file {path}")
     values = parse_config_file(path)
-    try:
-        sizes = [read_value(key, values.pop(key), int)
-                 for key in ("num_users", "num_items")]
-    except KeyError as err:
-        raise ValueError(f"{path} has no {err.args[0]}= line") from None
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    sizes = [read_int(values, key, path) for key in ("num_users", "num_items")]
+    del values["num_users"], values["num_items"]
     return (*sizes, TrainConfig().read(values, path, complete=True))
 
 

@@ -89,18 +89,12 @@ def planted_clusters(num_users=40, num_items=120, items_per_user=12,
 
     ds = build_dataset(InteractionTable.of(inter), SocialTable.of(sorted(ties)),
                        split_seed=seed)
-    # dense user index == generation index: users appear in order in `inter`
-    tie_kind = {}
-    for a, b in ties:
-        ia, ib = ds.user_index[a], ds.user_index[b]
-        kind = "intra" if cluster_of[a] == cluster_of[b] else "cross"
-        tie_kind[(min(ia, ib), max(ia, ib))] = kind
-    info = {
-        "cluster_of": np.array([cluster_of[ds.user_ids[i]]
-                                for i in range(ds.num_users)]),
-        "tie_kind": tie_kind,
-    }
-    return ds, info
+    # users appear in order in `inter`, so the dense index is the generation index
+    if ds.user_ids != list(range(num_users)):
+        raise ValueError("planted users are not numbered in generation order")
+    tie_kind = {(a, b): "intra" if cluster_of[a] == cluster_of[b] else "cross"
+                for a, b in ties}
+    return ds, {"cluster_of": cluster_of, "tie_kind": tie_kind}
 
 
 def write_edge_files(inter, soc, out_dir):

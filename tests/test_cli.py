@@ -380,13 +380,16 @@ class TestMainEntry:
         assert not os.path.exists(tmp_path / "runs")
 
     @pytest.mark.parametrize("config,flags,key", [("eval_seed=-3\n", [], "eval_seed"),
-                                                  ("", ["--seed", "-1"], "seed")])
+                                                  ("", ["--seed", "-1"], "seed"),
+                                                  ("", ["--split-seed", "-1"], "split_seed")])
     def test_negative_seed_fatal_before_any_work(self, edge_files, tmp_path, config,
                                                  flags, key):
         inter_path, soc_path = edge_files
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(config)
-        with pytest.raises(ValueError, match=f"config key {key} must be >= 0"):
+        # the split seed is a build_dataset argument, not a config key
+        prefix = "" if key == "split_seed" else "config key "
+        with pytest.raises(ValueError, match=f"{prefix}{key} must be >= 0"):
             main(["train", "--interactions", inter_path, "--social", soc_path,
                   "--out", str(tmp_path / "runs"), "--epochs", "1", "--dim", "4",
                   "--config", str(cfg_path), *flags])

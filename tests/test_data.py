@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from socrec.data import (DEFAULT_STRATA, InteractionTable, SocialTable,
                          build_dataset, inject_noise, load_dataset, load_edges,
                          save_dataset, stratify_by_degree)
-from socrec.synthetic import random_tables
+from socrec.synthetic import planted_clusters, random_tables
 
 
 def write(tmp_path, name, text):
@@ -105,7 +105,7 @@ class TestBuildDataset:
         soc = SocialTable.of([("u1", "u9"), ("u9", "u1")])
         ds = build_dataset(inter, soc)
         assert ds.num_users == 2
-        assert ds.degree[ds.user_index["u9"]] == 0
+        assert ds.degree[ds.user_ids.index("u9")] == 0
 
     def test_partition_and_eligibility(self):
         inter, soc = random_tables(12, 20, min_items=1, max_items=6, seed=9)
@@ -166,6 +166,31 @@ class TestBuildDataset:
             fh.write(line.format(users=ds.num_users, items=ds.num_items, **first) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(tmp_path / name))):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["train.txt", "val.txt", "test.txt", "social.txt"])
+    @pytest.mark.parametrize("line", ["3", "3,", "\t3 "])
+    def test_short_line_refused(self, tmp_path, name, line):
+        ds = build_dataset(*random_tables(8, 10), split_seed=0)
+        save_dataset(ds, str(tmp_path))
+        with open(tmp_path / name, "a") as fh:
+            fh.write(f"{line}\n\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / name}: 2 line(s) with fewer than two tokens")):
+            load_dataset(str(tmp_path))
+
+    def test_pair_files_read_as_edge_files(self, tmp_path):
+        """Commas, extra columns, comments and blank lines read as in a raw
+        edge file."""
+        ds = build_dataset(*random_tables(8, 10), split_seed=0)
+        save_dataset(ds, str(tmp_path))
+        for name in ("train.txt", "val.txt", "test.txt", "social.txt"):
+            lines = (tmp_path / name).read_text().splitlines()
+            (tmp_path / name).write_text("# dense indices\n\n" + "".join(
+                f"{a},{b}\n" if k % 2 else f" {a}\t{b} 1 #\r\n"
+                for k, (a, b) in enumerate(line.split() for line in lines)))
+        back = load_dataset(str(tmp_path))
+        for field in ("train_edges", "val_edges", "test_edges", "social_edges"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(ds, field))
 
     @pytest.mark.parametrize("key,value", [("num_items", None), ("num_users", "12x")])
     def test_bad_meta_names_file(self, tmp_path, key, value):
@@ -235,6 +260,13 @@ def test_ingest_sets_off_no_garbage_collection(tmp_path):
     assert started == []
 
 
+def test_planted_clusters_refuse_users_out_of_generation_order():
+    # with no items per user, cold items go to random members of a cluster,
+    # so dense indices would not match the generation indices of the labels
+    with pytest.raises(ValueError, match="not numbered in generation order"):
+        planted_clusters(items_per_user=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)),
                 min_size=1, max_size=60),
@@ -299,7 +331,7 @@ class TestDerivedFields:
     def test_copies_derive_their_own(self):
         inter, soc = random_tables(10, 40, seed=2)
         ds = build_dataset(inter, soc)
-        ds.train_item_lists(), ds.user_index  # fill the caches first
+        ds.train_item_lists()  # fill the cache first
         copies = [inject_noise(ds, 0.5, seed=7),
                   replace(ds, train_edges=ds.train_edges[::2]),
                   replace(ds, user_ids=[f"x{k}" for k in range(ds.num_users)])]
@@ -312,8 +344,6 @@ class TestDerivedFields:
             lists = copy.train_item_lists()
             assert [sorted(lists.items[lists.indptr[u]:lists.indptr[u + 1]].tolist())
                     for u in range(ds.num_users)] == [sorted(s) for s in want]
-            assert copy.user_index == {ext: i for i, ext in enumerate(copy.user_ids)}
-        assert "x0" not in ds.user_index  # the original keeps its own
 
     def test_empty_train_has_zero_degrees(self):
         inter = InteractionTable.of([("u", "a"), ("v", "b")])
@@ -340,7 +370,7 @@ class TestStratify:
         soc = SocialTable.of([("u1", "u2"), ("u2", "u1")])
         ds = build_dataset(inter, soc)
         strata = stratify_by_degree(ds)
-        assert strata.boundaries[strata.assignment[ds.user_index["u2"]]] == (0.0, 5.0)
+        assert strata.boundaries[strata.assignment[ds.user_ids.index("u2")]] == (0.0, 5.0)
 
     def test_degree_twelve_assignment(self):
         edges = [("u", f"i{k}") for k in range(14)]  # 14 -> 12 in train

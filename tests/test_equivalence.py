@@ -1,8 +1,9 @@
 """Bit-for-bit equivalence of the blocked, in-place kernels, the neighbour
 lists, the bulk-drawn BPR triples, the bulk-seeded evaluation streams, the
 block-drawn evaluation candidates and ranks, the one-pass loss and
-gradient step, and the columnar edge-file ingestion and bulk noise
-injection with the plain code they replace.
+gradient step, the columnar edge-file ingestion, the edge-line tokenizer
+on dataset pair files and bulk noise injection with the plain code they
+replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
@@ -20,8 +21,8 @@ from scipy.special import expit
 
 from socrec import eval as eval_mod
 from socrec import graph, objective
-from socrec.data import (InteractionTable, NeighbourLists, SocialTable, build_dataset,
-                         inject_noise)
+from socrec.data import (InteractionTable, NeighbourLists, SocialTable, _edge_tokens,
+                         build_dataset, inject_noise, load_dataset, save_dataset)
 from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
                          held_out_rank)
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
@@ -1196,6 +1197,42 @@ def test_hand_built_tables_match_loaded_ones(pairs, ties, split_seed):
     assert soc.self_loops_dropped == sum(a == b for a, b in ties)
     got = build_dataset(InteractionTable.of(pairs), soc, split_seed=split_seed)
     _assert_dataset_equals_seed(got, want)
+
+
+def seed_pair_tokens(path):
+    """The original dataset-directory pair reader: `str.split` per line,
+    lines with fewer than two tokens dropped unseen."""
+    tokens = []
+    with open(path) as fh:
+        for toks in map(str.split, fh):
+            if len(toks) >= 2:
+                tokens += toks[:2]
+    return tokens
+
+
+@settings(max_examples=80, deadline=None)
+@example(pairs=[(0, 0), (1, 1), (2, 0)], ties=[], split_seed=0)  # no val, test or ties
+@example(pairs=[(0, 0), (0, 1), (1, 1)], ties=[(0, 0)], split_seed=1)  # no val or ties
+@given(pairs=st.lists(st.tuples(st.integers(0, 6),
+                                st.one_of(st.integers(0, 9), st.sampled_from(["a", "b"]))),
+                      min_size=1, max_size=50),
+       ties=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=15),
+       split_seed=st.integers(0, 3))
+def test_pair_files_tokenize_as_split_reader(tmp_path_factory, pairs, ties, split_seed):
+    """The shared edge-file tokenizer reads every pair file that
+    save_dataset writes as the per-line `str.split` reader did, and the
+    directory loads back as the dataset saved."""
+    ds = build_dataset(InteractionTable.of(pairs), SocialTable.of(ties),
+                       split_seed=split_seed)
+    root = tmp_path_factory.mktemp("dataset")
+    save_dataset(ds, str(root))
+    for name in ("train.txt", "val.txt", "test.txt", "social.txt"):
+        assert _edge_tokens(str(root / name)) == (seed_pair_tokens(str(root / name)), 0)
+    back = load_dataset(str(root))
+    assert (back.num_users, back.num_items, back.split_seed) == (
+        ds.num_users, ds.num_items, split_seed)
+    for name in ("train_edges", "val_edges", "test_edges", "social_edges"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
 
 
 def seed_inject_noise(ds, ratio, seed):
