@@ -24,10 +24,20 @@ def _codes(column):
             list(index))
 
 
-def _first_rows(pairs, width):
-    """The rows of an (n, 2) code array without repeats, in load order."""
-    _, first = np.unique(pairs[:, 0] * width + pairs[:, 1], return_index=True)
-    return pairs[np.sort(first)]
+def first_fresh(keys, listed=np.zeros(0, dtype=np.int64)):
+    """Whether each of the non-negative int64 `keys` (any shape) is the
+    first of its value, in flat order, and not among the `listed` keys:
+    from one sort of `key << shift | position`, the listed keys first."""
+    flat = np.concatenate([listed, keys.ravel()])
+    shift = len(flat).bit_length()
+    top = int(flat.max(initial=0))
+    if top << shift > np.iinfo(np.int64).max:
+        raise OverflowError(f"{len(flat)} keys up to {top} overflow the sort keys")
+    order = np.sort(flat << shift | np.arange(len(flat)))
+    first = order[np.diff(order >> shift, prepend=-1) != 0] & ((1 << shift) - 1)
+    fresh = np.zeros(len(flat), dtype=bool)
+    fresh[first] = True
+    return fresh[len(listed):].reshape(keys.shape)
 
 
 @dataclass(eq=False, frozen=True)
@@ -49,7 +59,8 @@ class InteractionTable:
         pairs = np.asarray(pairs, dtype=object).reshape(-1, 2)
         users, user_ids = _codes(pairs[:, 0].tolist())
         items, item_ids = _codes(pairs[:, 1].tolist())
-        return cls(_first_rows(np.column_stack((users, items)), len(item_ids)),
+        codes = np.column_stack((users, items))
+        return cls(codes[first_fresh(users * len(item_ids) + items)],
                    user_ids, item_ids, malformed)
 
 
@@ -72,8 +83,8 @@ class SocialTable:
         codes, user_ids = _codes(pairs[~self_tie].ravel().tolist())
         ties = codes.reshape(-1, 2)
         both = np.stack((ties, ties[:, ::-1]), axis=1).reshape(-1, 2)
-        return cls(_first_rows(both, len(user_ids)), user_ids, malformed,
-                   int(self_tie.sum()))
+        keys = both[:, 0] * len(user_ids) + both[:, 1]
+        return cls(both[first_fresh(keys)], user_ids, malformed, int(self_tie.sum()))
 
 
 def _edge_tokens(path):
@@ -121,9 +132,9 @@ class Dataset:
 
     train/val/test are pairwise disjoint and their union is the full
     deduplicated interaction set. Social edges are stored with both
-    directions present. Everything else is derived from these fields:
-    `degree` (train interactions per user) when the dataset is built,
-    the neighbour lists on first use.
+    directions present. Everything else is derived from these fields on
+    first use: the neighbour lists, and from the train lists `degree`
+    (distinct train items per user).
     The fields are read-only, so what is derived stays true; a variant is
     a `dataclasses.replace` copy, which derives its own.
     """
@@ -137,17 +148,17 @@ class Dataset:
     test_edges: np.ndarray
     social_edges: np.ndarray  # (m, 2) int64, symmetric
     split_seed: int = 0
-    degree: np.ndarray = field(init=False, repr=False)  # (num_users,) int64
     _cache: dict = field(init=False, default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "degree", np.bincount(self.train_edges[:, 0],
-                                                       minlength=self.num_users))
 
     def _derived(self, key, build):
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    @property
+    def degree(self):
+        """(num_users,) int64: each user's count of distinct train items."""
+        return np.diff(self.train_item_lists().indptr)
 
     @property
     def density(self):
@@ -278,11 +289,9 @@ def inject_noise(ds, ratio, seed):
         # twice the draws that the missing fakes take on average
         draws = 2 * (count - len(fake)) * cells // (capacity - len(fake)) + 64
         cell = rng.integers(0, np.tile((ds.num_users, width), draws)).reshape(-1, 2)
-        cell = cell[~known.holds(cell[:, 0], cell[:, 1])]
         # the fakes so far come first, so a cell drawn again is dropped
         keys = np.concatenate([fake, cell[:, 0] * width + cell[:, 1]])
-        _, first = np.unique(keys, return_index=True)
-        fake = keys[np.sort(first)][:count]
+        fake = keys[first_fresh(keys, known.keys[:-1])][:count]
 
     fake = np.column_stack(np.divmod(fake, width))
     return replace(ds, train_edges=np.concatenate([ds.train_edges, fake]))

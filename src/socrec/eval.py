@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import first_fresh
 from .graph import CHUNK
 from .model import _require_encoded, projection_forward, user_vectors
 
@@ -129,28 +130,6 @@ def _pcg64(state, inc):
             "has_uint32": 0, "uinteger": 0}
 
 
-def _fresh(draws, users, known, num_items):
-    """Which of each row's draws is the first of its value in the row and
-    not on `known`'s list of the row's user: from one sort of the draws
-    and those lists' items, as (row, item, position) keys in which the
-    known items come first."""
-    n = len(users)
-    lo, hi = known.indptr[users], known.indptr[users + 1]
-    owner = np.repeat(np.arange(n), hi - lo)
-    offset = np.repeat(hi - np.cumsum(hi - lo), hi - lo)  # list start - output start
-    items = known.items[np.arange(len(owner)) + offset]
-    pairs = np.concatenate([owner * num_items + items,
-                            (np.arange(n)[:, None] * num_items + draws).ravel()])
-    shift = len(pairs).bit_length()
-    if (n * num_items) << shift > np.iinfo(np.int64).max:
-        raise OverflowError(f"{n} rows of {num_items} items overflow the sort keys")
-    keys = np.sort(pairs << shift | np.arange(len(pairs)))
-    first = keys[np.diff(keys >> shift, prepend=-1) != 0] & ((1 << shift) - 1)
-    fresh = np.zeros(len(pairs), dtype=bool)
-    fresh[first] = True
-    return fresh[len(owner):].reshape(draws.shape)
-
-
 def _prefix_length(unknown, num_items, count):
     """The mean plus the standard deviation, rounded up, of the draws out
     of `num_items` that pick `count` distinct items of `unknown` ones: the
@@ -193,7 +172,12 @@ def _sample_negatives(rng, streams, users, known, num_items, count):
         for k, r in enumerate(rows.tolist()):
             bits.state = _pcg64(states[r], incs[r])
             draws[k] = rng.integers(num_items, size=length)
-        fresh = _fresh(draws, users[rows], known, num_items)
+        # row-local keys: the rows' known items first, then their draws
+        lo, hi = known.indptr[users[rows]], known.indptr[users[rows] + 1]
+        owner = np.repeat(np.arange(len(rows)), hi - lo)
+        offset = np.repeat(hi - np.cumsum(hi - lo), hi - lo)  # list start - key start
+        listed = owner * num_items + known.items[np.arange(len(owner)) + offset]
+        fresh = first_fresh(np.arange(len(rows))[:, None] * num_items + draws, listed)
         picked = fresh.cumsum(axis=1)
         done = picked[:, -1] >= count
         take = fresh[done] & (picked[done] <= count)

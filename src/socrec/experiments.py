@@ -101,6 +101,17 @@ def _metric_rows(tag, report):
             for n in report.cutoffs for metric in ("hr", "ndcg")]
 
 
+def _cell_dirs(cells, name):
+    """The directory `name(cell)` of each cell of a task; cells that would
+    share a directory are refused."""
+    names = [name(cell) for cell in cells]
+    for k, dup in enumerate(names):
+        if dup in names[:k]:
+            raise ValueError(f"cells {cells[names.index(dup)]!r} and {cells[k]!r} "
+                             f"share the directory {dup!r}")
+    return names
+
+
 def run_train(spec):
     """Train once, evaluate on the requested split, persist artifacts."""
     ds = load_spec_dataset(spec)
@@ -155,13 +166,14 @@ def run_ablation(spec, variants=VARIANTS):
 
 def run_robustness(spec):
     """Retrain per noise ratio; report metrics and relative degradation."""
+    cell_dirs = _cell_dirs(spec.noise_ratios, lambda ratio: f"ratio_{ratio:g}")
     ds = load_spec_dataset(spec)
     noisy = {ratio: inject_noise(ds, ratio, NOISE_SEED) for ratio in spec.noise_ratios}
     run_dir = make_run_dir(spec, "robustness")
     reports = {}
-    for ratio in spec.noise_ratios:
-        cell_dir = os.path.join(run_dir, f"ratio_{ratio:g}")
-        _, reports[ratio] = _train_and_report(spec, noisy[ratio], spec.config, cell_dir)
+    for ratio, cell_dir in zip(spec.noise_ratios, cell_dirs):
+        _, reports[ratio] = _train_and_report(spec, noisy[ratio], spec.config,
+                                              os.path.join(run_dir, cell_dir))
 
     base = reports.get(0.0) or reports[min(reports)]
     lines = ["# ratio metric cutoff value degradation"]
@@ -183,12 +195,12 @@ def run_sweep(spec):
         raise ValueError("sweep needs non-empty grid axes")
     grid = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     configs = [spec.config.with_overrides(**overrides) for overrides in grid]
+    cell_dirs = _cell_dirs(grid, lambda overrides: "_".join(
+        f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in overrides.items()))
     ds = load_spec_dataset(spec)
     run_dir = make_run_dir(spec, "sweep")
     lines, cells = ["# axes metric cutoff value"], []
-    for overrides, cfg in zip(grid, configs):
-        cell_dir = "_".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                            for k, v in overrides.items())
+    for overrides, cfg, cell_dir in zip(grid, configs, cell_dirs):
         _, report = _train_and_report(spec, ds, cfg, os.path.join(run_dir, cell_dir))
         cells.append((overrides, report))
         lines += _metric_rows(",".join(f"{k}={v}" for k, v in overrides.items()), report)

@@ -20,6 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs  # Y += A @ X on raw CSR arrays
 
+from .data import NeighbourLists
+
 
 def _cpu_count():
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
@@ -92,12 +94,13 @@ class NormalizedGraph:
         return self.matrix.shape[0]
 
 
-def _normalized_csr(rows, cols, deg, n):
-    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
-    m = m.tocsr()
-    m.sort_indices()
-    return m
+def _normalized(indptr, indices, view):
+    """The graph of CSR rows (`indptr`, `indices`) of distinct neighbours,
+    each entry (a, b) weighted 1/sqrt(deg(a) * deg(b)), deg being row lengths."""
+    deg = np.diff(indptr)
+    vals = 1.0 / np.sqrt(np.repeat(deg, deg) * deg[indices])
+    n = len(deg)
+    return NormalizedGraph(sp.csr_matrix((vals, indices, indptr), shape=(n, n)), view)
 
 
 def build_interaction_laplacian(ds):
@@ -107,23 +110,17 @@ def build_interaction_laplacian(ds):
     contribute; the diagonal blocks are zero.
     """
     I, J = ds.num_users, ds.num_items
-    u = ds.train_edges[:, 0]
-    v = ds.train_edges[:, 1]
-    deg_u = np.bincount(u, minlength=I).astype(np.float64)
-    deg_v = np.bincount(v, minlength=J).astype(np.float64)
-    deg = np.concatenate([deg_u, deg_v])
-    rows = np.concatenate([u, I + v])
-    cols = np.concatenate([I + v, u])
-    return NormalizedGraph(_normalized_csr(rows, cols, deg, I + J), "interaction")
+    users = ds.train_item_lists()
+    items = NeighbourLists.of(ds.train_edges[:, ::-1], J, I)
+    indptr = np.concatenate([users.indptr, users.indptr[-1] + items.indptr[1:]])
+    return _normalized(indptr, np.concatenate([I + users.items, items.items]),
+                       "interaction")
 
 
 def build_social_laplacian(ds):
     """Normalized user-user adjacency over I nodes from symmetric ties."""
-    I = ds.num_users
-    a = ds.social_edges[:, 0]
-    b = ds.social_edges[:, 1]
-    deg = np.bincount(a, minlength=I).astype(np.float64)
-    return NormalizedGraph(_normalized_csr(a, b, deg, I), "social")
+    ties = ds.tie_lists()
+    return _normalized(ties.indptr, ties.items, "social")
 
 
 def propagate(g, E, out=None):

@@ -104,7 +104,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
             progress(result.history[-1])
 
         if not has_val or val_hr > best_val:  # without validation, keep the last
-            best_val = val_hr
+            result.best_val_hr = best_val = val_hr  # nan without validation
             best_params = ms.copy_params()
             result.best_epoch = epoch
             bad_epochs = 0
@@ -117,5 +117,4 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
     ms.set_params(best_params)
     encode(ms, g_r, g_s, cfg.layers, cfg.agg)
     ms.buffers.clear()  # drops the work arrays; ms.agg_r and ms.agg_s keep theirs
-    result.best_val_hr = best_val if has_val else float("nan")
     return result

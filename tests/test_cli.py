@@ -152,7 +152,16 @@ def test_every_task_needs_a_data_source(task, tmp_path):
     (run_sweep, "sweep_axes", {"variant": ["full", "bogus"]}, "unknown variant 'bogus'"),
     (run_robustness, "noise_ratios", (0.0, 1.5), "noise ratio must lie in"),
     (run_case_study, "checkpoint", "no-such-checkpoint", "has no config file"),
-], ids=["sweep", "robust", "case-study"])
+    # cells whose directory names are equal
+    (run_robustness, "noise_ratios", (0.0, 0.1, 0.1000001),
+     r"cells 0\.1 and 0\.1000001 share the directory 'ratio_0\.1'"),
+    (run_robustness, "noise_ratios", (0.2, 0.0, 0.2), "cells 0.2 and 0.2 share"),
+    (run_sweep, "sweep_axes", {"lr": [0.001, 0.0010000001]},
+     r"0\.001\} and \{'lr': 0\.0010000001\} share the directory 'lr=0\.001'"),
+    (run_sweep, "sweep_axes", {"layers": [1, 2], "variant": ["full", "full"]},
+     "share the directory 'layers=1_variant=full'"),
+], ids=["sweep", "robust", "case-study", "robust-close-ratios", "robust-same-ratio",
+        "sweep-close-values", "sweep-same-value"])
 def test_every_cell_is_checked_before_the_run_directory(task, knob, value, match,
                                                         edge_files, tmp_path):
     spec = fast_spec(edge_files, tmp_path / "runs", **{knob: value})

@@ -345,6 +345,12 @@ class TestDerivedFields:
             assert [sorted(lists.items[lists.indptr[u]:lists.indptr[u + 1]].tolist())
                     for u in range(ds.num_users)] == [sorted(s) for s in want]
 
+    def test_degree_counts_distinct_train_items(self):
+        inter, soc = random_tables(6, 20, seed=4)
+        ds = build_dataset(inter, soc)
+        twice = replace(ds, train_edges=np.concatenate([ds.train_edges, ds.train_edges]))
+        np.testing.assert_array_equal(twice.degree, ds.degree)
+
     def test_empty_train_has_zero_degrees(self):
         inter = InteractionTable.of([("u", "a"), ("v", "b")])
         ds = build_dataset(inter, SocialTable.of([]))

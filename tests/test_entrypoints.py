@@ -24,6 +24,7 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("socrec_demo_*"))  # temporary files removed
 
 
 def test_demos_found():

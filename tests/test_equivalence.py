@@ -2,7 +2,8 @@
 lists, the bulk-drawn BPR triples, the bulk-seeded evaluation streams, the
 block-drawn evaluation candidates and ranks, the one-pass loss and
 gradient step, the columnar edge-file ingestion, the edge-line tokenizer
-on dataset pair files and bulk noise injection with the plain code they
+on dataset pair files, bulk noise injection, the first-occurrence sort and
+the Laplacians built from neighbour lists with the plain code they
 replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
@@ -15,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -22,7 +24,8 @@ from scipy.special import expit
 from socrec import eval as eval_mod
 from socrec import graph, objective
 from socrec.data import (InteractionTable, NeighbourLists, SocialTable, _edge_tokens,
-                         build_dataset, inject_noise, load_dataset, save_dataset)
+                         build_dataset, first_fresh, inject_noise, load_dataset,
+                         save_dataset)
 from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
                          held_out_rank)
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
@@ -113,6 +116,93 @@ class TestPropagateBlocks:
         E = np.ones((g.num_nodes, 3))
         with pytest.raises(ValueError):
             propagate(g, E, out=E)
+
+
+def frozen_normalized_csr(rows, cols, deg, n):
+    """The original Laplacian build: weighted COO entries summed into CSR."""
+    vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64).tocsr()
+    m.sort_indices()
+    return m
+
+
+def frozen_laplacians(ds):
+    """The interaction and social matrices as built from the raw edges."""
+    I, J = ds.num_users, ds.num_items
+    u, v = ds.train_edges[:, 0], ds.train_edges[:, 1]
+    deg = np.concatenate([np.bincount(u, minlength=I), np.bincount(v, minlength=J)])
+    a, b = ds.social_edges[:, 0], ds.social_edges[:, 1]
+    return (frozen_normalized_csr(np.concatenate([u, I + v]), np.concatenate([I + v, u]),
+                                  deg.astype(np.float64), I + J),
+            frozen_normalized_csr(a, b, np.bincount(a, minlength=I).astype(np.float64), I))
+
+
+@pytest.mark.parametrize("case", ["sparse", "idle_users", "no_ties", "one_edge"])
+def test_laplacians_from_lists_equal_frozen_build(ds, case):
+    """Built from the dataset's neighbour lists, both graphs hold the bytes
+    and index types of the COO build, with users and items that have no
+    train edge and a dataset without ties."""
+    d = {"sparse": ds,
+         "idle_users": replace(ds, train_edges=ds.train_edges[ds.train_edges[:, 0] % 3 > 0]),
+         "no_ties": replace(random_dataset(40, 30, seed=6),
+                            social_edges=np.zeros((0, 2), dtype=np.int64)),
+         "one_edge": build_dataset(InteractionTable.of([("u", "i")]), SocialTable.of([]))}[case]
+    degree = np.bincount(d.train_edges[:, 0], minlength=d.num_users)
+    assert (degree == 0).any() == (case == "idle_users")
+    assert (len(d.social_edges) == 0) == (case in ("no_ties", "one_edge"))
+    got = (build_interaction_laplacian(d).matrix, build_social_laplacian(d).matrix)
+    for g, want in zip(got, frozen_laplacians(d)):
+        assert g.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(g, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def frozen_first_fresh(keys, listed):
+    """Each key walked in order against a set that starts with the listed
+    keys."""
+    seen, out = set(listed.tolist()), []
+    for key in keys.ravel().tolist():
+        out.append(key not in seen)
+        seen.add(key)
+    return np.array(out, dtype=bool).reshape(keys.shape)
+
+
+_key = st.one_of(st.integers(0, 30), st.integers(2**40, 2**40 + 30))
+
+
+@settings(max_examples=200, deadline=None)
+@example(keys=[], listed=[], rows=0)
+@example(keys=[4, 4, 0, 9, 0, 9, 4], listed=[], rows=0)  # every key repeated
+@example(keys=[3, 1, 3, 2, 1, 5], listed=[1, 3, 5], rows=2)  # keys equal to listed ones
+@example(keys=[7, 2, 7, 2, 0, 0], listed=[2], rows=3)
+@given(keys=st.lists(_key, max_size=60), listed=st.lists(_key, max_size=30),
+       rows=st.integers(0, 4))
+def test_first_fresh_matches_scalar_loop(keys, listed, rows):
+    """rows > 0 lays the keys out in that many rows, when they divide."""
+    keys, listed = np.array(keys, dtype=np.int64), np.array(listed, dtype=np.int64)
+    if rows and len(keys) % rows == 0:
+        keys = keys.reshape(rows, -1)
+    got = first_fresh(keys, listed)
+    assert got.dtype == bool and got.shape == keys.shape
+    np.testing.assert_array_equal(got, frozen_first_fresh(keys, listed))
+    if not len(listed):
+        np.testing.assert_array_equal(first_fresh(keys), got)
+
+
+@pytest.mark.parametrize("num_listed,num_keys", [(0, 1), (2, 3), (0, 8), (500, 600)])
+def test_first_fresh_refuses_keys_past_63_bits(num_listed, num_keys):
+    """A key fits while `key << bit_length(count)` stays below 2**63."""
+    top = (1 << 63 - (num_listed + num_keys).bit_length()) - 1
+    listed = np.arange(num_listed, dtype=np.int64)
+    keys = np.arange(num_keys, dtype=np.int64) % 5
+    keys[0] = top
+    np.testing.assert_array_equal(first_fresh(keys, listed), frozen_first_fresh(keys, listed))
+    keys[-1] = top  # a repeat of the largest key
+    np.testing.assert_array_equal(first_fresh(keys, listed), frozen_first_fresh(keys, listed))
+    keys[0] = top + 1
+    with pytest.raises(OverflowError, match=f"{num_listed + num_keys} keys up to {top + 1}"):
+        first_fresh(keys, listed)
 
 
 def seed_encode(E_u, E_v, g_r, g_s, L, agg):
@@ -978,13 +1068,13 @@ def test_user_ranks_redraw_short_prefixes(monkeypatch):
     ms, _, _ = make_encoded(ds, dim=8, layers=1)
     assert (_pools(ds, "test") > 4 * 30).all()  # every row draws a prefix
     monkeypatch.setattr(eval_mod, "_prefix_length", lambda unknown, items, count: count)
-    drawn, fresh = [], eval_mod._fresh
+    drawn, fresh = [], eval_mod.first_fresh
 
-    def recorded(draws, *args):
-        drawn.append(draws.shape)
-        return fresh(draws, *args)
+    def recorded(keys, listed):
+        drawn.append(keys.shape)
+        return fresh(keys, listed)
 
-    monkeypatch.setattr(eval_mod, "_fresh", recorded)
+    monkeypatch.setattr(eval_mod, "first_fresh", recorded)
     _match_scalar_ranks(ms, ds, "test", 30, 2)
     assert drawn[0] == (len(ds.test_edges), 30)
     # most rows, not all, needed a longer prefix

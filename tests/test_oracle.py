@@ -6,6 +6,7 @@ import pytest
 from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.oracle import dense_forward, finite_difference
 from socrec.selfcheck import forward_equivalence_check
+from socrec.synthetic import random_dataset
 
 from conftest import make_encoded
 
@@ -75,3 +76,21 @@ class TestDenseForward:
         ok, worst = forward_equivalence_check(num_graphs=20, max_nodes=64,
                                               seed=5)
         assert ok, f"worst deviation {worst}"
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    @pytest.mark.parametrize("repeat", ["train_pair", "tie"])
+    def test_sparse_forward_counts_a_repeated_pair_once(self, repeat, agg):
+        """A `replace` copy may list a pair twice; the sparse graphs, like
+        the dense ones, hold it once."""
+        ds = random_dataset(12, 15, tie_prob=0.3, seed=3)
+        if repeat == "train_pair":
+            ds = dataclasses.replace(ds, train_edges=np.concatenate(
+                [ds.train_edges, ds.train_edges[:1]]))
+        else:
+            tie = ds.social_edges[:1]
+            ds = dataclasses.replace(ds, social_edges=np.concatenate(
+                [ds.social_edges, tie, tie[:, ::-1]]))
+        ms, _, _ = make_encoded(ds, dim=3, layers=2, agg=agg)
+        agg_r, agg_s = dense_forward(ds, ms.E_u, ms.E_v, 2, agg)
+        np.testing.assert_allclose(ms.agg_r, agg_r, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ms.agg_s, agg_s, rtol=0, atol=1e-10)

@@ -99,6 +99,24 @@ def test_divergence_aborts_and_keeps_last_good(tmp_path):
                                   good.model.params.flat)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_best_val_hr_is_nan_without_a_validated_epoch():
+    """No epochs, or an abort in the first: no epoch is kept, so no best
+    validation HR either."""
+    ds = random_dataset(8, 10, seed=2)
+    cfg = TrainConfig(dim=4, layers=1, batch=16, epochs=0, negatives=3,
+                      cutoffs=(5,), seed=2)
+    assert len(ds.val_edges)
+    aborted = train_model(ds, replace(cfg, epochs=50, lr=1e200, lr_decay=1.0,
+                                      lambda3=1e-6))
+    assert aborted.aborted.startswith("epoch 0:")
+    for result in (train_model(ds, cfg), aborted):
+        assert result.epochs_run == 0 and result.best_epoch == -1
+        assert np.isnan(result.best_val_hr)
+    validated = train_model(ds, replace(cfg, epochs=1))
+    assert validated.best_val_hr == validated.history[0]["val"]
+
+
 def test_early_stopping_respects_patience():
     ds, _ = planted_clusters(num_users=20, num_items=40, items_per_user=6,
                              ties_per_user=2, seed=3)
