@@ -227,13 +227,9 @@ def build_dataset(inter, soc=None, split_seed=0):
     if split_seed < 0:
         raise ValueError(f"split_seed must be >= 0, got {split_seed}")
 
-    index = dict(zip(inter.user_ids, range(len(inter.user_ids))))
-    social = np.zeros((0, 2), dtype=np.int64)
-    if soc is not None:
-        # social-only users are retained with zero interactions
-        users = [index.setdefault(ext, len(index)) for ext in soc.user_ids]
-        social = np.array(users, dtype=np.int64)[soc.pairs]
-    user_ids = list(index)
+    soc = soc or SocialTable(np.zeros((0, 2), dtype=np.int64), [])
+    codes, user_ids = _codes([*inter.user_ids, *soc.user_ids])
+    social = codes[len(inter.user_ids):][soc.pairs]
     num_users = len(user_ids)
     # sorted tie keys; a table holds no repeats and the id map is one-to-one
     social = np.sort(social[:, 0] * num_users + social[:, 1])
@@ -361,7 +357,8 @@ def load_dataset(in_dir):
     The pair files are edge files (see `_edge_tokens`) of dense indices.
     Refuses a malformed line, an index outside [0, num_users) or
     [0, num_items) of `meta`, a pair listed twice in one split or in two,
-    a self-tie and a tie without its reverse; an error names the file.
+    a self-tie, a tie without its reverse and a file whose pair count
+    differs from `meta`'s (when `meta` gives it); an error names the file.
     """
     meta_path = os.path.join(in_dir, "meta")
     meta = parse_config_file(meta_path)
@@ -405,6 +402,11 @@ def load_dataset(in_dir):
     ties = NeighbourLists.of(social, num_users, num_users)
     refuse("social.txt", ~ties.holds(social[:, 1], social[:, 0]),
            "has no reverse tie")
+    for name, key in zip(widths, ("num_train", "num_val", "num_test", "num_social")):
+        found = len(pairs[name])
+        if found != read_int(meta, key, meta_path, found):  # an absent count passes
+            raise ValueError(f"{os.path.join(in_dir, name)} holds {found} pairs, "
+                             f"{meta_path} gives {key}={meta[key]}")
 
     return Dataset(
         num_users=num_users,

@@ -58,9 +58,12 @@ def load_spec_dataset(spec):
 
 
 def make_run_dir(spec, task):
+    """A new directory for one run; an existing one is refused."""
     name = spec.run_name or f"{time.strftime('%Y%m%d-%H%M%S')}-{spec.config.seed}"
     path = os.path.join(spec.out_dir, task, name)
-    os.makedirs(path, exist_ok=True)
+    if os.path.exists(path):
+        raise ValueError(f"run directory {path} already exists")
+    os.makedirs(path)
     return path
 
 
@@ -227,10 +230,9 @@ def run_case_study(spec):
     ds = load_spec_dataset(spec)
     if spec.checkpoint:
         ms, _ = _load_and_encode_checkpoint(spec, ds)
-    else:
-        ms = train_model(ds, spec.config, eval_seed=spec.eval_seed).model
     run_dir = make_run_dir(spec, "case_study")
     if not spec.checkpoint:
+        ms = train_model(ds, spec.config, eval_seed=spec.eval_seed).model
         save_checkpoint(ms, os.path.join(run_dir, "checkpoint"), spec.config.lines())
     export = export_relevance_weights(ms, ds, sample=sample, seed=spec.eval_seed)
     write_lines(os.path.join(run_dir, "relevance_weights.txt"), export.to_lines())

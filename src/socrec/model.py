@@ -266,7 +266,7 @@ def load_checkpoint(in_dir):
     """Rebuild a ModelState (parameters, layer count and aggregation) from
     save_checkpoint output: a block sized by `num_users`, `num_items` and
     `dim` of `config`, each file read into its view. A file whose size
-    disagrees with `config` is an error."""
+    disagrees with `config`, or that holds a non-finite value, is an error."""
     num_users, num_items, cfg = checkpoint_config(in_dir)
     params = ParamBlock(num_users, num_items, cfg.dim)
     for name, view in params.as_dict().items():
@@ -276,4 +276,6 @@ def load_checkpoint(in_dir):
             raise ValueError(f"checkpoint file {path} holds {found:g} values, "
                              f"its config needs {view.size}")
         view[...] = np.fromfile(path, dtype=CHECKPOINT_DTYPE).reshape(view.shape)
+        if not np.isfinite(view).all():
+            raise ValueError(f"checkpoint file {path} holds a non-finite value")
     return ModelState(params, num_layers=cfg.layers, agg=cfg.agg)

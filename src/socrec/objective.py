@@ -72,7 +72,7 @@ def sample_batch(ds, batch_size, rng, need_social=True):
                            exclude_anchor=True)
     else:
         soc = np.zeros((0, 3), dtype=np.int64)
-    ssl = rng.integers(ds.num_users, size=(batch_size, 2)).astype(np.int64)
+    ssl = rng.integers(ds.num_users, size=(batch_size, 2))
     return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
 
 
@@ -133,12 +133,6 @@ def _infonce_grads(A, B, tau):
     is an in-batch negative. Loss is the mean over anchors of
     -log softmax(S_ii / tau) with S the cosine-similarity matrix.
     """
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape != B.shape:
-        raise ValueError("anchor/positive row counts differ")
     n = A.shape[0]
     na = np.linalg.norm(A, axis=1)
     nb = np.linalg.norm(B, axis=1)

@@ -46,8 +46,9 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
 
     Each epoch runs ceil(|train| / batch) steps; the learning rate decays
     per epoch. Validation HR@10 drives early stopping (patience from the
-    config) and the best-validation parameters are restored at the end.
-    On a non-finite loss the run aborts and keeps the last good snapshot.
+    config); the best-validation parameters are kept, or on a non-finite
+    loss the last good snapshot. Each parameter version is encoded once:
+    the model always holds the aggregations of its current parameters.
     """
     g_r = build_interaction_laplacian(ds)
     g_s = build_social_laplacian(ds)
@@ -65,7 +66,6 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
     best_params = ms.copy_params()
     best_val = -np.inf
     bad_epochs = 0
-    t_step = 0
     grads = None  # one gradient block, rewritten every step
 
     for epoch in range(cfg.epochs):
@@ -73,13 +73,12 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
         sums = dict.fromkeys(TrainResult.COLUMNS[2:-1], 0.0)  # rec to total
         tic = time.perf_counter()
         try:
-            for _ in range(steps):
+            for step in range(epoch * steps + 1, (epoch + 1) * steps + 1):
                 batch = sample_batch(ds, cfg.batch, rng, need_social=need_social)
-                encode(ms, g_r, g_s, cfg.layers, cfg.agg)
                 grads = compute_gradients(batch, ms, cfg, out=grads)
                 total, parts = joint_loss(batch, ms, cfg, grads)
-                t_step += 1
-                adam_step(ms, grads, opt, t_step, lr_t)
+                adam_step(ms, grads, opt, step, lr_t)
+                encode(ms, g_r, g_s, cfg.layers, cfg.agg)
                 for key, value in {**parts, "total": total}.items():
                     sums[key] += value
         except NonFiniteLossError as err:
@@ -87,7 +86,6 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
             log.error("aborted at %s", result.aborted)
             break
 
-        encode(ms, g_r, g_s, cfg.layers, cfg.agg)
         val_hr = float("nan")
         if has_val:
             rep = evaluate(ms, ds, split="val", num_negatives=cfg.negatives,
@@ -114,7 +112,8 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
                 log.info("early stop at epoch %d (best %d)", epoch, result.best_epoch)
                 break
 
-    ms.set_params(best_params)
-    encode(ms, g_r, g_s, cfg.layers, cfg.agg)
+    if result.aborted or result.best_epoch != result.epochs_run - 1:
+        ms.set_params(best_params)
+        encode(ms, g_r, g_s, cfg.layers, cfg.agg)
     ms.buffers.clear()  # drops the work arrays; ms.agg_r and ms.agg_s keep theirs
     return result

@@ -170,6 +170,56 @@ def test_every_cell_is_checked_before_the_run_directory(task, knob, value, match
     assert not os.path.exists(tmp_path / "runs")
 
 
+@pytest.mark.parametrize("name", ["E_v", "c"])
+@pytest.mark.parametrize("task", [run_eval, run_case_study], ids=lambda f: f.__name__)
+def test_non_finite_checkpoint_refused_before_the_run_directory(task, name, edge_files,
+                                                                tmp_path):
+    """NaN scores would rank every held-out item first; the checkpoint is
+    refused instead."""
+    _, _, run_dir = run_train(fast_spec(edge_files, tmp_path / "train", run_name="t"))
+    ckpt = os.path.join(run_dir, "checkpoint")
+    path = os.path.join(ckpt, name)
+    values = np.fromfile(path, dtype="<f8")
+    values[-1] = np.nan
+    values.tofile(path)
+    with pytest.raises(ValueError, match=re.escape(
+            f"checkpoint file {path} holds a non-finite value")):
+        task(fast_spec(edge_files, tmp_path / "runs", checkpoint=ckpt))
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reused_run_name_refused(edge_files, tmp_path):
+    """A second run under a used name would leave the first run's files,
+    here its ABORTED mark, beside its own."""
+    result, _, run_dir = run_train(fast_spec(edge_files, tmp_path, run_name="x",
+                                             config=fast_cfg(lr=1e300)))
+    assert result.aborted
+    written = sorted(os.listdir(run_dir))
+    assert "ABORTED" in written
+    with pytest.raises(ValueError, match=re.escape(f"run directory {run_dir} already exists")):
+        run_train(fast_spec(edge_files, tmp_path, run_name="x"))
+    assert sorted(os.listdir(run_dir)) == written
+
+
+@pytest.mark.parametrize("task,task_dir,kw", [
+    (run_train, "train", {}), (run_ablation, "ablation", {}),
+    (run_robustness, "robustness", {}),
+    (run_sweep, "sweep", {"sweep_axes": {"layers": [1]}}),
+    (run_case_study, "case_study", {})], ids=lambda v: getattr(v, "__name__", None))
+def test_every_training_task_refuses_an_existing_run_directory(
+        task, task_dir, kw, edge_files, tmp_path, monkeypatch):
+    """The refusal comes before any training."""
+    os.makedirs(tmp_path / "runs" / task_dir / "used")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before refusing the run directory")
+    monkeypatch.setattr(experiments, "train_model", no_training)
+    with pytest.raises(ValueError, match="already exists"):
+        task(fast_spec(edge_files, tmp_path / "runs", run_name="used", **kw))
+    assert os.listdir(tmp_path / "runs" / task_dir / "used") == []
+
+
 @pytest.mark.parametrize("agg", ["sum", "mean"])
 @pytest.mark.parametrize("layers", [0, 1, 2])
 @pytest.mark.parametrize("variant", VARIANTS)

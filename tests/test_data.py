@@ -107,6 +107,16 @@ class TestBuildDataset:
         assert ds.num_users == 2
         assert ds.degree[ds.user_ids.index("u9")] == 0
 
+    def test_users_numbered_by_first_appearance_social_only_last(self):
+        inter = InteractionTable.of([("u2", "a"), ("u1", "b"), ("u2", "b")])
+        soc = SocialTable.of([("s7", "u1"), ("u2", "s3"), ("s3", "s7")])
+        ds = build_dataset(inter, soc)
+        assert ds.user_ids == ["u2", "u1", "s7", "s3"]
+        ties = {(ds.user_ids[a], ds.user_ids[b]) for a, b in ds.social_edges.tolist()}
+        assert ties == {("s7", "u1"), ("u2", "s3"), ("s3", "s7"),
+                        ("u1", "s7"), ("s3", "u2"), ("s7", "s3")}
+        assert build_dataset(inter).user_ids == ["u2", "u1"]
+
     def test_partition_and_eligibility(self):
         inter, soc = random_tables(12, 20, min_items=1, max_items=6, seed=9)
         ds = build_dataset(inter, soc, split_seed=1)
@@ -188,6 +198,42 @@ class TestBuildDataset:
             (tmp_path / name).write_text("# dense indices\n\n" + "".join(
                 f"{a},{b}\n" if k % 2 else f" {a}\t{b} 1 #\r\n"
                 for k, (a, b) in enumerate(line.split() for line in lines)))
+        back = load_dataset(str(tmp_path))
+        for field in ("train_edges", "val_edges", "test_edges", "social_edges"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(ds, field))
+
+    @pytest.mark.parametrize("name,key", [
+        ("train.txt", "num_train"), ("val.txt", "num_val"), ("test.txt", "num_test"),
+        ("social.txt", "num_social")])
+    def test_pair_count_other_than_meta_refused(self, tmp_path, name, key):
+        save_dataset(build_dataset(*random_tables(10, 15, seed=8)), str(tmp_path))
+        path, meta = tmp_path / name, tmp_path / "meta"
+        found = len(path.read_text().splitlines())
+        text = meta.read_text()
+        assert f"{key}={found}\n" in text
+        meta.write_text(text.replace(f"{key}={found}\n", f"{key}={found + 1}\n"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} holds {found} pairs, {meta} gives {key}={found + 1}")):
+            load_dataset(str(tmp_path))
+
+    def test_cut_pair_file_refused(self, tmp_path):
+        save_dataset(build_dataset(*random_tables(10, 15, seed=8)), str(tmp_path))
+        path = tmp_path / "train.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-3]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} holds {len(lines) - 3} pairs, {tmp_path / 'meta'} gives "
+                f"num_train={len(lines)}")):
+            load_dataset(str(tmp_path))
+
+    def test_counts_absent_from_meta_not_checked(self, tmp_path):
+        ds = build_dataset(*random_tables(10, 15, seed=8))
+        save_dataset(ds, str(tmp_path))
+        meta = tmp_path / "meta"
+        meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                                if line.split("=")[0] not in
+                                ("num_train", "num_val", "num_test", "num_social")))
+        assert "num_" in meta.read_text()  # num_users and num_items stay
         back = load_dataset(str(tmp_path))
         for field in ("train_edges", "val_edges", "test_edges", "social_edges"):
             np.testing.assert_array_equal(getattr(back, field), getattr(ds, field))

@@ -47,11 +47,12 @@ def test_artifact_digest_is_reproducible(tmp_path):
     assert runs[0].stdout == runs[1].stdout
     names = {line.split("/")[-1] for line in runs[0].stdout.splitlines()}
     assert {"report.dat", "history.txt", "config", "report.txt", "ablation.dat",
-            "robustness.dat", "sweep.dat", "relevance_weights.txt", "E_u"} <= names
+            "robustness.dat", "sweep.dat", "relevance_weights.txt", "E_u",
+            "ABORTED"} <= names
     assert "shape" not in names
     assert "timing.txt" not in names
     stdouts = [line for line in runs[0].stdout.splitlines() if "  stdout/" in line]
-    assert len(stdouts) == 15  # one per command of the suite
+    assert len(stdouts) == 17  # one per command of the suite
     files = {path: sha for sha, path in
              (line.split("  ") for line in runs[0].stdout.splitlines())}
 

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from socrec import train as train_mod
 from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.eval import evaluate
 from socrec.experiments import ExperimentSpec, _train_and_report
 
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
 from socrec.model import encode, init_model, load_checkpoint
-from socrec.objective import (VARIANTS, AdamState, TrainConfig, adam_step,
-                              compute_gradients, joint_loss, sample_batch)
+from socrec.objective import (VARIANTS, AdamState, NonFiniteLossError, TrainConfig,
+                              adam_step, compute_gradients, joint_loss, sample_batch)
 from socrec.synthetic import planted_clusters, random_dataset
 from socrec.train import TrainResult, train_model
 
@@ -62,6 +63,71 @@ def test_trained_model_keeps_no_work_arrays():
     fresh = init_model(ds.num_users, ds.num_items, cfg.dim)
     fresh.set_params(ms.copy_params())
     encode(fresh, build_interaction_laplacian(ds), build_social_laplacian(ds), cfg.layers)
+    np.testing.assert_array_equal(ms.agg_r, fresh.agg_r)
+    np.testing.assert_array_equal(ms.agg_s, fresh.agg_s)
+
+
+def _fail_at_step(step):
+    """A joint_loss that raises NonFiniteLossError on call `step` (1-based)."""
+    calls = []
+
+    def joint_loss_or_fail(*args):
+        calls.append(None)
+        if len(calls) == step:
+            raise NonFiniteLossError("rec", float("nan"))
+        return joint_loss(*args)
+    return joint_loss_or_fail
+
+
+# (case, config overrides, joint_loss call that fails, restores the kept parameters)
+ENCODE_CASES = [
+    ("last-epoch-kept", dict(epochs=3, patience=999), None, False),
+    ("early-stop", dict(epochs=60, patience=2), None, True),
+    ("no-epochs", dict(epochs=0), None, False),
+    ("abort-in-epoch-0", dict(epochs=5), 2, True),
+    ("abort-in-epoch-2", dict(epochs=5), 6, True),
+]
+
+
+@pytest.mark.parametrize("overrides, fail_at, restores",
+                         [case[1:] for case in ENCODE_CASES],
+                         ids=[case[0] for case in ENCODE_CASES])
+def test_each_parameter_version_is_encoded_once(monkeypatch, overrides, fail_at,
+                                                 restores):
+    """One encode for the initial parameters, one after each Adam step, and
+    one more only when the kept parameters are restored; either way the
+    model ends holding the aggregations of its own parameters."""
+    ds, _ = planted_clusters(num_users=20, num_items=40, items_per_user=6,
+                             ties_per_user=2, seed=3)
+    cfg = TrainConfig(dim=8, layers=2, batch=64, lr=5e-3, negatives=10,
+                      cutoffs=(10,), seed=3, **overrides)
+    counts = {"encode": 0, "adam_step": 0}
+    for name in counts:
+        real = getattr(train_mod, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(train_mod, name, counted)
+    if fail_at:
+        monkeypatch.setattr(train_mod, "joint_loss", _fail_at_step(fail_at))
+    result = train_model(ds, cfg)
+
+    steps = -(-len(ds.train_edges) // cfg.batch)  # 2
+    if fail_at:
+        assert result.aborted.startswith(f"epoch {(fail_at - 1) // steps}:")
+    else:
+        assert not result.aborted
+    assert counts["adam_step"] == (fail_at - 1 if fail_at
+                                   else result.epochs_run * steps)
+    assert restores == (result.best_epoch != result.epochs_run - 1 or
+                        bool(result.aborted))
+    assert counts["encode"] == 1 + counts["adam_step"] + restores
+    ms = result.model
+    fresh = init_model(ds.num_users, ds.num_items, cfg.dim)
+    fresh.set_params(ms.copy_params())
+    encode(fresh, build_interaction_laplacian(ds), build_social_laplacian(ds),
+           cfg.layers, cfg.agg)
     np.testing.assert_array_equal(ms.agg_r, fresh.agg_r)
     np.testing.assert_array_equal(ms.agg_s, fresh.agg_s)
 

@@ -1,6 +1,8 @@
 """SHA-256 of every artifact a fixed-seed CLI suite writes.
 
-Runs `socrec train` (four variant/layer/aggregation settings, then the
+Runs `socrec train` (four variant/layer/aggregation settings; `full`'s
+flags with `--epochs 0`, and with `--lr 1e300`, which diverges and aborts,
+so that training's zero-epoch and abort branches are covered; then the
 `full` run again from its config echo, `--config <out>/train/full/config`,
 and again from the fixture as `save_dataset` wrote it to `<out>/dataset`,
 `--dataset-dir`; both must write what `train/full` wrote, timing aside),
@@ -53,6 +55,10 @@ def suite(out):
     """The CLI argument lists of the suite, writing under `out`."""
     common = COMMON + ["--out", out]
     runs = [["train", *common, *flags, "--run-name", name] for name, flags in TRAIN]
+    # `full` with no epochs, and diverging into an abort
+    runs += [["train", *common, *TRAIN[0][1], *flags, "--run-name", name]
+             for name, flags in (("full_epochs0", ["--epochs", "0"]),
+                                 ("full_diverge", ["--lr", "1e300"]))]
     # the `full` run again from its config echo alone: the same artifacts
     runs.append(["train", *common, "--config", os.path.join(out, "train", "full", "config"),
                  "--run-name", "full_replay"])
