@@ -31,7 +31,7 @@ result = train_model(
 print(f"\nbest validation epoch: {result.best_epoch} "
       f"(HR@10={result.best_val_hr:.3f})")
 print(f"mean epoch wall time: "
-      f"{sum(result.timing) / max(len(result.timing), 1):.3f}s\n")
+      f"{sum(row['total'] for row in result.timing) / max(len(result.timing), 1):.3f}s\n")
 
 strata = stratify_by_degree(ds)
 report = evaluate_stratified(result.model, ds, strata, split="test",

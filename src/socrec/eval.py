@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import first_fresh
 from .graph import CHUNK
-from .model import _require_encoded, projection_forward, user_vectors
+from .model import _require_encoded, pair_rows, projection_forward, user_vectors
 
 log = logging.getLogger(__name__)
 
@@ -191,8 +191,10 @@ def held_out_rank(scores, cand):
     along the last axis: of one row, or of each row of a block.
 
     A candidate outranks the held-out item when its score is strictly
-    higher, or equal with a smaller item index (deterministic ties).
+    higher, or equal with a smaller item index (deterministic ties). A NaN
+    score compares as -inf, below every number.
     """
+    scores = np.fmax(scores, -np.inf)  # NaN -> -inf, the rest as it is
     held, held_score = cand[..., :1], scores[..., :1]
     better = (scores[..., 1:] > held_score) | ((scores[..., 1:] == held_score)
                                                & (cand[..., 1:] < held))
@@ -312,7 +314,11 @@ class RelevanceWeightExport:
 
 
 def export_relevance_weights(ms, ds, sample="all", seed=0):
-    """z and zhat for each (optionally sampled) undirected social tie."""
+    """z and zhat for each (optionally sampled) undirected social tie.
+
+    z comes from one projection pass over all ties; zhat, and the pair
+    rows `pair_rows` gathers, are made in row slices, so that the pass's
+    temporaries are about three tie x d blocks."""
     _require_encoded(ms)
     ties = ds.social_edges[ds.social_edges[:, 0] < ds.social_edges[:, 1]]
     if sample != "all":
@@ -322,8 +328,12 @@ def export_relevance_weights(ms, ds, sample="all", seed=0):
     if len(ties) == 0:
         return RelevanceWeightExport(rows=[])
     i, j = ties[:, 0], ties[:, 1]
-    z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
-    zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
+    z = projection_forward(ms.params, pair_rows(ms.agg_r, i, j))[0]
+    zhat = np.empty(len(ties))
+    step = max(1, CHUNK // ms.dim)
+    for lo in range(0, len(ties), step):
+        s = slice(lo, lo + step)
+        zhat[s] = (ms.agg_s[i[s]] * ms.agg_s[j[s]]).sum(axis=1)
     order = np.argsort(z, kind="stable")
     rows = list(zip(i[order].tolist(), j[order].tolist(), z[order].tolist(),
                     zhat[order].tolist()))

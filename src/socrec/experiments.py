@@ -88,8 +88,7 @@ def _train_and_report(spec, ds, cfg, run_dir):
     report = _write_report(spec, ds, result.model, cfg, run_dir)
     write_lines(os.path.join(run_dir, "config"), cfg.lines())
     write_lines(os.path.join(run_dir, "history.txt"), result.history_lines())
-    write_lines(os.path.join(run_dir, "timing.txt"),
-                [f"{i} {t:.6f}" for i, t in enumerate(result.timing)] or ["# no epochs"])
+    write_lines(os.path.join(run_dir, "timing.txt"), result.timing_lines())
     save_checkpoint(result.model, os.path.join(run_dir, "checkpoint"), cfg.lines())
     if result.aborted:
         write_lines(os.path.join(run_dir, "ABORTED"),

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import LEAKY_SLOPE, TrainConfig, parse_config_file, read_int, write_lines
-from .graph import for_each_chunk, propagate
+from .graph import CHUNK, for_each_chunk, propagate
 
 
 class ParamBlock:
@@ -82,8 +82,8 @@ class ModelState:
     same operator: A+I is symmetric, so `aggregate_backward` serves both
     passes. Every array the model and its training step reuse lives in
     `buffers`, which later calls overwrite: the aggregations, each view's
-    work pair (`work_pair`), the social-view gradient and the per-CPU
-    slices that the gradient assembly and then Adam work in.
+    work arrays (`work`), the social-view gradient and the per-CPU slices
+    that the gradient assembly and then Adam work in.
     """
 
     params: ParamBlock
@@ -102,16 +102,21 @@ class ModelState:
     E_u = property(lambda self: self.params.E_u)
     E_v = property(lambda self: self.params.E_v)
 
-    def work_pair(self, view):
-        """The two arrays `aggregate_backward` alternates between for view
-        "r" (interaction, I+J rows) or "s" (social, I rows); `encode` and
-        `compute_gradients` share them."""
+    def work(self, view):
+        """k -> work array k (0 or 1) of view "r" (interaction, I+J rows)
+        or "s" (social, I rows), made on first use, for `aggregate_backward`;
+        `encode` and `compute_gradients` share them."""
         shape = (self.E if view == "r" else self.E_u).shape
-        return tuple(reuse(self.buffers, f"work_{view}{k}", shape) for k in (0, 1))
+        return lambda k: reuse(self.buffers, f"work_{view}{k}", shape)
 
-    def copy_params(self):
-        """Name -> array snapshot of every parameter (views of one copy)."""
-        return ParamBlock(*self.params.layout, self.params.flat.copy()).as_dict()
+    def copy_params(self, out=None):
+        """Name -> array snapshot of every parameter (views of one copy),
+        written into `out`, an earlier snapshot of this layout, when given."""
+        if out is None:
+            return ParamBlock(*self.params.layout, self.params.flat.copy()).as_dict()
+        for name, view in self.params.as_dict().items():
+            np.copyto(out[name], view)
+        return out
 
     def set_params(self, params):
         """Copy named arrays into the parameter block; views stay valid."""
@@ -139,8 +144,8 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
     Interaction view starts from the stacked user/item tables, social view
     from the user table alone; each layer applies the normalized adjacency
     plus self-loop. Aggregation sums the L+1 layers ("mean" divides by L+1).
-    Each view's table is copied into its aggregation buffer and run through
-    `aggregate_backward`, the operator the backward pass uses too. Pure
+    Each view's table is run through `aggregate_backward`, the operator the
+    backward pass uses too, into the view's aggregation buffer. Pure
     function of (parameters, graphs, num_layers), computed into buffers the
     model keeps.
     """
@@ -153,9 +158,8 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
         raise ValueError(f"social graph has {g_s.num_nodes} nodes, expected {I}")
 
     for view, g, table in (("r", g_r, ms.E), ("s", g_s, ms.E_u)):
-        out = reuse(ms.buffers, f"agg_{view}", table.shape)
-        np.copyto(out, table)
-        aggregate_backward(g, out, num_layers, agg, work=ms.work_pair(view))
+        aggregate_backward(g, reuse(ms.buffers, f"agg_{view}", table.shape),
+                           num_layers, agg, work=ms.work(view), start=table)
     ms.agg_r, ms.agg_s = ms.buffers["agg_r"], ms.buffers["agg_s"]
     ms.g_r, ms.g_s = g_r, g_s
     ms.num_layers = num_layers
@@ -163,28 +167,42 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
     return ms
 
 
-def aggregate_backward(g, grad_agg, num_layers, agg="sum", work=None):
-    """The sum-of-powers operator X -> sum_k (A+I)^k X, k = 0..L, in place.
+def aggregate_backward(g, grad_agg, num_layers, agg="sum", work=None, start=None):
+    """The sum-of-powers operator X -> sum_k (A+I)^k X, k = 0..L.
 
-    Accumulates ((X + (A+I)X) + (A+I)^2 X) + ... into `grad_agg`, divided
-    by L+1 for "mean", and returns it. The normalized adjacency A is
-    symmetric, so the same operator encodes the tables (forward) and pulls
-    a gradient on the aggregated embeddings back to layer 0 (backward).
-    `work` is a pair of arrays shaped like `grad_agg` that the layers
-    alternate between (new ones when None).
+    Writes ((X + (A+I)X) + (A+I)^2 X) + ..., divided by L+1 for "mean",
+    into `grad_agg` and returns it; X is `start` (forward), or `grad_agg`
+    itself (backward, in place). The normalized adjacency A is symmetric,
+    so the same operator encodes the tables and pulls a gradient on the
+    aggregated embeddings back to layer 0.
+
+    `propagate` adds each layer into the sum slice by slice. A layer is
+    stored only when a later layer reads it, in `work(0)` or `work(1)`
+    (arrays shaped like `grad_agg`; new ones when `work` is None). In
+    place, the first layer reads every row of the sum as it is made, so
+    it is stored and then added in a pass of its own.
     """
     if not grad_agg.flags.c_contiguous:
         raise ValueError("grad_agg must be C-contiguous")
-    if num_layers and work is None:
-        work = (np.empty(grad_agg.shape), np.empty(grad_agg.shape))
-    total = grad_agg.reshape(-1)
-    cur = grad_agg
-    for k in range(num_layers):
-        cur = propagate(g, cur, out=work[k % 2])
-        layer = cur.reshape(-1)
-        for_each_chunk(total.size, lambda lo, hi, _: np.add(
-            total[lo:hi], layer[lo:hi], out=total[lo:hi]))
+    if work is None:
+        made = {}
+        work = lambda k: reuse(made, k, grad_agg.shape)  # noqa: E731
+    if start is not None and num_layers == 0:
+        np.copyto(grad_agg, start)
+    layer = grad_agg if start is None else start
+    for k in range(1, num_layers + 1):
+        apart = k == 1 and start is None
+        keep = work((k - 1) % 2) if apart or k < num_layers else None
+        if apart:
+            layer = propagate(g, layer, out=keep)
+            total, first = grad_agg.reshape(-1), layer.reshape(-1)
+            for_each_chunk(total.size, lambda lo, hi, _: np.add(
+                total[lo:hi], first[lo:hi], out=total[lo:hi]))
+        else:
+            propagate(g, layer, out=keep, total=grad_agg, start=start if k == 1 else None)
+            layer = keep
     if agg == "mean":
+        total = grad_agg.reshape(-1)
         for_each_chunk(total.size, lambda lo, hi, _: np.divide(
             total[lo:hi], num_layers + 1, out=total[lo:hi]))
     return grad_agg
@@ -195,32 +213,51 @@ def _require_encoded(ms):
         raise ValueError("encode() must run before reading the aggregations")
 
 
-def _leaky_relu(pre):
-    """(LeakyReLU of `pre`, its slope 1.0 or LEAKY_SLOPE), bit for bit as
-    np.where(pre > 0, pre, LEAKY_SLOPE * pre) gives the former."""
-    slope = (pre > 0) * (1.0 - LEAKY_SLOPE)
+def _leaky_relu_(pre):
+    """Turn `pre` into its LeakyReLU in place, bit for bit as
+    np.where(pre > 0, pre, LEAKY_SLOPE * pre) gives it, and return the
+    mask of its positive entries."""
+    positive = pre > 0
+    np.multiply(pre, LEAKY_SLOPE, out=pre, where=~positive)
+    return positive
+
+
+def _slope(positive):
+    """The LeakyReLU's slope, 1.0 or LEAKY_SLOPE, at the masked entries."""
+    slope = positive * (1.0 - LEAKY_SLOPE)
     slope += LEAKY_SLOPE
-    return pre * slope, slope
+    return slope
 
 
-def projection_forward(params, e_i, e_j):
-    """Similarity-projection forward pass for row-aligned user pairs, with
-    T, w and c read from the parameter block `params`.
+def pair_rows(table, i, j):
+    """The (n, 2d) block [table[i] | table[j]] of row-aligned pairs,
+    gathered in row slices of about CHUNK elements."""
+    d = table.shape[1]
+    x = np.empty((len(i), 2 * d), table.dtype)
+    step = max(1, CHUNK // d)
+    for lo in range(0, len(i), step):
+        x[lo:lo + step, :d] = table[i[lo:lo + step]]
+        x[lo:lo + step, d:] = table[j[lo:lo + step]]
+    return x
 
-    Returns (z, intermediates) where intermediates carry what the backward
-    pass needs. Inputs may be (d,) vectors or (n, d) batches.
+
+def projection_forward(params, x):
+    """Similarity-projection forward pass for the pair block x = [e_i | e_j]
+    (`pair_rows`), with T, w and c read from the parameter block `params`.
+
+    One GEMM, ((xT' + e_i) + e_j) + c in place, then the LeakyReLU in
+    place. Returns (z, (h, positive)): the LeakyReLU output and the mask
+    of its positive entries, which the backward pass needs with x.
     """
-    e_i = np.atleast_2d(e_i)
-    e_j = np.atleast_2d(e_j)
-    x = np.concatenate([e_i, e_j], axis=1)           # (n, 2d)
-    pre = x @ params.T.T                             # (n, d), then in place
-    pre += e_i                                       # ((xT' + e_i) + e_j) + c
-    pre += e_j
-    pre += params.c
-    h, slope = _leaky_relu(pre)
+    d = params.dim
+    h = x @ params.T.T                               # (n, d), then in place
+    h += x[:, :d]
+    h += x[:, d:]
+    h += params.c
+    positive = _leaky_relu_(h)
     act = h @ params.w                               # (n,)
     z = 1.0 / (1.0 + np.exp(-act))
-    return z, (x, pre, h, slope)
+    return z, (h, positive)
 
 
 def user_vectors(ms, users, social_fusion=False):

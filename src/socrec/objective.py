@@ -21,8 +21,8 @@ from scipy.special import expit
 
 from .config import VARIANTS, TrainConfig  # noqa: F401 (re-exported)
 from .graph import CHUNK, CPUS, for_each_chunk
-from .model import (ParamBlock, _require_encoded, aggregate_backward,
-                    projection_forward, reuse, user_vectors)
+from .model import (ParamBlock, _require_encoded, _slope, aggregate_backward,
+                    pair_rows, projection_forward, reuse, user_vectors)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -166,17 +166,17 @@ def _bpr_term(a, p, n, weight=1.0):
     return loss, coef[:, None] * diff, da, -da
 
 
-def _hinge_term(params, a_i, a_j, b_i, b_j):
+def _hinge_term(params, x, b_i, b_j):
     """Hinge alignment over gathered pair rows, with T, w and c read from
-    the parameter block `params`: a_* are interaction-view rows, b_*
-    social-view rows.
+    the parameter block `params`: x is the interaction-view pair block
+    [a_i | a_j] (`pair_rows`), b_* are social-view rows.
 
     Returns (loss, active, (da_i, da_j, db_i, db_j), (dT, dw, dc)); the
     row gradients cover only the `active` pairs, those whose product is
     inside the margin, since the others contribute exactly zero. Gradients
     are unweighted.
     """
-    z, (x, _, h, slope) = projection_forward(params, a_i, a_j)
+    z, (h, positive) = projection_forward(params, x)
     zhat = (b_i * b_j).sum(axis=1)
     loss = ssl_hinge_loss(z, zhat)
     active = np.flatnonzero(1.0 - z * zhat > 0)
@@ -186,7 +186,7 @@ def _hinge_term(params, a_i, a_j, b_i, b_j):
     db_j = -za[:, None] * b_i[active]
     # z side, through sigmoid -> w -> leaky -> T/c and the identity paths
     dact = -zha * za * (1.0 - za)
-    dpre = dact[:, None] * params.w[None, :] * slope[active]
+    dpre = dact[:, None] * params.w[None, :] * _slope(positive[active])
     dx = dpre @ params.T
     d = dpre.shape[1]
     rows = (dx[:, :d] + dpre, dx[:, d:] + dpre, db_i, db_j)
@@ -263,7 +263,7 @@ def _evaluate_terms(batch, ms, cfg, square=None):
             terms_s.append((anchors, l2 * dB))
         else:
             align, active, (da_i, da_j, db_i, db_j), proj = _hinge_term(
-                ms.params, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+                ms.params, pair_rows(ms.agg_r, i, j), ms.agg_s[i], ms.agg_s[j])
             for g in (da_i, da_j, db_i, db_j, *proj):
                 g *= l2
             i, j = i[active], j[active]
@@ -323,9 +323,9 @@ def compute_gradients(batch, ms, cfg, out=None):
         g += d
 
     g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg,
-                              work=ms.work_pair("r"))
+                              work=ms.work("r"))
     g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg,
-                              work=ms.work_pair("s"))
+                              work=ms.work("s"))
 
     # E_u: (g_r0 + g_s0) + 2*lambda3*E_u; E_v: g_r0 + 2*lambda3*E_v
     reg = 2.0 * cfg.lambda3

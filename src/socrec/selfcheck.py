@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 
+from .config import LEAKY_SLOPE
 from .eval import _summary, held_out_rank
 from .graph import build_interaction_laplacian, build_social_laplacian
-from .model import ModelState, ParamBlock, encode, init_model, projection_forward
+from .model import ModelState, ParamBlock, encode, init_model, pair_rows, projection_forward
 from .objective import (VARIANTS, Batch, TrainConfig, compute_gradients, joint_loss,
                         sample_batch)
 from .oracle import dense_forward, finite_difference
@@ -38,7 +39,8 @@ def make_tiny_instance(seed, variant="full", layers=1, num_users=6, num_items=6,
 
     if variant == "full" and len(batch_t.ssl_pairs):
         i, j = batch_t.ssl_pairs.T
-        z, (_, pre, _, _) = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
+        z, (h, positive) = projection_forward(ms.params, pair_rows(ms.agg_r, i, j))
+        pre = h / np.where(positive, 1.0, LEAKY_SLOPE)  # |pre| to rounding
         zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
         keep = (np.abs(z * zhat - 1.0) > 1e-3) & (np.abs(pre).min(axis=1) > 1e-4)
         batch_t = Batch(rec_triples=batch_t.rec_triples,
@@ -113,8 +115,10 @@ def forward_equivalence_check(num_graphs=100, max_nodes=64, seed=0, tol=1e-10):
 
 
 def reference_rank(scores, cand):
-    """Full-sort oracle: position of cand[0] under (-score, index) order."""
-    order = sorted(range(len(cand)), key=lambda k: (-scores[k], cand[k]))
+    """Full-sort oracle: position of cand[0] under (-score, index) order,
+    a NaN score sorting as -inf."""
+    key = [math.inf if math.isnan(s) else -s for s in scores]
+    order = sorted(range(len(cand)), key=lambda k: (key[k], cand[k]))
     return order.index(0)
 
 

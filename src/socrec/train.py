@@ -2,6 +2,7 @@
 
 import logging
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ EARLY_STOP_CUTOFF = 10
 class TrainResult:
     model: object
     history: list = field(default_factory=list)   # per-epoch rows, keyed by COLUMNS
-    timing: list = field(default_factory=list)    # per-epoch wall seconds
+    timing: list = field(default_factory=list)    # per-epoch rows, keyed by TIMING
     best_epoch: int = -1
     best_val_hr: float = float("nan")
     epochs_run: int = 0
@@ -31,6 +32,19 @@ class TrainResult:
     # history.txt's columns: rec to total are epoch means of `joint_loss`'s
     # parts and total, and `val` is the validation HR@10
     COLUMNS = ("epoch", "lr", "rec", "social", "align", "reg", "total", "val")
+
+    # timing.txt's columns: wall seconds per epoch in sampling, gradients
+    # (with the loss), Adam, encoding and validation, the epoch's total,
+    # and the process's peak resident memory so far
+    TIMING = ("epoch", "sample", "grad", "adam", "encode", "eval", "total", "maxrss_mb")
+
+    def timing_lines(self):
+        out = [" ".join(["#", *self.TIMING])]
+        for row in self.timing:
+            out.append(" ".join([str(row["epoch"]),
+                                 *(f"{row[key]:.6f}" for key in self.TIMING[1:-1]),
+                                 f"{row['maxrss_mb']:.1f}"]))
+        return out
 
     def history_lines(self):
         head = [f"val_hr{EARLY_STOP_CUTOFF}" if key == "val" else key
@@ -63,7 +77,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
     has_val = len(ds.val_edges) > 0
 
     result = TrainResult(model=ms)
-    best_params = ms.copy_params()
+    best_params = ms.copy_params()  # the one snapshot, rewritten in place
     best_val = -np.inf
     bad_epochs = 0
     grads = None  # one gradient block, rewritten every step
@@ -71,14 +85,22 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
     for epoch in range(cfg.epochs):
         lr_t = cfg.lr * cfg.lr_decay ** epoch
         sums = dict.fromkeys(TrainResult.COLUMNS[2:-1], 0.0)  # rec to total
+        clock = dict.fromkeys(TrainResult.TIMING[1:5], 0.0)  # sample to encode
         tic = time.perf_counter()
         try:
             for step in range(epoch * steps + 1, (epoch + 1) * steps + 1):
+                t0 = time.perf_counter()
                 batch = sample_batch(ds, cfg.batch, rng, need_social=need_social)
+                t1 = time.perf_counter()
                 grads = compute_gradients(batch, ms, cfg, out=grads)
                 total, parts = joint_loss(batch, ms, cfg, grads)
+                t2 = time.perf_counter()
                 adam_step(ms, grads, opt, step, lr_t)
+                t3 = time.perf_counter()
                 encode(ms, g_r, g_s, cfg.layers, cfg.agg)
+                t4 = time.perf_counter()
+                for key, lap in zip(clock, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+                    clock[key] += lap
                 for key, value in {**parts, "total": total}.items():
                     sums[key] += value
         except NonFiniteLossError as err:
@@ -87,13 +109,17 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
             break
 
         val_hr = float("nan")
+        t0 = time.perf_counter()
         if has_val:
             rep = evaluate(ms, ds, split="val", num_negatives=cfg.negatives,
                            cutoffs=(EARLY_STOP_CUTOFF,), seed=eval_seed,
                            social_fusion=cfg.social_fusion)
             val_hr = rep.hr[EARLY_STOP_CUTOFF]
+        toc = time.perf_counter()
 
-        result.timing.append(time.perf_counter() - tic)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+        result.timing.append({"epoch": epoch, **clock, "eval": toc - t0,
+                              "total": toc - tic, "maxrss_mb": rss})
         means = [value / steps for value in sums.values()]
         result.history.append(dict(zip(TrainResult.COLUMNS,
                                        [epoch, lr_t, *means, val_hr])))
@@ -103,7 +129,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
 
         if not has_val or val_hr > best_val:  # without validation, keep the last
             result.best_val_hr = best_val = val_hr  # nan without validation
-            best_params = ms.copy_params()
+            ms.copy_params(out=best_params)
             result.best_epoch = epoch
             bad_epochs = 0
         else:

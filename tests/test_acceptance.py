@@ -176,7 +176,8 @@ def test_criterion_7_cost_scaling():
         a_j = rng.normal(size=(B, d))
         b_i = rng.normal(size=(B, d)) * 0.2
         b_j = rng.normal(size=(B, d)) * 0.2
-        return lambda: _hinge_term(proj, a_i, a_j, b_i, b_j)
+        x = np.hstack([a_i, a_j])
+        return lambda: _hinge_term(proj, x, b_i, b_j)
 
     def nce_runner(n):
         A = rng.normal(size=(n, d))

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -30,8 +31,8 @@ from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
                          held_out_rank)
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
-from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu, aggregate_backward,
-                          encode, init_model, user_vectors)
+from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu_, _slope,
+                          aggregate_backward, encode, init_model, pair_rows, user_vectors)
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
                               GradientSet, TrainConfig, _hinge_term,
                               _infonce_grads, adam_step, compute_gradients,
@@ -259,6 +260,129 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+# Propagation before it ran in row slices, frozen as the oracle: one CSR
+# product per row block into the stored layer, then separate passes that
+# add each layer into the sum; encode copied the tables into the sum first.
+
+def frozen_propagate(g, E, out=None):
+    X = np.ascontiguousarray(E, dtype=np.float64)
+    if out is None:
+        out = np.empty(X.shape)
+    m, bounds = g.matrix, g._blocks
+    X2, Y2 = X.reshape(len(X), -1), out.reshape(len(out), -1)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        y = Y2[r0:r1]
+        y.fill(0.0)
+        csr_matvecs(r1 - r0, m.shape[1], X2.shape[1], m.indptr[r0:r1 + 1],
+                    m.indices, m.data, X2.ravel(), y.ravel())
+        np.add(y, X2[r0:r1], out=y)
+    return out
+
+
+def frozen_aggregate_backward(g, grad_agg, num_layers, agg):
+    work = (np.empty(grad_agg.shape), np.empty(grad_agg.shape))
+    cur = grad_agg
+    for k in range(num_layers):
+        cur = frozen_propagate(g, cur, out=work[k % 2])
+        np.add(grad_agg, cur, out=grad_agg)
+    if agg == "mean":
+        np.divide(grad_agg, num_layers + 1, out=grad_agg)
+    return grad_agg
+
+
+def frozen_encode(ms, g_r, g_s, num_layers, agg):
+    return (frozen_aggregate_backward(g_r, ms.E.copy(), num_layers, agg),
+            frozen_aggregate_backward(g_s, ms.E_u.copy(), num_layers, agg))
+
+
+def _sliced_graphs(ds, view, d):
+    """A view's graph, whole and in _blocked's layouts; its row count is no
+    multiple of the CHUNK // d rows of a slice, so slices end inside blocks."""
+    g = (build_interaction_laplacian if view == "interaction"
+         else build_social_laplacian)(ds)
+    assert g.num_nodes % (CHUNK // d) and g.num_nodes > CHUNK // d
+    return [g] + _blocked(g)
+
+
+class TestSlicedPropagation:
+    """d = 300 gives 109-row slices, d = 1000 gives 32-row slices."""
+
+    @pytest.mark.parametrize("d", [300, 1000])
+    @pytest.mark.parametrize("view", ["interaction", "social"])
+    def test_every_mode_matches_frozen_layer(self, ds, view, d):
+        graphs = _sliced_graphs(ds, view, d)
+        rng = np.random.default_rng(11)
+        E, S, T0 = rng.normal(size=(3, graphs[0].num_nodes, d))
+        for g in graphs:
+            want = frozen_propagate(g, E)
+            np.testing.assert_array_equal(_bits(propagate(g, E)), _bits(want))
+            out, total = np.full_like(E, np.nan), T0.copy()
+            assert propagate(g, E, out=out) is out
+            np.testing.assert_array_equal(_bits(out), _bits(want))
+            assert propagate(g, E, total=total) is total  # the layer is not stored
+            np.testing.assert_array_equal(_bits(total), _bits(T0 + want))
+            total = T0.copy()
+            assert propagate(g, E, total=total, start=total) is total
+            np.testing.assert_array_equal(_bits(total), _bits(T0 + want))
+            out, total = np.full_like(E, np.nan), np.full_like(E, np.nan)
+            assert propagate(g, E, out=out, total=total, start=S) is out
+            np.testing.assert_array_equal(_bits(out), _bits(want))
+            np.testing.assert_array_equal(_bits(total), _bits(S + want))
+            total = np.full_like(E, np.nan)
+            propagate(g, E, total=total, start=E)  # the forward's first layer
+            np.testing.assert_array_equal(_bits(total), _bits(E + want))
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("view", ["interaction", "social"])
+    def test_sum_of_powers_matches_frozen(self, ds, view, L, agg):
+        rng = np.random.default_rng(L)
+        for g in _sliced_graphs(ds, view, 300)[::2]:
+            X = rng.normal(size=(g.num_nodes, 300))
+            want = frozen_aggregate_backward(g, X.copy(), L, agg)
+            got = X.copy()  # backward, in place
+            assert aggregate_backward(g, got, L, agg) is got
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            got, before = np.full_like(X, np.nan), X.copy()  # forward, from start
+            assert aggregate_backward(g, got, L, agg, start=X) is got
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            np.testing.assert_array_equal(_bits(X), _bits(before))
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+    def test_encode_matches_frozen(self, ds, L, agg):
+        ms = init_model(ds.num_users, ds.num_items, 300, seed=L)
+        g_r, g_s = build_interaction_laplacian(ds), build_social_laplacian(ds)
+        want_r, want_s = frozen_encode(ms, g_r, g_s, L, agg)
+        for _ in range(2):  # the second pass reuses the buffers
+            encode(ms, g_r, g_s, L, agg)
+            np.testing.assert_array_equal(_bits(ms.agg_r), _bits(want_r))
+            np.testing.assert_array_equal(_bits(ms.agg_s), _bits(want_s))
+
+    def test_written_arrays_may_not_overlap_what_is_read(self, ds):
+        g = build_social_laplacian(ds)
+        n = g.num_nodes
+        big = np.ones((n + 1, 3))
+        E, shifted = big[:n], big[1:]
+        other, spare = np.zeros((n, 3)), np.zeros((n, 3))
+        for kwargs, named in [
+                ({"total": E}, "total overlaps E"),
+                ({"total": shifted}, "total overlaps E"),
+                ({"out": spare, "total": spare}, "total overlaps out"),
+                ({"out": spare, "total": other, "start": spare}, "start overlaps out"),
+                ({"total": E.copy(), "start": shifted.copy()}, None),
+                ({"out": E}, "out overlaps E")]:
+            if named is None:
+                propagate(g, E, **kwargs)  # start and total apart: fine
+                continue
+            with pytest.raises(ValueError, match=named):
+                propagate(g, E, **kwargs)
+        with pytest.raises(ValueError, match="start overlaps total"):
+            propagate(g, other, total=big[:n], start=big[1:])
+        with pytest.raises(ValueError, match="start is given without total"):
+            propagate(g, E, start=other)
+
+
 def test_row_sum_matches_add_at_per_term():
     rng = np.random.default_rng(5)
     terms = []
@@ -286,10 +410,14 @@ def test_row_sum_matches_add_at_per_term():
 @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True,
                                  allow_subnormal=True), min_size=1, max_size=40))
 def test_leaky_relu_matches_where_form(values):
+    """The in-place form and its mask, against np.where on a copy."""
     pre = np.array(values, dtype=np.float64)
-    h, slope = _leaky_relu(pre)
+    h = pre.copy()
+    positive = _leaky_relu_(h)
     np.testing.assert_array_equal(_bits(h), _bits(np.where(pre > 0, pre, LEAKY_SLOPE * pre)))
-    np.testing.assert_array_equal(_bits(slope), _bits(np.where(pre > 0, 1.0, LEAKY_SLOPE)))
+    np.testing.assert_array_equal(positive, pre > 0)
+    np.testing.assert_array_equal(_bits(_slope(positive)),
+                                  _bits(np.where(pre > 0, 1.0, LEAKY_SLOPE)))
 
 
 # The loss and gradient code before each term ran once per step, frozen as
@@ -554,7 +682,7 @@ def seed_gradients(batch, ms, cfg):
     if l2 > 0:
         i, j = batch.ssl_pairs.T
         _, active, (da_i, da_j, db_i, db_j), (dT, _, _) = _hinge_term(
-            ms.params, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
+            ms.params, pair_rows(ms.agg_r, i, j), ms.agg_s[i], ms.agg_s[j])
         i, j = i[active], j[active]
         np.add.at(gr, i, l2 * da_i)
         np.add.at(gr, j, l2 * da_j)
@@ -588,7 +716,7 @@ def test_gradients_match_seed_assembly(ds, variant, agg):
 
 @pytest.mark.parametrize("agg", ["sum", "mean"])
 def test_shared_work_pair_aliases_nothing_live(ds, agg):
-    """encode and compute_gradients share one work pair per view: two
+    """encode and compute_gradients share each view's work arrays: two
     rounds on one model and one GradientSet match a fresh model's."""
     cfg = TrainConfig(dim=96, layers=3, batch=256, lambda2=1e-2, lambda3=1e-3,
                       agg=agg)

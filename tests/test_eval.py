@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from socrec.data import InteractionTable, SocialTable, build_dataset, stratify_by_degree
 from socrec.eval import (evaluate, evaluate_stratified,
                          export_relevance_weights, held_out_rank)
+from socrec.graph import build_interaction_laplacian, build_social_laplacian
+from socrec.model import encode, init_model
 from socrec.objective import TrainConfig
 from socrec.selfcheck import reference_rank
 from socrec.synthetic import planted_clusters, random_dataset
@@ -46,8 +49,52 @@ class TestHeldOutRank:
         # item 3 outranks item 10; item 20 does not
         assert held_out_rank(scores, cand) == 1
 
+    nan, inf = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("scores,want", [
+        ([nan, 1.0, -5.0, 2.0], 3),      # a NaN held-out item: every number outranks it
+        ([nan, -inf, -inf, nan], 1),     # ties at -inf, by item index: 3 only
+        ([nan, nan, nan, nan], 1),
+        ([1.0, nan, nan, 2.0], 1),       # NaN candidates rank below the held-out item
+        ([-inf, nan, nan, -inf], 1),     # ...and tie with it at -inf: 3 only
+        ([-inf, nan, -inf, nan], 1),
+        ([0.0, -0.0, nan, nan], 1),      # -0.0 ties with 0.0: item 3 outranks
+    ])
+    def test_nan_ranks_below_every_number(self, scores, want):
+        cand = np.array([5, 3, 8, 9])
+        scores = np.array(scores)
+        assert held_out_rank(scores, cand) == want == reference_rank(scores, cand)
+        assert held_out_rank(scores[None], cand[None]).tolist() == [want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0,
+                                     -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=12),
+           st.randoms(use_true_random=False))
+    def test_non_finite_scores_rank_as_full_sort(self, scores, random):
+        cand = np.array(random.sample(range(100), len(scores)))
+        scores = np.array(scores)
+        assert held_out_rank(scores, cand) == reference_rank(scores, cand)
+
 
 class TestEvaluate:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e150, 1e200, 1e300])
+    def test_overflowing_model_is_not_ranked_perfect(self, lr):
+        """One step at a huge learning rate, then an abort that restores
+        that step's finite parameters: scores overflow into NaN from
+        lr = 1e200 on, and used to rank every held-out item first."""
+        ds = random_dataset(30, 40, seed=2)
+        cfg = TrainConfig(batch=4096, lr=lr, lr_decay=1, negatives=8, cutoffs=(5,))
+        result = train_model(ds, cfg)
+        ms = result.model
+        assert result.aborted and result.best_epoch == 0
+        assert np.isfinite(ms.params.flat).all() and np.isfinite(ms.agg_r).all()
+        scores = ms.agg_r[:ds.num_users] @ ms.agg_r[ds.num_users:].T
+        assert np.isnan(scores).any() == (lr > 1e150)
+        report = evaluate(ms, ds, split="test", num_negatives=cfg.negatives,
+                          cutoffs=(5,))
+        assert report.hr[5] < 1.0
+
     def test_rank3_ndcg_value(self):
         ranks = np.array([3])
         from socrec.eval import _summary
@@ -314,6 +361,25 @@ class TestRelevanceWeights:
         want = min(5, total)
         export = export_relevance_weights(ms, ds, sample=want, seed=1)
         assert len(export.rows) == want
+
+    def test_export_temporaries_stay_near_three_blocks(self):
+        """The export's peak traced allocation, less the rows it returns,
+        is at most 3.5 tie x d float64 blocks: the pair block (two), the
+        projection's output (one) and its masks."""
+        ds, _ = planted_clusters(num_users=2000, num_items=600, items_per_user=8,
+                                 ties_per_user=10, seed=0)
+        d = 32
+        ms = init_model(ds.num_users, ds.num_items, d, seed=0)
+        encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds), 2)
+        block = (ds.social_edges[:, 0] < ds.social_edges[:, 1]).sum() * d * 8
+        tracemalloc.start()
+        try:
+            export = export_relevance_weights(ms, ds)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(export.rows) == block // (d * 8)
+        assert (peak - current) / block <= 3.5
 
     def test_sorted_by_z_ascending(self, encoded):
         ds, ms, _, _ = encoded

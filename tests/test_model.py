@@ -6,9 +6,9 @@ import pytest
 
 from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
-from socrec.model import (encode, init_model, load_checkpoint, projection_forward,
-                          save_checkpoint, user_vectors)
-from socrec.objective import TrainConfig
+from socrec.model import (encode, init_model, load_checkpoint, pair_rows,
+                          projection_forward, save_checkpoint, user_vectors)
+from socrec.objective import TrainConfig, compute_gradients, sample_batch
 from socrec.oracle import dense_forward
 from socrec.synthetic import random_dataset
 
@@ -72,13 +72,33 @@ class TestEncode:
         np.testing.assert_allclose(ms.agg_r, ref_r, atol=1e-10)
         np.testing.assert_allclose(ms.agg_s, ref_s, atol=1e-10)
 
+    @staticmethod
+    def _step(ds, ms, g_r, g_s, layers):
+        """Encode, then pull one batch's gradients back; the work arrays."""
+        encode(ms, g_r, g_s, layers)
+        compute_gradients(sample_batch(ds, 8, np.random.default_rng(0)), ms,
+                          TrainConfig(dim=ms.dim, layers=layers))
+        return {name: buf.shape for name, buf in ms.buffers.items()
+                if name.startswith("work_")}
+
+    @pytest.mark.parametrize("layers,forward,step", [
+        (0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 2, 2), (4, 2, 2)])
+    def test_work_arrays_per_view(self, encoded, layers, forward, step):
+        """A layer is stored only when a later layer reads it, and the
+        backward's first layer, which reads the gradient it adds into."""
+        ds, _, g_r, g_s = encoded
+        ms = init_model(ds.num_users, ds.num_items, 4, seed=7)
+        encode(ms, g_r, g_s, layers)
+        assert sorted(name for name in ms.buffers if name.startswith("work_")) == \
+            sorted(f"work_{view}{k}" for view in "rs" for k in range(forward))
+        assert sorted(self._step(ds, ms, g_r, g_s, layers)) == \
+            sorted(f"work_{view}{k}" for view in "rs" for k in range(step))
+
     def test_buffers_do_not_grow_with_layers(self, encoded):
-        _, ms, g_r, g_s = encoded
-        encode(ms, g_r, g_s, 1)
-        held = {name: buf.shape for name, buf in ms.buffers.items()}
-        encode(ms, g_r, g_s, 4)
-        assert {name: buf.shape for name, buf in ms.buffers.items()} == held
-        assert len(held) == 6  # per view: the aggregation and one work pair
+        ds, ms, g_r, g_s = encoded
+        held = self._step(ds, ms, g_r, g_s, 4)
+        assert len(held) == 4  # per view: two work arrays
+        assert self._step(ds, ms, g_r, g_s, 8) == held
 
     def test_repeat_encode_identical(self, encoded):
         _, ms, g_r, g_s = encoded
@@ -107,13 +127,14 @@ class TestSimilarities:
         ms.params.T[:] = 0
         ms.params.w[:] = 0
         ms.params.c[:] = 0
-        z, _ = projection_forward(ms.params, ms.agg_r[[0, 2]], ms.agg_r[[1, 2]])
+        z, _ = projection_forward(ms.params, pair_rows(ms.agg_r, [0, 2], [1, 2]))
         assert z.tolist() == [0.5, 0.5]
 
     def test_bounded_open_interval(self, encoded):
         _, ms, _, _ = encoded
         i = np.arange(ms.num_users)
-        z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[(i + 1) % ms.num_users])
+        z, _ = projection_forward(ms.params,
+                                  pair_rows(ms.agg_r, i, (i + 1) % ms.num_users))
         assert ((0.0 < z) & (z < 1.0)).all()
 
     def test_matches_straight_line_reimplementation(self, encoded):
@@ -125,7 +146,7 @@ class TestSimilarities:
         act = sum(ms.params.w[k] * (pre[k] if pre[k] > 0 else 0.01 * pre[k])
                   for k in range(len(pre)))
         expect = 1.0 / (1.0 + np.exp(-act))
-        z, _ = projection_forward(ms.params, e_i, e_j)
+        z, _ = projection_forward(ms.params, pair_rows(ms.agg_r, [i], [j]))
         assert z[0] == pytest.approx(expect, abs=1e-12)
 
     # The social similarity is the dot product of social rows; with the
@@ -294,7 +315,7 @@ def test_projection_forward_batch_matches_single(encoded):
     pairs = [(0, 1), (2, 3), (4, 5)]
     i = np.array([p[0] for p in pairs])
     j = np.array([p[1] for p in pairs])
-    z_batch, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
+    z_batch, _ = projection_forward(ms.params, pair_rows(ms.agg_r, i, j))
     for k, (a, b) in enumerate(pairs):
-        z, _ = projection_forward(ms.params, ms.agg_r[a], ms.agg_r[b])
+        z, _ = projection_forward(ms.params, pair_rows(ms.agg_r, [a], [b]))
         assert z_batch[k] == pytest.approx(z[0], abs=1e-12)

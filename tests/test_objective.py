@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from socrec.data import InteractionTable, SocialTable, build_dataset, load_edges
-from socrec.model import projection_forward
+from socrec.model import pair_rows, projection_forward
 from socrec.objective import (AdamState, Batch, NonFiniteLossError, TrainConfig,
                               adam_step, bpr_loss, compute_gradients,
                               joint_loss, sample_batch, ssl_hinge_loss,
@@ -280,7 +280,7 @@ class TestJointLoss:
             soc += -math.log(1.0 / (1.0 + math.exp(-x)))
         align = 0.0
         for i, j in batch.ssl_pairs:
-            z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
+            z, _ = projection_forward(ms.params, pair_rows(ms.agg_r, [i], [j]))
             zhat = float(ms.agg_s[i] @ ms.agg_s[j])
             align += max(0.0, 1.0 - float(z[0]) * zhat)
         reg = float((ms.E_u ** 2).sum() + (ms.E_v ** 2).sum())
@@ -314,8 +314,8 @@ class TestHingeGradients:
         i = np.array([0, 1])
         j = np.array([2, 3])
         loss, active, rows, proj = _hinge_term(
-            ms.params, ms.agg_r[i], ms.agg_r[j], ms.agg_s[i], ms.agg_s[j])
-        z, _ = projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])
+            ms.params, pair_rows(ms.agg_r, i, j), ms.agg_s[i], ms.agg_s[j])
+        z, _ = projection_forward(ms.params, pair_rows(ms.agg_r, i, j))
         zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
         assert (z * zhat >= 1).all()
         assert loss == 0.0
@@ -337,8 +337,8 @@ class TestHingeGradients:
                       soc_triples=np.zeros((0, 3), dtype=np.int64),
                       ssl_pairs=pairs)
         grads = compute_gradients(batch, ms, cfg)
-        z, _ = projection_forward(ms.params, ms.agg_r[pairs[:, 0]],
-                                  ms.agg_r[pairs[:, 1]])
+        z, _ = projection_forward(ms.params, pair_rows(ms.agg_r, pairs[:, 0],
+                                                       pairs[:, 1]))
         zhat = (ms.agg_s[pairs[:, 0]] * ms.agg_s[pairs[:, 1]]).sum(axis=1)
         expect = np.zeros_like(ms.E_u)
         for k, (i, j) in enumerate(pairs):

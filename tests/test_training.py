@@ -193,6 +193,30 @@ def test_early_stopping_respects_patience():
     assert result.best_epoch >= 0
 
 
+def test_timing_splits_each_epoch_by_phase(tmp_path):
+    """timing.txt: a header, then per epoch the wall seconds of each phase,
+    which sum to at most the epoch's total, and the peak memory so far."""
+    ds = random_dataset(8, 10, seed=4)
+    cfg = TrainConfig(dim=4, layers=1, batch=4, epochs=2, negatives=3,
+                      cutoffs=(5,), seed=4, patience=999)
+    spec = ExperimentSpec(config=cfg, out_dir=str(tmp_path))
+    result, _ = _train_and_report(spec, ds, cfg, str(tmp_path))
+    with open(tmp_path / "timing.txt") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "# epoch sample grad adam encode eval total maxrss_mb"
+    assert lines == result.timing_lines() and len(lines) == 3
+    for k, (line, row) in enumerate(zip(lines[1:], result.timing)):
+        fields = line.split()
+        assert fields[0] == str(k) == str(row["epoch"]) and len(fields) == 8
+        phases = [row[key] for key in ("sample", "grad", "adam", "encode", "eval")]
+        assert min(phases) > 0.0 and sum(phases) <= row["total"]
+        assert [float(f) for f in fields[1:7]] == \
+            pytest.approx([*phases, row["total"]], abs=1e-6)
+        assert 0.0 < float(fields[7]) == pytest.approx(row["maxrss_mb"], abs=0.1)
+    assert result.timing[0]["maxrss_mb"] <= result.timing[1]["maxrss_mb"]
+    assert TrainResult(model=None).timing_lines() == [lines[0]]
+
+
 def test_history_rows_complete():
     ds = random_dataset(8, 10, seed=4)
     cfg = TrainConfig(dim=4, layers=1, batch=8, epochs=2, negatives=3,
