@@ -9,8 +9,9 @@ Propagation splits the CSR rows into one block per CPU the process may
 run on and runs the blocks on a shared thread pool (scipy's CSR kernel
 releases the GIL). Every output row is the same sum in the same order
 whatever the block count, so results do not depend on the CPU count.
-Each block runs in row slices of about CHUNK elements, so a layer can be
-added into a running sum while its slice is still in cache.
+Each block runs in row slices of about CHUNK elements, so the self-loop
+and one more array, the sum of powers' start in Horner form (see
+`model.aggregate_backward`), are added while the slice is still in cache.
 """
 
 import os
@@ -125,62 +126,48 @@ def build_social_laplacian(ds):
     return _normalized(ties.indptr, ties.items, "social")
 
 
-def propagate(g, E, out=None, total=None, start=None):
-    """One propagation layer with implicit self-loop: A_norm @ E + E.
+def propagate(g, E, out=None, add=None):
+    """One propagation layer with implicit self-loop, plus `add` when given:
+    (A_norm @ E + E) + add, each row block in slices of CHUNK // d rows.
 
-    Each row block walks its rows in slices of CHUNK // d rows: zero-fill,
-    the product and the self-loop add, then, with `total`, the add of the
-    slice into `total` while it is still in cache: total = start + layer,
-    or total += layer without `start`. The layer is stored in `out` when
-    given, in a new array when neither `out` nor `total` is, and otherwise
-    nowhere; returns the stored layer, or `total`. `out`, `total` and
-    `start` are float64, C-contiguous and shaped like E.
-
-    The layer reads every row of E while it writes, so `out` and `total`
-    may overlap neither E, nor each other, nor `start`; `start` may be E
-    itself, and `start` being `total` is the running sum.
+    Writes into `out` (a new array when None) and returns it; `out` and
+    `add` are float64, C-contiguous and shaped like E. The layer reads
+    every row of E while it writes, so `out` may not overlap E; `add` is
+    read slice by slice, so it may be `out` itself or apart from it.
     """
     E = np.asarray(E)
     if E.shape[0] != g.num_nodes:
         raise ValueError(f"embedding rows {E.shape[0]} != graph nodes {g.num_nodes}")
     X = np.ascontiguousarray(E, dtype=np.float64)
-    if start is total:
-        start = None
-    elif total is None:
-        raise ValueError("start is given without total")
-    if out is None and total is None:
+    if out is None:
         out = np.empty(X.shape)
-    given = {"E": X, "out": out, "total": total, "start": start}
-    for name in ("out", "total", "start"):
-        arr = given[name]
+    for name, arr in (("out", out), ("add", add)):
         if arr is not None and (arr.shape != X.shape or arr.dtype != np.float64
                                 or not arr.flags.c_contiguous):
             raise ValueError(f"{name} must be a C-contiguous float64 array shaped like E")
-    for a, b in (("out", "E"), ("total", "E"), ("total", "out"), ("start", "out"),
-                 ("start", "total")):
-        if (given[a] is not None and given[b] is not None
-                and np.may_share_memory(given[a], given[b])):
-            raise ValueError(f"{a} overlaps {b}")
+    if np.may_share_memory(out, X):
+        raise ValueError("out overlaps E")
+    if add is not None and add is not out and np.may_share_memory(add, out):
+        raise ValueError("add overlaps out")
     m = g.matrix
     X2 = X.reshape(len(X), -1)
     x, width = X2.ravel(), X2.shape[1]
     step = max(1, CHUNK // max(width, 1))
-    Y2, T2, S2 = (None if a is None else a.reshape(X2.shape) for a in (out, total, start))
-    if S2 is None:
-        S2 = T2
+    Y2 = out.reshape(X2.shape)
+    A2 = None if add is None else add.reshape(X2.shape)
     bounds = g._blocks
 
     def block(k):
-        scratch = None if Y2 is not None else np.empty((step, width))
+        scratch = np.empty((step, width)) if add is out else None
         for r0 in range(bounds[k], bounds[k + 1], step):
             r1 = min(r0 + step, bounds[k + 1])
-            y = Y2[r0:r1] if Y2 is not None else scratch[:r1 - r0]
+            y = Y2[r0:r1] if scratch is None else scratch[:r1 - r0]
             y.fill(0.0)
             csr_matvecs(r1 - r0, m.shape[1], width, m.indptr[r0:r1 + 1],
                         m.indices, m.data, x, y.ravel())
             np.add(y, X2[r0:r1], out=y)
-            if T2 is not None:
-                np.add(S2[r0:r1], y, out=T2[r0:r1])
+            if A2 is not None:
+                np.add(y, A2[r0:r1], out=Y2[r0:r1])
 
     run_parallel(block, len(bounds) - 1)
-    return total if out is None else out
+    return out

@@ -104,8 +104,9 @@ class ModelState:
 
     def work(self, view):
         """k -> work array k (0 or 1) of view "r" (interaction, I+J rows)
-        or "s" (social, I rows), made on first use, for `aggregate_backward`;
-        `encode` and `compute_gradients` share them."""
+        or "s" (social, I rows), made on first use, for `aggregate_backward`:
+        `encode` uses work(0) from L = 2, `compute_gradients` work(0) from
+        L = 1 and work(1) from L = 3."""
         shape = (self.E if view == "r" else self.E_u).shape
         return lambda k: reuse(self.buffers, f"work_{view}{k}", shape)
 
@@ -168,39 +169,34 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
 
 
 def aggregate_backward(g, grad_agg, num_layers, agg="sum", work=None, start=None):
-    """The sum-of-powers operator X -> sum_k (A+I)^k X, k = 0..L.
+    """The sum-of-powers operator X -> sum_k (A+I)^k X, k = 0..L, in Horner
+    form: S_0 = X and S_k = ((A+I) S_{k-1}) + X, one `propagate` each, so
+    S_L is the sum. Writes S_L, divided by L+1 for "mean", into `grad_agg`
+    and returns it; X is `start` (forward) or `grad_agg` itself (backward,
+    in place). A is symmetric, so the same operator encodes the tables and
+    pulls a gradient on the aggregations back to layer 0.
 
-    Writes ((X + (A+I)X) + (A+I)^2 X) + ..., divided by L+1 for "mean",
-    into `grad_agg` and returns it; X is `start` (forward), or `grad_agg`
-    itself (backward, in place). The normalized adjacency A is symmetric,
-    so the same operator encodes the tables and pulls a gradient on the
-    aggregated embeddings back to layer 0.
-
-    `propagate` adds each layer into the sum slice by slice. A layer is
-    stored only when a later layer reads it, in `work(0)` or `work(1)`
-    (arrays shaped like `grad_agg`; new ones when `work` is None). In
-    place, the first layer reads every row of the sum as it is made, so
-    it is stored and then added in a pass of its own.
+    The S_k before S_L live in `work(0)`/`work(1)` (new arrays when `work`
+    is None). From `start` they alternate with `grad_agg`, so one work
+    array does. In place every layer reads X, so only S_L may overwrite
+    it, and at L = 1, where S_0 is X, S_1 is made apart and copied back.
     """
     if not grad_agg.flags.c_contiguous:
         raise ValueError("grad_agg must be C-contiguous")
+    if start is not None and np.may_share_memory(start, grad_agg):
+        raise ValueError("start overlaps grad_agg")  # X must outlive every S_k
     if work is None:
         made = {}
         work = lambda k: reuse(made, k, grad_agg.shape)  # noqa: E731
-    if start is not None and num_layers == 0:
-        np.copyto(grad_agg, start)
-    layer = grad_agg if start is None else start
+    layer = X = grad_agg if start is None else start
     for k in range(1, num_layers + 1):
-        apart = k == 1 and start is None
-        keep = work((k - 1) % 2) if apart or k < num_layers else None
-        if apart:
-            layer = propagate(g, layer, out=keep)
-            total, first = grad_agg.reshape(-1), layer.reshape(-1)
-            for_each_chunk(total.size, lambda lo, hi, _: np.add(
-                total[lo:hi], first[lo:hi], out=total[lo:hi]))
+        if start is not None:
+            out = grad_agg if (num_layers - k) % 2 == 0 else work(0)
         else:
-            propagate(g, layer, out=keep, total=grad_agg, start=start if k == 1 else None)
-            layer = keep
+            out = grad_agg if k == num_layers > 1 else work((k - 1) % 2)
+        layer = propagate(g, layer, out=out, add=X)
+    if layer is not grad_agg:
+        np.copyto(grad_agg, layer)
     if agg == "mean":
         total = grad_agg.reshape(-1)
         for_each_chunk(total.size, lambda lo, hi, _: np.divide(

@@ -74,14 +74,14 @@ def gradient_relative_error(analytic, numeric):
 def gradient_check(num_instances=20, seed=0, step=1e-6, tol=1e-5):
     """Analytic vs central-difference gradients on random tiny instances.
 
-    Cycles through all variants and layer counts 0..2. Returns
+    Cycles through all variants and layer counts 0..4. Returns
     (all_ok, worst_error, per-instance rows).
     """
     rows = []
     worst = 0.0
     for k in range(num_instances):
         variant = VARIANTS[k % len(VARIANTS)]
-        layers = k % 3
+        layers = k % 5
         ds, cfg, ms, batch, graphs = make_tiny_instance(seed + 17 * k, variant,
                                                         layers)
         grads = compute_gradients(batch, ms, cfg)

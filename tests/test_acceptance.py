@@ -43,7 +43,7 @@ def test_criterion_1_gradient_fidelity():
     variants = {v for v, _, _ in rows}
     layer_counts = {l for _, l, _ in rows}
     ok = ok and variants == {"full", "no_align", "direct_social",
-                             "contrastive"} and layer_counts == {0, 1, 2}
+                             "contrastive"} and layer_counts == {0, 1, 2, 3, 4}
     report(1, "gradient fidelity", ok, f"worst rel err {worst:.2e} over "
                                        f"{len(rows)} instances")
     assert ok

@@ -17,7 +17,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -206,30 +205,21 @@ def test_first_fresh_refuses_keys_past_63_bits(num_listed, num_keys):
         first_fresh(keys, listed)
 
 
+def horner_sum(g, X, L, agg):
+    """The sum of powers sum_k (A+I)^k X, k = 0..L, as a plain loop of the
+    Horner order the model uses: S = (A @ S + S) + X, L times from S = X,
+    then / (L+1) for "mean"."""
+    S = X.copy()
+    for _ in range(L):
+        S = (g.matrix @ S + S) + X
+    if agg == "mean":
+        S /= L + 1
+    return S
+
+
 def seed_encode(E_u, E_v, g_r, g_s, L, agg):
-    """The original encoder: stacked copies summed with np.sum."""
-    layers_r = [np.vstack([E_u, E_v])]
-    layers_s = [E_u.copy()]
-    for _ in range(L):
-        layers_r.append(g_r.matrix @ layers_r[-1] + layers_r[-1])
-        layers_s.append(g_s.matrix @ layers_s[-1] + layers_s[-1])
-    agg_r = np.sum(layers_r, axis=0)
-    agg_s = np.sum(layers_s, axis=0)
-    if agg == "mean":
-        agg_r /= L + 1
-        agg_s /= L + 1
-    return agg_r, agg_s
-
-
-def seed_backward(g, grad, L, agg):
-    total = grad.copy()
-    cur = grad
-    for _ in range(L):
-        cur = g.matrix @ cur + cur
-        total += cur
-    if agg == "mean":
-        total /= L + 1
-    return total
+    """The encoder: each view's table run through `horner_sum`."""
+    return horner_sum(g_r, np.vstack([E_u, E_v]), L, agg), horner_sum(g_s, E_u, L, agg)
 
 
 @pytest.mark.parametrize("agg", ["sum", "mean"])
@@ -249,7 +239,7 @@ def test_encode_matches_stacked_sum(ds, L, agg):
 def test_aggregate_backward_matches_seed(ds, agg):
     g = build_interaction_laplacian(ds)
     grad = np.random.default_rng(3).normal(size=(g.num_nodes, 96))
-    want = seed_backward(g, grad, 3, agg)
+    want = horner_sum(g, grad, 3, agg)
     got = grad.copy()
     assert aggregate_backward(g, got, 3, agg) is got
     np.testing.assert_array_equal(got, want)
@@ -258,41 +248,6 @@ def test_aggregate_backward_matches_seed(ds, agg):
 def _bits(a):
     """The raw bits of a float array (tells -0.0 from +0.0 and NaNs apart)."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-
-
-# Propagation before it ran in row slices, frozen as the oracle: one CSR
-# product per row block into the stored layer, then separate passes that
-# add each layer into the sum; encode copied the tables into the sum first.
-
-def frozen_propagate(g, E, out=None):
-    X = np.ascontiguousarray(E, dtype=np.float64)
-    if out is None:
-        out = np.empty(X.shape)
-    m, bounds = g.matrix, g._blocks
-    X2, Y2 = X.reshape(len(X), -1), out.reshape(len(out), -1)
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        y = Y2[r0:r1]
-        y.fill(0.0)
-        csr_matvecs(r1 - r0, m.shape[1], X2.shape[1], m.indptr[r0:r1 + 1],
-                    m.indices, m.data, X2.ravel(), y.ravel())
-        np.add(y, X2[r0:r1], out=y)
-    return out
-
-
-def frozen_aggregate_backward(g, grad_agg, num_layers, agg):
-    work = (np.empty(grad_agg.shape), np.empty(grad_agg.shape))
-    cur = grad_agg
-    for k in range(num_layers):
-        cur = frozen_propagate(g, cur, out=work[k % 2])
-        np.add(grad_agg, cur, out=grad_agg)
-    if agg == "mean":
-        np.divide(grad_agg, num_layers + 1, out=grad_agg)
-    return grad_agg
-
-
-def frozen_encode(ms, g_r, g_s, num_layers, agg):
-    return (frozen_aggregate_backward(g_r, ms.E.copy(), num_layers, agg),
-            frozen_aggregate_backward(g_s, ms.E_u.copy(), num_layers, agg))
 
 
 def _sliced_graphs(ds, view, d):
@@ -312,25 +267,23 @@ class TestSlicedPropagation:
     def test_every_mode_matches_frozen_layer(self, ds, view, d):
         graphs = _sliced_graphs(ds, view, d)
         rng = np.random.default_rng(11)
-        E, S, T0 = rng.normal(size=(3, graphs[0].num_nodes, d))
+        E, X, T0 = rng.normal(size=(3, graphs[0].num_nodes, d))
         for g in graphs:
-            want = frozen_propagate(g, E)
+            want = g.matrix @ E + E
             np.testing.assert_array_equal(_bits(propagate(g, E)), _bits(want))
-            out, total = np.full_like(E, np.nan), T0.copy()
+            out = np.full_like(E, np.nan)
             assert propagate(g, E, out=out) is out
             np.testing.assert_array_equal(_bits(out), _bits(want))
-            assert propagate(g, E, total=total) is total  # the layer is not stored
-            np.testing.assert_array_equal(_bits(total), _bits(T0 + want))
-            total = T0.copy()
-            assert propagate(g, E, total=total, start=total) is total
-            np.testing.assert_array_equal(_bits(total), _bits(T0 + want))
-            out, total = np.full_like(E, np.nan), np.full_like(E, np.nan)
-            assert propagate(g, E, out=out, total=total, start=S) is out
-            np.testing.assert_array_equal(_bits(out), _bits(want))
-            np.testing.assert_array_equal(_bits(total), _bits(S + want))
-            total = np.full_like(E, np.nan)
-            propagate(g, E, total=total, start=E)  # the forward's first layer
-            np.testing.assert_array_equal(_bits(total), _bits(E + want))
+            np.testing.assert_array_equal(_bits(propagate(g, E, add=X)), _bits(want + X))
+            out = np.full_like(E, np.nan)
+            assert propagate(g, E, out=out, add=X) is out
+            np.testing.assert_array_equal(_bits(out), _bits(want + X))
+            out = T0.copy()
+            assert propagate(g, E, out=out, add=out) is out  # out += layer
+            np.testing.assert_array_equal(_bits(out), _bits(want + T0))
+            out = np.full_like(E, np.nan)
+            propagate(g, E, out=out, add=E)  # the forward's first layer
+            np.testing.assert_array_equal(_bits(out), _bits(want + E))
 
     @pytest.mark.parametrize("agg", ["sum", "mean"])
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
@@ -339,7 +292,7 @@ class TestSlicedPropagation:
         rng = np.random.default_rng(L)
         for g in _sliced_graphs(ds, view, 300)[::2]:
             X = rng.normal(size=(g.num_nodes, 300))
-            want = frozen_aggregate_backward(g, X.copy(), L, agg)
+            want = horner_sum(g, X, L, agg)
             got = X.copy()  # backward, in place
             assert aggregate_backward(g, got, L, agg) is got
             np.testing.assert_array_equal(_bits(got), _bits(want))
@@ -353,34 +306,44 @@ class TestSlicedPropagation:
     def test_encode_matches_frozen(self, ds, L, agg):
         ms = init_model(ds.num_users, ds.num_items, 300, seed=L)
         g_r, g_s = build_interaction_laplacian(ds), build_social_laplacian(ds)
-        want_r, want_s = frozen_encode(ms, g_r, g_s, L, agg)
+        want_r, want_s = seed_encode(ms.E_u, ms.E_v, g_r, g_s, L, agg)
         for _ in range(2):  # the second pass reuses the buffers
             encode(ms, g_r, g_s, L, agg)
             np.testing.assert_array_equal(_bits(ms.agg_r), _bits(want_r))
             np.testing.assert_array_equal(_bits(ms.agg_s), _bits(want_s))
 
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+    def test_start_may_not_overlap_the_sum(self, ds, L):
+        """Every layer reads X, so a `start` that is (part of) the sum it
+        overwrites is refused, not only at the depths where a layer would
+        read what it writes."""
+        g = build_social_laplacian(ds)
+        big = np.ones((g.num_nodes + 1, 3))
+        for start in (big[:-1], big[1:]):
+            with pytest.raises(ValueError, match="start overlaps grad_agg"):
+                aggregate_backward(g, big[:-1], L, start=start)
+
     def test_written_arrays_may_not_overlap_what_is_read(self, ds):
         g = build_social_laplacian(ds)
         n = g.num_nodes
-        big = np.ones((n + 1, 3))
+        big, pair = np.ones((n + 1, 3)), np.zeros((n + 1, 3))
         E, shifted = big[:n], big[1:]
         other, spare = np.zeros((n, 3)), np.zeros((n, 3))
         for kwargs, named in [
-                ({"total": E}, "total overlaps E"),
-                ({"total": shifted}, "total overlaps E"),
-                ({"out": spare, "total": spare}, "total overlaps out"),
-                ({"out": spare, "total": other, "start": spare}, "start overlaps out"),
-                ({"total": E.copy(), "start": shifted.copy()}, None),
-                ({"out": E}, "out overlaps E")]:
+                ({"out": E}, "out overlaps E"),
+                ({"out": shifted}, "out overlaps E"),
+                ({"out": pair[:n], "add": pair[1:]}, "add overlaps out"),
+                ({"out": other, "add": other[::-1]}, "add must be"),
+                ({"add": np.zeros((n, 4))}, "add must be"),
+                ({"out": other, "add": other}, None),  # out += layer
+                ({"out": other, "add": E}, None),
+                ({"out": other, "add": spare}, None),
+                ({"add": shifted}, None)]:
             if named is None:
-                propagate(g, E, **kwargs)  # start and total apart: fine
+                propagate(g, E, **kwargs)
                 continue
             with pytest.raises(ValueError, match=named):
                 propagate(g, E, **kwargs)
-        with pytest.raises(ValueError, match="start overlaps total"):
-            propagate(g, other, total=big[:n], start=big[1:])
-        with pytest.raises(ValueError, match="start is given without total"):
-            propagate(g, E, start=other)
 
 
 def test_row_sum_matches_add_at_per_term():
@@ -689,8 +652,8 @@ def seed_gradients(batch, ms, cfg):
         np.add.at(gs, i, l2 * db_i)
         np.add.at(gs, j, l2 * db_j)
         gT += l2 * dT
-    g_r0 = seed_backward(ms.g_r, gr, ms.num_layers, ms.agg)
-    g_s0 = seed_backward(ms.g_s, gs, ms.num_layers, ms.agg)
+    g_r0 = horner_sum(ms.g_r, gr, ms.num_layers, ms.agg)
+    g_s0 = horner_sum(ms.g_s, gs, ms.num_layers, ms.agg)
     gE_u = g_r0[:I] + g_s0 + 2.0 * cfg.lambda3 * ms.E_u
     gE_v = g_r0[I:] + 2.0 * cfg.lambda3 * ms.E_v
     return gE_u, gE_v, gT

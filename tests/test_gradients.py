@@ -10,9 +10,9 @@ from socrec.selfcheck import (gradient_relative_error, instance_loss_fn,
 
 
 @pytest.mark.parametrize("variant,layers", [
-    ("full", 0), ("full", 1), ("full", 2),
+    ("full", 0), ("full", 1), ("full", 2), ("full", 3), ("full", 4),
     ("no_align", 1),
-    ("direct_social", 0), ("direct_social", 2),
+    ("direct_social", 0), ("direct_social", 2), ("direct_social", 4),
     ("contrastive", 1), ("contrastive", 2),
 ])
 def test_analytic_matches_central_differences(variant, layers):

@@ -82,10 +82,11 @@ class TestEncode:
                 if name.startswith("work_")}
 
     @pytest.mark.parametrize("layers,forward,step", [
-        (0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 2, 2), (4, 2, 2)])
+        (0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 1, 2), (4, 1, 2)])
     def test_work_arrays_per_view(self, encoded, layers, forward, step):
-        """A layer is stored only when a later layer reads it, and the
-        backward's first layer, which reads the gradient it adds into."""
+        """The forward's partial sums alternate with the aggregation; the
+        backward's stay apart from the gradient, which only the last
+        overwrites, and at L = 1 the one partial sum is made apart too."""
         ds, _, g_r, g_s = encoded
         ms = init_model(ds.num_users, ds.num_items, 4, seed=7)
         encode(ms, g_r, g_s, layers)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from socrec.data import InteractionTable, SocialTable, build_dataset
+from socrec.graph import build_interaction_laplacian, build_social_laplacian
+from socrec.model import aggregate_backward
 from socrec.oracle import dense_forward, finite_difference
 from socrec.selfcheck import forward_equivalence_check
 from socrec.synthetic import random_dataset
@@ -94,3 +96,24 @@ class TestDenseForward:
         agg_r, agg_s = dense_forward(ds, ms.E_u, ms.E_v, 2, agg)
         np.testing.assert_allclose(ms.agg_r, agg_r, rtol=0, atol=1e-10)
         np.testing.assert_allclose(ms.agg_s, agg_s, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("agg", ["sum", "mean"])
+    @pytest.mark.parametrize("layers", [4, 5])
+    def test_sum_of_powers_in_both_modes_deep(self, layers, agg):
+        """`aggregate_backward` in place (the backward) and from `start`
+        (the forward) against the dense sum of powers of each view: the
+        dense forward of X's rows as the tables."""
+        ds = random_dataset(12, 15, tie_prob=0.3, seed=3)
+        I = ds.num_users
+        rng = np.random.default_rng(layers)
+        X_r, X_s = rng.normal(size=(I + ds.num_items, 5)), rng.normal(size=(I, 5))
+        want_r, _ = dense_forward(ds, X_r[:I], X_r[I:], layers, agg)
+        _, want_s = dense_forward(ds, X_s, X_r[I:], layers, agg)
+        for g, X, want in ((build_interaction_laplacian(ds), X_r, want_r),
+                           (build_social_laplacian(ds), X_s, want_s)):
+            in_place = X.copy()
+            aggregate_backward(g, in_place, layers, agg)
+            from_start = aggregate_backward(g, np.full_like(X, np.nan), layers, agg,
+                                            start=X)
+            for got in (in_place, from_start):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
