@@ -20,13 +20,11 @@ cfg = TrainConfig(dim=32, layers=2, batch=512, epochs=40, patience=999,
                   lr=5e-3, lambda1=0.1, lambda2=1e-3, lambda3=1e-5,
                   negatives=99, cutoffs=(5, 10, 20), seed=1)
 
+result = train_model(ds, cfg)
 print("epoch  rec      social   align    val HR@10")
-result = train_model(
-    ds, cfg,
-    progress=lambda row: print(f"{row['epoch']:>5}  {row['rec']:<8.2f} "
-                               f"{row['social']:<8.2f} {row['align']:<8.2f} "
-                               f"{row['val']:.3f}")
-    if row["epoch"] % 5 == 0 else None)
+for row in result.history[::5]:
+    print(f"{row['epoch']:>5}  {row['rec']:<8.2f} {row['social']:<8.2f} "
+          f"{row['align']:<8.2f} {row['val']:.3f}")
 
 print(f"\nbest validation epoch: {result.best_epoch} "
       f"(HR@10={result.best_val_hr:.3f})")

@@ -53,6 +53,8 @@ def _parse_grid(entries):
         axis, vals = entry.split("=", 1)
         axis = axis.strip()
         _check_keys([axis], _CONFIG_FIELDS, "--grid")
+        if axis in axes:
+            raise ValueError(f"--grid axis {axis} is given twice")
         axes[axis] = [getattr(TrainConfig().read({axis: v}, "--grid"), axis)
                       for v in vals.split(",") if v]
     return axes

@@ -90,6 +90,8 @@ class TrainConfig:
             value = getattr(self, key)  # every cutoff, and at least one
             if min(value if key == "cutoffs" else [value], default=-1) < low:
                 raise ValueError(f"config key {key} must be >= {low}, got {value!r}")
+        if len(set(self.cutoffs)) < len(self.cutoffs):
+            raise ValueError(f"config key cutoffs must be distinct, got {self.cutoffs!r}")
         for key in ("lr", "infonce_tau"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"config key {key} must be > 0, "

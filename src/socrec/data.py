@@ -301,11 +301,8 @@ class DegreeStrata:
     assignment: np.ndarray     # user index -> stratum index
 
     def labels(self):
-        out = []
-        for lo, hi in self.boundaries:
-            hi_s = "inf" if math.isinf(hi) else f"{int(hi)}"
-            out.append(f"[{int(lo)},{hi_s})")
-        return out
+        """`[lo,hi)` per stratum, each bound as `:g` prints it."""
+        return [f"[{lo:g},{hi:g})" for lo, hi in self.boundaries]
 
 
 def stratify_by_degree(ds, boundaries=DEFAULT_STRATA):

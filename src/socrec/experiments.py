@@ -146,12 +146,12 @@ def run_eval(spec):
     return _write_report(spec, ds, ms, cfg, run_dir), run_dir
 
 
-def run_ablation(spec, variants=VARIANTS):
+def run_ablation(spec):
     """Train every variant on shared seeds/splits; failures stay isolated."""
     ds = load_spec_dataset(spec)
     run_dir = make_run_dir(spec, "ablation")
     lines, table = ["# variant metric cutoff value"], {}
-    for variant in variants:
+    for variant in VARIANTS:
         cfg = spec.config.with_overrides(variant=variant)
         try:
             _, report = _train_and_report(spec, ds, cfg, os.path.join(run_dir, variant))

@@ -81,9 +81,9 @@ class ModelState:
     the pass are remembered so gradients can be pulled back through the
     same operator: A+I is symmetric, so `aggregate_backward` serves both
     passes. Every array the model and its training step reuse lives in
-    `buffers`, which later calls overwrite: the aggregations, each view's
-    work arrays (`work`), the social-view gradient and the per-CPU slices
-    that the gradient assembly and then Adam work in.
+    `buffers`, which later calls overwrite: the aggregations, the work
+    arrays of each graph view, the social-view gradient and the per-CPU
+    slices that the gradient assembly and then Adam work in.
     """
 
     params: ParamBlock
@@ -101,14 +101,6 @@ class ModelState:
     E = property(lambda self: self.params.E)
     E_u = property(lambda self: self.params.E_u)
     E_v = property(lambda self: self.params.E_v)
-
-    def work(self, view):
-        """k -> work array k (0 or 1) of view "r" (interaction, I+J rows)
-        or "s" (social, I rows), made on first use, for `aggregate_backward`:
-        `encode` uses work(0) from L = 2, `compute_gradients` work(0) from
-        L = 1 and work(1) from L = 3."""
-        shape = (self.E if view == "r" else self.E_u).shape
-        return lambda k: reuse(self.buffers, f"work_{view}{k}", shape)
 
     def copy_params(self, out=None):
         """Name -> array snapshot of every parameter (views of one copy),
@@ -146,29 +138,27 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
     from the user table alone; each layer applies the normalized adjacency
     plus self-loop. Aggregation sums the L+1 layers ("mean" divides by L+1).
     Each view's table is run through `aggregate_backward`, the operator the
-    backward pass uses too, into the view's aggregation buffer. Pure
-    function of (parameters, graphs, num_layers), computed into buffers the
-    model keeps.
+    backward pass uses too, which checks `num_layers` and `agg`, into the
+    view's aggregation buffer. Pure function of (parameters, graphs,
+    num_layers), computed into buffers the model keeps.
     """
-    if agg not in ("sum", "mean"):
-        raise ValueError(f"unknown aggregation {agg!r}")
     I, J = ms.num_users, ms.num_items
     if g_r.num_nodes != I + J:
         raise ValueError(f"interaction graph has {g_r.num_nodes} nodes, expected {I + J}")
     if g_s.num_nodes != I:
         raise ValueError(f"social graph has {g_s.num_nodes} nodes, expected {I}")
 
-    for view, g, table in (("r", g_r, ms.E), ("s", g_s, ms.E_u)):
+    ms.agg_r, ms.agg_s = (
         aggregate_backward(g, reuse(ms.buffers, f"agg_{view}", table.shape),
-                           num_layers, agg, work=ms.work(view), start=table)
-    ms.agg_r, ms.agg_s = ms.buffers["agg_r"], ms.buffers["agg_s"]
+                           num_layers, agg, ms.buffers, start=table)
+        for view, g, table in (("r", g_r, ms.E), ("s", g_s, ms.E_u)))
     ms.g_r, ms.g_s = g_r, g_s
     ms.num_layers = num_layers
     ms.agg = agg
     return ms
 
 
-def aggregate_backward(g, grad_agg, num_layers, agg="sum", work=None, start=None):
+def aggregate_backward(g, grad_agg, num_layers, agg="sum", buffers=None, start=None):
     """The sum-of-powers operator X -> sum_k (A+I)^k X, k = 0..L, in Horner
     form: S_0 = X and S_k = ((A+I) S_{k-1}) + X, one `propagate` each, so
     S_L is the sum. Writes S_L, divided by L+1 for "mean", into `grad_agg`
@@ -176,18 +166,23 @@ def aggregate_backward(g, grad_agg, num_layers, agg="sum", work=None, start=None
     in place). A is symmetric, so the same operator encodes the tables and
     pulls a gradient on the aggregations back to layer 0.
 
-    The S_k before S_L live in `work(0)`/`work(1)` (new arrays when `work`
-    is None). From `start` they alternate with `grad_agg`, so one work
-    array does. In place every layer reads X, so only S_L may overwrite
-    it, and at L = 1, where S_0 is X, S_1 is made apart and copied back.
+    The S_k before S_L live in `buffers` (a new dict when None) as
+    `work_<g.view>0` and `work_<g.view>1`. From `start` they alternate
+    with `grad_agg`, so one work array does. In place every layer reads X,
+    so only S_L may overwrite it, and at L = 1, where S_0 is X, S_1 is
+    made apart and copied back. Refuses a negative `num_layers` and an
+    `agg` other than "sum" and "mean".
     """
+    if num_layers < 0:
+        raise ValueError(f"num_layers must be >= 0, got {num_layers}")
+    if agg not in ("sum", "mean"):
+        raise ValueError(f"unknown aggregation {agg!r}")
     if not grad_agg.flags.c_contiguous:
         raise ValueError("grad_agg must be C-contiguous")
     if start is not None and np.may_share_memory(start, grad_agg):
         raise ValueError("start overlaps grad_agg")  # X must outlive every S_k
-    if work is None:
-        made = {}
-        work = lambda k: reuse(made, k, grad_agg.shape)  # noqa: E731
+    buffers = {} if buffers is None else buffers
+    work = lambda k: reuse(buffers, f"work_{g.view}{k}", grad_agg.shape)  # noqa: E731
     layer = X = grad_agg if start is None else start
     for k in range(1, num_layers + 1):
         if start is not None:

@@ -54,25 +54,23 @@ class GradientSet(ParamBlock):
     loss = None
 
 
-def sample_batch(ds, batch_size, rng, need_social=True):
-    """Draw BPR triples for both views plus uniformly random user pairs.
+def sample_batch(ds, cfg, rng):
+    """Draw `cfg.batch` BPR triples for both views and uniform user pairs.
 
     Rec triples come from the train edges and the users' train items,
     social triples from the ties and the users' tie lists (see
-    `_bpr_triples`); then the uniformly random alignment pairs.
+    `_bpr_triples`), or none unless `cfg` weights the social loss and there
+    are ties; then the uniformly random alignment pairs.
     """
     if len(ds.train_edges) == 0:
         raise ValueError("cannot sample from a dataset without train edges")
-    rec = _bpr_triples(ds.train_edges, ds.train_item_lists(), batch_size, rng,
+    rec = _bpr_triples(ds.train_edges, ds.train_item_lists(), cfg.batch, rng,
                        exclude_anchor=False)
-    if need_social:
-        if len(ds.social_edges) == 0:
-            raise ValueError("social triples requested but dataset has no ties")
-        soc = _bpr_triples(ds.social_edges, ds.tie_lists(), batch_size, rng,
+    soc = np.zeros((0, 3), dtype=np.int64)
+    if cfg.effective_weights()[0] > 0 and len(ds.social_edges):
+        soc = _bpr_triples(ds.social_edges, ds.tie_lists(), cfg.batch, rng,
                            exclude_anchor=True)
-    else:
-        soc = np.zeros((0, 3), dtype=np.int64)
-    ssl = rng.integers(ds.num_users, size=(batch_size, 2))
+    ssl = rng.integers(ds.num_users, size=(cfg.batch, 2))
     return Batch(rec_triples=rec, soc_triples=soc, ssl_pairs=ssl)
 
 
@@ -322,10 +320,8 @@ def compute_gradients(batch, ms, cfg, out=None):
     for g, d in zip((grads.T, grads.w, grads.c), proj):
         g += d
 
-    g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg,
-                              work=ms.work("r"))
-    g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg,
-                              work=ms.work("s"))
+    g_r0 = aggregate_backward(ms.g_r, grad_agg_r, ms.num_layers, ms.agg, ms.buffers)
+    g_s0 = aggregate_backward(ms.g_s, grad_agg_s, ms.num_layers, ms.agg, ms.buffers)
 
     # E_u: (g_r0 + g_s0) + 2*lambda3*E_u; E_v: g_r0 + 2*lambda3*E_v
     reg = 2.0 * cfg.lambda3

@@ -33,9 +33,7 @@ def make_tiny_instance(seed, variant="full", layers=1, num_users=6, num_items=6,
     g_r = build_interaction_laplacian(ds)
     g_s = build_social_laplacian(ds)
     encode(ms, g_r, g_s, layers, cfg.agg)
-    l1, _ = cfg.effective_weights()
-    batch_t = sample_batch(ds, batch, rng,
-                           need_social=l1 > 0 and len(ds.social_edges) > 0)
+    batch_t = sample_batch(ds, cfg, rng)
 
     if variant == "full" and len(batch_t.ssl_pairs):
         i, j = batch_t.ssl_pairs.T

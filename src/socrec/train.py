@@ -55,7 +55,7 @@ class TrainResult:
         return out
 
 
-def train_model(ds, cfg, eval_seed=0, progress=None):
+def train_model(ds, cfg, eval_seed=0):
     """Train a model on a dataset under a TrainConfig.
 
     Each epoch runs ceil(|train| / batch) steps; the learning rate decays
@@ -71,8 +71,6 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
     opt = AdamState.for_model(ms)
     rng = np.random.default_rng(cfg.seed)
 
-    l1, _ = cfg.effective_weights()
-    need_social = l1 > 0 and len(ds.social_edges) > 0
     steps = max(1, math.ceil(len(ds.train_edges) / cfg.batch))
     has_val = len(ds.val_edges) > 0
 
@@ -90,7 +88,7 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
         try:
             for step in range(epoch * steps + 1, (epoch + 1) * steps + 1):
                 t0 = time.perf_counter()
-                batch = sample_batch(ds, cfg.batch, rng, need_social=need_social)
+                batch = sample_batch(ds, cfg, rng)
                 t1 = time.perf_counter()
                 grads = compute_gradients(batch, ms, cfg, out=grads)
                 total, parts = joint_loss(batch, ms, cfg, grads)
@@ -124,8 +122,6 @@ def train_model(ds, cfg, eval_seed=0, progress=None):
         result.history.append(dict(zip(TrainResult.COLUMNS,
                                        [epoch, lr_t, *means, val_hr])))
         result.epochs_run = epoch + 1
-        if progress:
-            progress(result.history[-1])
 
         if not has_val or val_hr > best_val:  # without validation, keep the last
             result.best_val_hr = best_val = val_hr  # nan without validation

@@ -259,10 +259,10 @@ class TestAblation:
 
         real = exp_mod.train_model
 
-        def flaky(ds, cfg, eval_seed=0, progress=None):
+        def flaky(ds, cfg, eval_seed=0):
             if cfg.variant == "contrastive":
                 raise RuntimeError("boom")
-            return real(ds, cfg, eval_seed=eval_seed, progress=progress)
+            return real(ds, cfg, eval_seed=eval_seed)
 
         monkeypatch.setattr(exp_mod, "train_model", flaky)
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="abl2")
@@ -408,6 +408,15 @@ class TestMainEntry:
             main(args)
         assert not os.path.exists(tmp_path / "runs")
 
+    def test_repeated_grid_axis_rejected(self, edge_files, tmp_path):
+        inter_path, soc_path = edge_files
+        args = ["sweep", "--interactions", inter_path, "--social", soc_path,
+                "--out", str(tmp_path / "runs"), "--grid", "layers=1",
+                "--grid", "layers=2,3"]
+        with pytest.raises(ValueError, match="--grid axis layers is given twice"):
+            main(args)
+        assert not os.path.exists(tmp_path / "runs")
+
     @pytest.mark.parametrize("channel,key,value", [
         ("config file", "batch", ""), ("config file", "leaky_slope", "0.2"),
         ("--set", "lr", "abc"), ("flag", "epochs", "x"), ("--grid", "layers", "x")])
@@ -486,7 +495,8 @@ class TestMainEntry:
 
 # (key, value) -> what the error says the value must be
 OUT_OF_RANGE = {("dim", "0"): ">= 1", ("batch", "0"): ">= 1", ("negatives", "0"): ">= 1",
-                ("cutoffs", "5,-2"): ">= 1", ("layers", "-1"): ">= 0",
+                ("cutoffs", "5,-2"): ">= 1", ("cutoffs", "10,10"): "distinct",
+                ("layers", "-1"): ">= 0",
                 ("epochs", "-1"): ">= 0", ("patience", "-3"): ">= 0",
                 ("seed", "-1"): ">= 0",
                 ("lambda1", "nan"): "finite", ("lr", "nan"): "finite", ("lr", "-1"): "> 0",

@@ -439,6 +439,17 @@ class TestStratify:
         assert ((strata.assignment >= 0)
                 & (strata.assignment < len(strata.boundaries))).all()
 
+    def test_labels_name_the_bounds(self):
+        """Fractional bounds print as they are: degree 3 lies in [0,3.5)."""
+        edges = [("u", f"i{k}") for k in range(5)]  # 5 -> 3 in train
+        ds = build_dataset(InteractionTable.of(edges), SocialTable.of([]))
+        assert ds.degree[0] == 3
+        strata = stratify_by_degree(ds, ((0, 3.5), (3.5, math.inf)))
+        assert strata.labels() == ["[0,3.5)", "[3.5,inf)"]
+        assert strata.labels()[strata.assignment[0]] == "[0,3.5)"
+        assert stratify_by_degree(ds).labels() == [
+            "[0,5)", "[5,10)", "[10,15)", "[15,inf)"]
+
     def test_gap_fatal(self):
         inter, soc = random_tables(5, 8, seed=1)
         ds = build_dataset(inter, soc)

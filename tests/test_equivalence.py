@@ -541,8 +541,7 @@ def _one_pass_case(ds, variant, L, agg, case):
     ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=L + 11)
     encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
            cfg.layers, cfg.agg)
-    l1, _ = cfg.effective_weights()
-    batch = sample_batch(ds, cfg.batch, np.random.default_rng(L + 3), need_social=l1 > 0)
+    batch = sample_batch(ds, cfg, np.random.default_rng(L + 3))
     if case == "repeated_rows":
         # few distinct rows, each used many times and in both pair slots
         batch = Batch(rec_triples=batch.rec_triples % [4, 3, 6],
@@ -666,8 +665,7 @@ def test_gradients_match_seed_assembly(ds, variant, agg):
     ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=6)
     g_r, g_s = build_interaction_laplacian(ds), build_social_laplacian(ds)
     encode(ms, g_r, g_s, cfg.layers, cfg.agg)
-    batch = sample_batch(ds, cfg.batch, np.random.default_rng(7),
-                         need_social=not cfg.social_fusion)
+    batch = sample_batch(ds, cfg, np.random.default_rng(7))
     want = seed_gradients(batch, ms, cfg)
     stale = GradientSet(*ms.params.layout)
     stale.flat[:] = np.nan
@@ -687,7 +685,7 @@ def test_shared_work_pair_aliases_nothing_live(ds, agg):
     ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=6)
     grads, opt = GradientSet(*ms.params.layout), AdamState.for_model(ms)
     for t in (1, 2):
-        batch = sample_batch(ds, cfg.batch, np.random.default_rng(t))
+        batch = sample_batch(ds, cfg, np.random.default_rng(t))
         encode(ms, g_r, g_s, cfg.layers, cfg.agg)
         compute_gradients(batch, ms, cfg, out=grads)
         fresh = init_model(ds.num_users, ds.num_items, cfg.dim, seed=0)
@@ -756,7 +754,7 @@ class TestParameterBlock:
         ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=3)
         encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
                cfg.layers)
-        grads = compute_gradients(sample_batch(ds, cfg.batch, np.random.default_rng(0)),
+        grads = compute_gradients(sample_batch(ds, cfg, np.random.default_rng(0)),
                                   ms, cfg)
         opt = AdamState.for_model(ms)
         blocks = [ms.params, grads, *(ParamBlock(*ms.params.layout, moment)
@@ -847,9 +845,10 @@ def test_user_sets_match_loop_in_iteration_order(ds, case):
 @pytest.mark.parametrize("need_social", [True, False])
 def test_sample_batch_matches_seed_sampler(ds, case, need_social):
     d = _variants(ds)[case]
+    cfg = TrainConfig(batch=700, lambda1=0.1 if need_social else 0.0)
     for seed in range(3):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_batch(d, 700, got_rng, need_social)
+        got = sample_batch(d, cfg, got_rng)
         want = seed_sample_batch(d, 700, want_rng, need_social)
         for name in ("rec_triples", "soc_triples", "ssl_pairs"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

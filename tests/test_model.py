@@ -6,13 +6,16 @@ import pytest
 
 from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
-from socrec.model import (encode, init_model, load_checkpoint, pair_rows,
-                          projection_forward, save_checkpoint, user_vectors)
+from socrec.model import (aggregate_backward, encode, init_model, load_checkpoint,
+                          pair_rows, projection_forward, save_checkpoint,
+                          user_vectors)
 from socrec.objective import TrainConfig, compute_gradients, sample_batch
 from socrec.oracle import dense_forward
 from socrec.synthetic import random_dataset
 
 from conftest import make_encoded
+
+VIEWS = ("interaction", "social")  # the graphs' view tags, which name work arrays
 
 
 class TestInit:
@@ -76,8 +79,8 @@ class TestEncode:
     def _step(ds, ms, g_r, g_s, layers):
         """Encode, then pull one batch's gradients back; the work arrays."""
         encode(ms, g_r, g_s, layers)
-        compute_gradients(sample_batch(ds, 8, np.random.default_rng(0)), ms,
-                          TrainConfig(dim=ms.dim, layers=layers))
+        cfg = TrainConfig(dim=ms.dim, layers=layers, batch=8)
+        compute_gradients(sample_batch(ds, cfg, np.random.default_rng(0)), ms, cfg)
         return {name: buf.shape for name, buf in ms.buffers.items()
                 if name.startswith("work_")}
 
@@ -91,9 +94,9 @@ class TestEncode:
         ms = init_model(ds.num_users, ds.num_items, 4, seed=7)
         encode(ms, g_r, g_s, layers)
         assert sorted(name for name in ms.buffers if name.startswith("work_")) == \
-            sorted(f"work_{view}{k}" for view in "rs" for k in range(forward))
+            sorted(f"work_{view}{k}" for view in VIEWS for k in range(forward))
         assert sorted(self._step(ds, ms, g_r, g_s, layers)) == \
-            sorted(f"work_{view}{k}" for view in "rs" for k in range(step))
+            sorted(f"work_{view}{k}" for view in VIEWS for k in range(step))
 
     def test_buffers_do_not_grow_with_layers(self, encoded):
         ds, ms, g_r, g_s = encoded
@@ -120,6 +123,22 @@ class TestEncode:
         g_s = build_social_laplacian(tiny_ds)
         with pytest.raises(ValueError):
             encode(ms, g_r, g_s, 1, agg="max")
+
+    @pytest.mark.parametrize("layers,agg,error", [
+        (-1, "mean", "num_layers must be >= 0, got -1"),
+        (-2, "sum", "num_layers must be >= 0, got -2"),
+        (1, "max", "unknown aggregation 'max'")])
+    def test_operator_refuses_bad_layers_or_agg(self, layers, agg, error):
+        """The operator checks its own layer count and aggregation, so
+        encode refuses them before it records anything."""
+        ds = random_dataset(20, 30, seed=1)
+        g_r, g_s = build_interaction_laplacian(ds), build_social_laplacian(ds)
+        ms = init_model(ds.num_users, ds.num_items, 4, seed=0)
+        with pytest.raises(ValueError, match=re.escape(error)):
+            aggregate_backward(g_r, ms.E.copy(), layers, agg)
+        with pytest.raises(ValueError, match=re.escape(error)):
+            encode(ms, g_r, g_s, layers, agg)
+        assert ms.agg_r is None and ms.num_layers == 0
 
 
 class TestSimilarities:

@@ -50,7 +50,7 @@ class TestTrainConfig:
 
 class TestSampleBatch:
     def test_list_lengths(self, tiny_ds, rng):
-        batch = sample_batch(tiny_ds, 4, rng)
+        batch = sample_batch(tiny_ds, TrainConfig(batch=4), rng)
         assert batch.rec_triples.shape == (4, 3)
         assert batch.soc_triples.shape == (4, 3)
         assert batch.ssl_pairs.shape == (4, 2)
@@ -59,14 +59,14 @@ class TestSampleBatch:
         # one user, two items, one train positive: v_neg is pinned
         inter = InteractionTable.of([("u", "a"), ("u", "b")])
         ds = build_dataset(inter, SocialTable.of([]))  # 1 train + 1 test
-        batch = sample_batch(ds, 16, rng, need_social=False)
+        batch = sample_batch(ds, TrainConfig(batch=16), rng)
         train_item = int(ds.train_edges[0, 1])
         other = 1 - train_item
         assert (batch.rec_triples[:, 1] == train_item).all()
         assert (batch.rec_triples[:, 2] == other).all()
 
     def test_positives_are_train_items(self, tiny_ds, rng):
-        batch = sample_batch(tiny_ds, 64, rng)
+        batch = sample_batch(tiny_ds, TrainConfig(batch=64), rng)
         lists = tiny_ds.train_item_lists()
         for u, vp, vn in batch.rec_triples:
             items = lists.items[lists.indptr[u]:lists.indptr[u + 1]].tolist()
@@ -74,7 +74,7 @@ class TestSampleBatch:
             assert int(vn) not in items
 
     def test_social_triples_respect_ties(self, tiny_ds, rng):
-        batch = sample_batch(tiny_ds, 64, rng)
+        batch = sample_batch(tiny_ds, TrainConfig(batch=64), rng)
         lists = tiny_ds.tie_lists()
         for i, ip, ineg in batch.soc_triples:
             ties = lists.items[lists.indptr[i]:lists.indptr[i + 1]].tolist()
@@ -85,16 +85,16 @@ class TestSampleBatch:
     def test_social_empty_allowed_when_skipped(self, rng):
         inter = InteractionTable.of([("u", "a"), ("u", "b"), ("u", "c")])
         ds = build_dataset(inter, SocialTable.of([]))
-        batch = sample_batch(ds, 4, rng, need_social=False)
+        cfg = TrainConfig(batch=4)
+        assert cfg.effective_weights()[0] > 0  # social loss weighted, but no ties
+        batch = sample_batch(ds, cfg, rng)
         assert batch.soc_triples.shape == (0, 3)
-        with pytest.raises(ValueError):
-            sample_batch(ds, 4, rng, need_social=True)
 
     def test_user_with_every_item_fatal(self, rng):
         inter = InteractionTable.of([("u", "a")])
         ds = build_dataset(inter, SocialTable.of([]))
         with pytest.raises(ValueError):
-            sample_batch(ds, 2, rng, need_social=False)
+            sample_batch(ds, TrainConfig(batch=2), rng)
 
     def test_user_tied_to_everyone_fatal(self, rng):
         inter = InteractionTable.of([("u0", "a"), ("u0", "b"),
@@ -102,7 +102,7 @@ class TestSampleBatch:
         soc = SocialTable.of([("u0", "u1"), ("u1", "u0")])
         ds = build_dataset(inter, soc)
         with pytest.raises(ValueError):
-            sample_batch(ds, 2, rng, need_social=True)
+            sample_batch(ds, TrainConfig(batch=2), rng)
 
     def test_negative_distribution_uniform(self):
         # single user, 3 train items out of 10: v_neg uniform over the other 7
@@ -113,7 +113,7 @@ class TestSampleBatch:
         lists = ds.train_item_lists()
         assert len(lists.items[lists.indptr[0]:lists.indptr[1]]) == 3
         rng = np.random.default_rng(999)
-        draws = sample_batch(ds, 100_000, rng, need_social=False).rec_triples[:, 2]
+        draws = sample_batch(ds, TrainConfig(batch=100_000), rng).rec_triples[:, 2]
         counts = np.bincount(draws, minlength=10)
         candidates = counts[counts > 0]
         assert len(candidates) == 7
@@ -127,7 +127,7 @@ class TestSampleBatch:
         train = lists.items[lists.indptr[0]:lists.indptr[1]]
         assert len(train) == 6
         rng = np.random.default_rng(998)
-        draws = sample_batch(ds, 60_000, rng, need_social=False).rec_triples[:, 1]
+        draws = sample_batch(ds, TrainConfig(batch=60_000), rng).rec_triples[:, 1]
         counts = np.bincount(draws, minlength=8)
         assert counts.sum() == counts[train].sum()
         assert chisquare(counts[train]).pvalue > 0.01
@@ -139,7 +139,7 @@ class TestSampleBatch:
         ties = [("u0", "u1"), ("u1", "u0"), ("u0", "u2"), ("u2", "u0")]
         ds = build_dataset(inter, SocialTable.of(ties))
         rng = np.random.default_rng(997)
-        anchor, _, neg = sample_batch(ds, 100_000, rng).soc_triples.T
+        anchor, _, neg = sample_batch(ds, TrainConfig(batch=100_000), rng).soc_triples.T
         assert (neg != anchor).all()
         counts = np.bincount(neg[anchor == 0], minlength=10)
         assert counts[:3].tolist() == [0, 0, 0]
@@ -151,7 +151,7 @@ class TestSampleBatch:
         ds = build_dataset(
             load_edges(os.path.join(fixture, "interactions.txt"), "interaction"),
             load_edges(os.path.join(fixture, "social.txt"), "social"))
-        batch = sample_batch(ds, 64, np.random.default_rng(0))
+        batch = sample_batch(ds, TrainConfig(batch=64), np.random.default_rng(0))
         assert batch.rec_triples[:3].tolist() == [[127, 258, 269], [94, 26, 89],
                                                   [76, 195, 270]]
         assert batch.soc_triples[:3].tolist() == [[23, 35, 57], [77, 114, 64],
@@ -250,7 +250,7 @@ class TestJointLoss:
     def test_all_weights_zero_total_is_rec(self, encoded, rng):
         ds, ms, _, _ = encoded
         cfg = TrainConfig(dim=4, layers=2, lambda1=0, lambda2=0, lambda3=0)
-        batch = sample_batch(ds, 8, rng)
+        batch = sample_batch(ds, TrainConfig(batch=8), rng)
         total, parts = joint_loss(batch, ms, cfg)
         assert total == parts["rec"]
 
@@ -259,7 +259,7 @@ class TestJointLoss:
         ms.E_u[:] = 0
         ms.E_v[:] = 0
         cfg = TrainConfig(dim=4, layers=2, lambda3=1.0)
-        batch = sample_batch(ds, 4, rng)
+        batch = sample_batch(ds, TrainConfig(batch=4), rng)
         _, parts = joint_loss(batch, ms, cfg)
         assert parts["reg"] == 0.0
 
@@ -267,7 +267,7 @@ class TestJointLoss:
         ds, ms, _, _ = encoded
         cfg = TrainConfig(dim=4, layers=2, lambda1=0.2, lambda2=0.4,
                           lambda3=0.01)
-        batch = sample_batch(ds, 8, rng)
+        batch = sample_batch(ds, TrainConfig(batch=8), rng)
         total, parts = joint_loss(batch, ms, cfg)
         I = ms.num_users
         rec = 0.0
@@ -293,7 +293,7 @@ class TestJointLoss:
         ds, ms, _, _ = encoded
         ms.agg_r[0, 0] = np.inf
         cfg = TrainConfig(dim=4, layers=2)
-        batch = sample_batch(ds, 8, rng)
+        batch = sample_batch(ds, TrainConfig(batch=8), rng)
         with pytest.raises(NonFiniteLossError) as err:
             joint_loss(batch, ms, cfg)
         assert err.value.component in ("rec", "social", "align", "reg", "total")

@@ -30,7 +30,7 @@ def test_loss_drops_by_half_in_200_steps():
     rng = np.random.default_rng(9)
 
     encode(ms, g_r, g_s, cfg.layers)
-    fixed_batch = sample_batch(ds, cfg.batch, rng)
+    fixed_batch = sample_batch(ds, cfg, rng)
     initial, _ = joint_loss(fixed_batch, ms, cfg)
     for t in range(1, 201):
         encode(ms, g_r, g_s, cfg.layers)
