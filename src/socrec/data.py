@@ -301,8 +301,10 @@ class DegreeStrata:
     assignment: np.ndarray     # user index -> stratum index
 
     def labels(self):
-        """`[lo,hi)` per stratum, each bound as `:g` prints it."""
-        return [f"[{lo:g},{hi:g})" for lo, hi in self.boundaries]
+        """`[lo,hi)` per stratum, each bound in the fewest digits that
+        tell it from every other float (`5`, `3.5`, `1234567`, `inf`)."""
+        bound = lambda x: np.format_float_positional(x, trim="-")  # noqa: E731
+        return [f"[{bound(lo)},{bound(hi)})" for lo, hi in self.boundaries]
 
 
 def stratify_by_degree(ds, boundaries=DEFAULT_STRATA):

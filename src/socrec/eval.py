@@ -1,14 +1,16 @@
 """Leave-one-out ranking evaluation: HR@N / NDCG@N, strata, weight exports."""
 
+import collections
 import logging
 import math
 import operator
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import first_fresh
-from .graph import CHUNK
+from .graph import CHUNK, CPUS, pool
 from .model import _require_encoded, pair_rows, projection_forward, user_vectors
 
 log = logging.getLogger(__name__)
@@ -201,6 +203,20 @@ def held_out_rank(scores, cand):
     return better.sum(axis=-1)
 
 
+def _block_ranks(ms, users, cand, social_fusion):
+    """Rank of each row's held-out item cand[r, 0] among its candidates
+    for user users[r], scored by stacked matrix products in sub-blocks of
+    at most 4*CHUNK gathered elements. Runs on the shared pool, so it
+    calls nothing that uses the pool."""
+    vec = user_vectors(ms, users, social_fusion)
+    scores = np.empty(cand.shape, ms.agg_r.dtype)
+    step = max(1, 4 * CHUNK // (cand.shape[1] * vec.shape[1]))
+    for s in range(0, len(cand), step):
+        np.matmul(ms.agg_r[ms.num_users + cand[s:s + step]], vec[s:s + step, :, None],
+                  out=scores[s:s + step, :, None])
+    return held_out_rank(scores, cand)
+
+
 def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     """0-based rank of each evaluated user's held-out item.
 
@@ -210,35 +226,37 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     comparable across models. Users with too few unknown items are
     skipped, with one warning per dataset, split and negatives count:
     these alone decide who is skipped. Users go in blocks of about CHUNK
-    candidates, and each candidate matrix product in sub-blocks of at
-    most CHUNK gathered elements.
+    candidates. This thread draws each block's candidates, in block
+    order, with its one generator, while the shared pool scores the
+    blocks before it (`_block_ranks`), at most one block per CPU waiting.
+    An error waits for every submitted block before it propagates.
     """
     if split not in ("val", "test"):
         raise ValueError(f"unknown split {split!r}")
     edges = ds.val_edges if split == "val" else ds.test_edges
-    I = ds.num_users
     known = ds.known_item_lists()
     states, incs = _stream_states(seed, edges[:, 0])
     rng = np.random.default_rng(0)  # set to each user's stream in turn
     users, ranks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    width = num_negatives + 1
-    rows = max(1, CHUNK // width)
-    for lo in range(0, len(edges), rows):
-        block = edges[lo:lo + rows]
-        negs, filled = _sample_negatives(rng, (states[lo:lo + rows], incs[lo:lo + rows]),
-                                         block[:, 0], known, ds.num_items, num_negatives)
-        for u in block[~filled, 0].tolist():
-            log.debug("user %d skipped: fewer than %d negative candidates",
-                      u, num_negatives)
-        cand = np.concatenate([block[filled, 1:], negs[filled]], axis=1)
-        vec = user_vectors(ms, block[filled, 0], social_fusion)
-        scores = np.empty(cand.shape, ms.agg_r.dtype)
-        step = max(1, CHUNK // (width * vec.shape[1]))
-        for s in range(0, len(cand), step):
-            np.matmul(ms.agg_r[I + cand[s:s + step]], vec[s:s + step, :, None],
-                      out=scores[s:s + step, :, None])
-        users.append(block[filled, 0])
-        ranks.append(held_out_rank(scores, cand))
+    rows = max(1, CHUNK // (num_negatives + 1))
+    pending = collections.deque()  # scoring tasks of the drawn blocks, in order
+    try:
+        for lo in range(0, len(edges), rows):
+            block = edges[lo:lo + rows]
+            negs, filled = _sample_negatives(rng, (states[lo:lo + rows], incs[lo:lo + rows]),
+                                             block[:, 0], known, ds.num_items, num_negatives)
+            for u in block[~filled, 0].tolist():
+                log.debug("user %d skipped: fewer than %d negative candidates",
+                          u, num_negatives)
+            users.append(block[filled, 0])
+            cand = np.concatenate([block[filled, 1:], negs[filled]], axis=1)
+            if len(pending) >= CPUS:
+                ranks.append(pending.popleft().result())
+            pending.append(pool().submit(_block_ranks, ms, users[-1], cand, social_fusion))
+        while pending:
+            ranks.append(pending.popleft().result())
+    finally:
+        futures.wait(pending)
     users = np.concatenate(users)
     skipped = len(edges) - len(users)
     logged = ds._derived("skips_logged", set)

@@ -12,6 +12,12 @@ whatever the block count, so results do not depend on the CPU count.
 Each block runs in row slices of about CHUNK elements, so the self-loop
 and one more array, the sum of powers' start in Horner form (see
 `model.aggregate_backward`), are added while the slice is still in cache.
+
+The pool has a second user: evaluation scores each block of users on it
+while the calling thread draws the next block's candidates
+(`eval._user_ranks`). A task on the pool must not call `run_parallel` or
+`for_each_chunk`: it would submit to the pool and wait, and once every
+worker waits so, no worker is left to run what they wait for.
 """
 
 import os
@@ -39,17 +45,22 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
+def pool():
+    """The shared thread pool, one worker per CPU, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=CPUS, thread_name_prefix="socrec")
+        return _pool
+
+
 def run_parallel(fn, n):
     """Call fn(0), ..., fn(n - 1), on the shared pool when n > 1."""
-    global _pool
     if n <= 1:
         for k in range(n):
             fn(k)
         return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=CPUS, thread_name_prefix="socrec")
-    for _ in _pool.map(fn, range(n)):
+    for _ in pool().map(fn, range(n)):
         pass
 
 

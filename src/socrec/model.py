@@ -293,8 +293,10 @@ def checkpoint_config(in_dir):
 def load_checkpoint(in_dir):
     """Rebuild a ModelState (parameters, layer count and aggregation) from
     save_checkpoint output: a block sized by `num_users`, `num_items` and
-    `dim` of `config`, each file read into its view. A file whose size
-    disagrees with `config`, or that holds a non-finite value, is an error."""
+    `dim` of `config`, each file's bytes read straight into its view and
+    swapped there when `CHECKPOINT_DTYPE` is not the block's byte order.
+    A file whose size disagrees with `config`, that reads short, or that
+    holds a non-finite value, is an error."""
     num_users, num_items, cfg = checkpoint_config(in_dir)
     params = ParamBlock(num_users, num_items, cfg.dim)
     for name, view in params.as_dict().items():
@@ -303,7 +305,13 @@ def load_checkpoint(in_dir):
         if found != view.size:
             raise ValueError(f"checkpoint file {path} holds {found:g} values, "
                              f"its config needs {view.size}")
-        view[...] = np.fromfile(path, dtype=CHECKPOINT_DTYPE).reshape(view.shape)
+        with open(path, "rb") as fh:
+            read = fh.readinto(view)
+        if read != view.nbytes:
+            raise ValueError(f"checkpoint file {path} read {read} of its "
+                             f"{view.nbytes} bytes")
+        if CHECKPOINT_DTYPE != view.dtype:
+            view.byteswap(inplace=True)
         if not np.isfinite(view).all():
             raise ValueError(f"checkpoint file {path} holds a non-finite value")
     return ModelState(params, num_layers=cfg.layers, agg=cfg.agg)

@@ -450,6 +450,14 @@ class TestStratify:
         assert stratify_by_degree(ds).labels() == [
             "[0,5)", "[5,10)", "[10,15)", "[15,inf)"]
 
+    def test_labels_tell_close_bounds_apart(self):
+        """Bounds that agree in their first 6 digits get distinct labels."""
+        ds = build_dataset(InteractionTable.of([("u", "i")]), SocialTable.of([]))
+        strata = stratify_by_degree(ds, ((0, 1234567), (1234567, 1234568),
+                                         (1234568, math.inf)))
+        assert strata.labels() == ["[0,1234567)", "[1234567,1234568)",
+                                   "[1234568,inf)"]
+
     def test_gap_fatal(self):
         inter, soc = random_tables(5, 8, seed=1)
         ds = build_dataset(inter, soc)

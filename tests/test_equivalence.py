@@ -12,6 +12,8 @@ machine with two or more CPUs the multi-worker paths run too.
 
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -1181,6 +1183,94 @@ def test_user_ranks_mix_branches_in_one_block():
     assert (pools > 120).any()
     for social_fusion in (False, True):
         _match_scalar_ranks(ms, ds, "test", 30, 4, social_fusion)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A stand-in for the shared pool that keeps every future it hands out
+    and the most of them unfinished at once, the new one included."""
+
+    def __init__(self, workers):
+        super().__init__(workers, thread_name_prefix="recording")
+        self.futures, self.most_pending = [], 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        pending = sum(not f.done() for f in self.futures) + 1
+        self.most_pending = max(self.most_pending, pending)
+        self.futures.append(super().submit(fn, *args, **kwargs))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Seven users a block at 30 negatives: the branch-mixing dataset's 90
+    test and 90 validation users each split into 13 blocks."""
+    monkeypatch.setattr(eval_mod, "CHUNK", 7 * 31)
+    ds = random_dataset(90, 150, min_items=3, max_items=130, tie_prob=0.05, seed=10)
+    ms, _, _ = make_encoded(ds, dim=8, layers=1)
+    return ds, ms
+
+
+@pytest.mark.parametrize("social_fusion", [False, True])
+@pytest.mark.parametrize("workers,switch", [(1, None), (3, None), (graph.CPUS, 1e-6)],
+                         ids=["one_worker", "three_workers", "switch_interval"])
+def test_pipelined_ranks_match_scalar_loop(small_blocks, monkeypatch, workers, switch,
+                                           social_fusion):
+    """Blocks scored on the pool while the next is drawn rank as the
+    scalar loop does, whatever the worker count or thread switching, with
+    at most one block per CPU unfinished. A pause between a block's
+    scores and its ranks lets the next blocks' tasks run in between."""
+    ds, ms = small_blocks
+    pool = RecordingPool(workers)
+    monkeypatch.setattr(graph, "_pool", pool)
+    monkeypatch.setattr(eval_mod, "CPUS", workers)
+    rank = eval_mod.held_out_rank
+
+    def paused(scores, cand):
+        time.sleep(0.002)
+        return rank(scores, cand)
+
+    monkeypatch.setattr(eval_mod, "held_out_rank", paused)
+    old = sys.getswitchinterval()
+    if switch is not None:
+        sys.setswitchinterval(switch)
+    try:
+        for split, seed in (("test", 4), ("val", 1)):
+            _match_scalar_ranks(ms, ds, split, 30, seed, social_fusion)
+        assert _user_ranks(ms, ds, "test", 30, 4, social_fusion)[2] > 0
+    finally:
+        sys.setswitchinterval(old)
+        pool.shutdown()
+    assert len(pool.futures) == 3 * 13 and pool.most_pending <= workers  # 13 blocks a call
+
+
+def test_drawing_error_waits_for_scoring(small_blocks, monkeypatch):
+    """An error while a block is drawn reaches the caller only after every
+    block already submitted is scored."""
+    ds, ms = small_blocks
+    pool = RecordingPool(2)
+    monkeypatch.setattr(graph, "_pool", pool)
+    monkeypatch.setattr(eval_mod, "CPUS", 2)
+    calls, draw, score = [], eval_mod._sample_negatives, eval_mod._block_ranks
+
+    def failing(*args):
+        calls.append(len(calls))
+        if len(calls) == 3:
+            raise RuntimeError("third draw failed")
+        return draw(*args)
+
+    def slow(*args):
+        time.sleep(0.2)
+        return score(*args)
+
+    monkeypatch.setattr(eval_mod, "_sample_negatives", failing)
+    monkeypatch.setattr(eval_mod, "_block_ranks", slow)
+    try:
+        with pytest.raises(RuntimeError, match="third draw failed"):
+            eval_mod.evaluate(ms, ds, "test", 30)
+        assert len(pool.futures) == 2
+        assert all(f.done() for f in pool.futures)
+    finally:
+        pool.shutdown()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,11 @@
 import dataclasses
+import os
 import re
 
 import numpy as np
 import pytest
 
+from socrec import model as model_mod
 from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.graph import build_interaction_laplacian, build_social_laplacian
 from socrec.model import (aggregate_backward, encode, init_model, load_checkpoint,
@@ -328,6 +330,37 @@ class TestCheckpoint:
         raw = (tmp_path / "ckpt" / "w").read_bytes()
         np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f8"),
                                       ms.params.w)
+
+    def test_foreign_byte_order_swapped_in_place(self, encoded, tmp_path, monkeypatch):
+        """A big-endian layout reads into the native block and swaps there;
+        a NaN is found after the swap."""
+        _, ms, _, _ = encoded
+        monkeypatch.setattr(model_mod, "CHECKPOINT_DTYPE", np.dtype(">f8"))
+        save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
+        raw = (tmp_path / "ckpt" / "w").read_bytes()
+        np.testing.assert_array_equal(np.frombuffer(raw, dtype=">f8"), ms.params.w)
+        back = load_checkpoint(str(tmp_path / "ckpt"))
+        for name, view in ms.params.as_dict().items():
+            np.testing.assert_array_equal(getattr(back.params, name), view)
+        path = tmp_path / "ckpt" / "c"
+        path.write_bytes(np.full(ms.dim, np.nan, ">f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint file {path} holds a non-finite value")):
+            load_checkpoint(str(tmp_path / "ckpt"))
+
+    def test_short_read_names_the_file(self, encoded, tmp_path, monkeypatch):
+        """A file that reads fewer bytes than its size claimed is refused."""
+        _, ms, _, _ = encoded
+        save_checkpoint(ms, str(tmp_path / "ckpt"), _echo(ms))
+        path = tmp_path / "ckpt" / "T"
+        path.write_bytes(path.read_bytes()[:-8])
+        size = os.path.getsize
+        monkeypatch.setattr(os.path, "getsize",
+                            lambda p: size(p) + 8 if p == str(path) else size(p))
+        nbytes = ms.params.T.nbytes
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint file {path} read {nbytes - 8} of its {nbytes} bytes")):
+            load_checkpoint(str(tmp_path / "ckpt"))
 
 
 def test_projection_forward_batch_matches_single(encoded):
