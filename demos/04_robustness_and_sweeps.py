@@ -32,18 +32,17 @@ with tempfile.TemporaryDirectory(prefix="socrec_demo_") as workdir:
                           social_path=soc_path, split_seed=0, out_dir=workdir)
 
     print("=== noise robustness (retrain per corruption ratio) ===")
-    spec.noise_ratios = (0.0, 0.1, 0.2, 0.3)
-    reports, run_dir = run_robustness(spec)
+    ratios = (0.0, 0.1, 0.2, 0.3)
+    reports, run_dir = run_robustness(spec, ratios)
     base = reports[0.0].hr[10]
-    for ratio in spec.noise_ratios:
+    for ratio in ratios:
         hr = reports[ratio].hr[10]
         degr = 0.0 if base == 0 else (base - hr) / base
         print(f"  ratio {ratio:.1f}: HR@10={hr:.3f}  degradation={degr:+.1%}")
     print(f"  rows: {run_dir}/robustness.dat\n")
 
     print("=== propagation-depth sweep ===")
-    spec.sweep_axes = {"layers": [1, 2, 3]}
-    cells, run_dir = run_sweep(spec)
+    cells, run_dir = run_sweep(spec, {"layers": [1, 2, 3]})
     for overrides, report in cells:
         print(f"  layers={overrides['layers']}: HR@10={report.hr[10]:.3f} "
               f"NDCG@10={report.ndcg[10]:.3f}")

@@ -47,7 +47,7 @@ def build_config(file_values, cli_values):
 
 def _parse_grid(entries):
     axes = {}
-    for entry in entries or []:
+    for entry in entries:
         if "=" not in entry:
             raise ValueError(f"--grid expects axis=v1,v2,... got {entry!r}")
         axis, vals = entry.split("=", 1)
@@ -88,7 +88,7 @@ def build_spec(args):
     if eval_seed < 0:
         raise ValueError(f"config key eval_seed must be >= 0, got {eval_seed}")
 
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         config=cfg,
         dataset_dir=args.dataset_dir or file_values.get("dataset_dir"),
         interactions_path=args.interactions or file_values.get("interactions"),
@@ -99,16 +99,6 @@ def build_spec(args):
         run_name=args.run_name,
         eval_seed=eval_seed,
     )
-    if getattr(args, "ratios", None):
-        spec.noise_ratios = tuple(read_value("ratios", x, float)
-                                  for x in args.ratios.split(","))
-    if getattr(args, "grid", None):
-        spec.sweep_axes = _parse_grid(args.grid)
-    if getattr(args, "checkpoint", None):
-        spec.checkpoint = args.checkpoint
-    if getattr(args, "sample", None):
-        spec.sample = args.sample
-    return spec
 
 
 def _headline(report, metrics=("hr",)):
@@ -150,7 +140,7 @@ def main(argv=None):
         _, report, run_dir = run_train(spec)
         print(report.to_table())
     elif args.command == "eval":
-        report, run_dir = run_eval(spec)
+        report, run_dir = run_eval(spec, args.checkpoint)
         print(report.to_table())
     elif args.command == "ablate":
         table, run_dir = run_ablation(spec)
@@ -158,16 +148,17 @@ def main(argv=None):
             summary = "FAILED" if report is None else _headline(report, ("hr", "ndcg"))
             print(f"{variant:>14}: {summary}")
     elif args.command == "robust":
-        reports, run_dir = run_robustness(spec)
+        ratios = tuple(read_value("ratios", x, float) for x in args.ratios.split(","))
+        reports, run_dir = run_robustness(spec, ratios)
         for ratio, report in reports.items():
             print(f"ratio {ratio:g}: {_headline(report)}")
     elif args.command == "sweep":
-        cells, run_dir = run_sweep(spec)
+        cells, run_dir = run_sweep(spec, _parse_grid(args.grid))
         for overrides, report in cells:
             tag = ", ".join(f"{k}={v}" for k, v in overrides.items())
             print(f"{tag}: {_headline(report)}")
     else:
-        export, run_dir = run_case_study(spec)
+        export, run_dir = run_case_study(spec, args.checkpoint, args.sample)
         print(f"{len(export.rows)} ties exported")
     print(f"artifacts: {run_dir}")
     return 0

@@ -28,7 +28,7 @@ NOISE_SEED = 1234  # seeds the fake edges of every robustness cell
 
 @dataclass
 class ExperimentSpec:
-    """Everything one experiment needs: data source, config, task knobs."""
+    """What every task reads: data source, config, output, evaluation."""
 
     config: TrainConfig = field(default_factory=TrainConfig)
     dataset_dir: str = None
@@ -36,11 +36,7 @@ class ExperimentSpec:
     social_path: str = None
     split_seed: int = 0
     out_dir: str = "runs"
-    noise_ratios: tuple = DEFAULT_NOISE_RATIOS
-    sweep_axes: dict = field(default_factory=dict)
     eval_seed: int = 0
-    sample: object = "all"
-    checkpoint: str = None
     split: str = "test"
     run_name: str = None
 
@@ -123,25 +119,31 @@ def run_train(spec):
     return result, report, run_dir
 
 
-def _load_and_encode_checkpoint(spec, ds):
+def _load_and_encode_checkpoint(checkpoint, spec, ds):
     """The checkpoint's model, encoded with its trained layers and agg, and
-    its trained config with the spec's negatives and cutoffs."""
-    ms = load_checkpoint(spec.checkpoint)
-    cfg = checkpoint_config(spec.checkpoint)[2].with_overrides(
-        negatives=spec.config.negatives, cutoffs=spec.config.cutoffs)
+    its trained config with the spec's negatives and cutoffs. A checkpoint
+    trained on a dataset of other sizes is refused by name."""
+    if not checkpoint:
+        raise ValueError(f"checkpoint: expected a directory, got {checkpoint!r}")
+    num_users, num_items, trained = checkpoint_config(checkpoint)
+    if (num_users, num_items) != (ds.num_users, ds.num_items):
+        raise ValueError(f"checkpoint {checkpoint} was trained on {num_users} users x "
+                         f"{num_items} items, the dataset has "
+                         f"{ds.num_users} x {ds.num_items}")
+    ms = load_checkpoint(checkpoint)
+    cfg = trained.with_overrides(negatives=spec.config.negatives,
+                                 cutoffs=spec.config.cutoffs)
     encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds),
            cfg.layers, cfg.agg)
     return ms, cfg
 
 
-def run_eval(spec):
+def run_eval(spec, checkpoint):
     """Evaluate an existing checkpoint on a dataset split; the report is
     the one its run wrote for the same split, eval seed, negatives and
     cutoffs."""
-    if not spec.checkpoint:
-        raise ValueError("eval task needs --checkpoint")
     ds = load_spec_dataset(spec)
-    ms, cfg = _load_and_encode_checkpoint(spec, ds)
+    ms, cfg = _load_and_encode_checkpoint(checkpoint, spec, ds)
     run_dir = make_run_dir(spec, "eval")
     return _write_report(spec, ds, ms, cfg, run_dir), run_dir
 
@@ -166,20 +168,20 @@ def run_ablation(spec):
     return table, run_dir
 
 
-def run_robustness(spec):
+def run_robustness(spec, ratios=DEFAULT_NOISE_RATIOS):
     """Retrain per noise ratio; report metrics and relative degradation."""
-    cell_dirs = _cell_dirs(spec.noise_ratios, lambda ratio: f"ratio_{ratio:g}")
+    cell_dirs = _cell_dirs(ratios, lambda ratio: f"ratio_{ratio:g}")
     ds = load_spec_dataset(spec)
-    noisy = {ratio: inject_noise(ds, ratio, NOISE_SEED) for ratio in spec.noise_ratios}
+    noisy = {ratio: inject_noise(ds, ratio, NOISE_SEED) for ratio in ratios}
     run_dir = make_run_dir(spec, "robustness")
     reports = {}
-    for ratio, cell_dir in zip(spec.noise_ratios, cell_dirs):
+    for ratio, cell_dir in zip(ratios, cell_dirs):
         _, reports[ratio] = _train_and_report(spec, noisy[ratio], spec.config,
                                               os.path.join(run_dir, cell_dir))
 
     base = reports.get(0.0) or reports[min(reports)]
     lines = ["# ratio metric cutoff value degradation"]
-    for ratio in spec.noise_ratios:
+    for ratio in ratios:
         rep = reports[ratio]
         for n in rep.cutoffs:
             for metric, cur, ref in (("hr", rep.hr[n], base.hr[n]),
@@ -190,9 +192,9 @@ def run_robustness(spec):
     return reports, run_dir
 
 
-def run_sweep(spec):
+def run_sweep(spec, axes):
     """Cartesian grid over TrainConfig axes; emits axis/value/metric rows."""
-    axes = {k: list(v) for k, v in sorted(spec.sweep_axes.items()) if v}
+    axes = {k: list(v) for k, v in sorted(axes.items()) if v}
     if not axes:
         raise ValueError("sweep needs non-empty grid axes")
     grid = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
@@ -223,14 +225,14 @@ def _tie_sample(sample):
     return count
 
 
-def run_case_study(spec):
+def run_case_study(spec, checkpoint=None, sample="all"):
     """Export learned pair-relevance weights for social ties."""
-    sample = _tie_sample(spec.sample)
+    sample = _tie_sample(sample)
     ds = load_spec_dataset(spec)
-    if spec.checkpoint:
-        ms, _ = _load_and_encode_checkpoint(spec, ds)
+    if checkpoint is not None:
+        ms, _ = _load_and_encode_checkpoint(checkpoint, spec, ds)
     run_dir = make_run_dir(spec, "case_study")
-    if not spec.checkpoint:
+    if checkpoint is None:
         ms = train_model(ds, spec.config, eval_seed=spec.eval_seed).model
         save_checkpoint(ms, os.path.join(run_dir, "checkpoint"), spec.config.lines())
     export = export_relevance_weights(ms, ds, sample=sample, seed=spec.eval_seed)

@@ -213,13 +213,6 @@ def _leaky_relu_(pre):
     return positive
 
 
-def _slope(positive):
-    """The LeakyReLU's slope, 1.0 or LEAKY_SLOPE, at the masked entries."""
-    slope = positive * (1.0 - LEAKY_SLOPE)
-    slope += LEAKY_SLOPE
-    return slope
-
-
 def pair_rows(table, i, j):
     """The (n, 2d) block [table[i] | table[j]] of row-aligned pairs,
     gathered in row slices of about CHUNK elements."""

@@ -212,9 +212,8 @@ def test_criterion_8_robustness_harness(tmp_path):
                       lr=5e-3, negatives=20, cutoffs=(5, 10), seed=7)
     spec = ExperimentSpec(config=cfg, interactions_path=inter_path,
                           social_path=soc_path, split_seed=2,
-                          out_dir=str(tmp_path / "runs"), run_name="rob",
-                          noise_ratios=(0.0, 0.1, 0.2, 0.3))
-    reports, run_dir = run_robustness(spec)
+                          out_dir=str(tmp_path / "runs"), run_name="rob")
+    reports, run_dir = run_robustness(spec, (0.0, 0.1, 0.2, 0.3))
 
     lines = open(os.path.join(run_dir, "robustness.dat")).read().splitlines()
     data = [l for l in lines if not l.startswith("#")]

@@ -9,6 +9,7 @@ import pytest
 import socrec.experiments as experiments
 from socrec.cli import build_config, main, parse_config_file
 from socrec.config import read_value
+from socrec.data import save_dataset
 from socrec.eval import export_relevance_weights
 from socrec.experiments import (ExperimentSpec, load_spec_dataset, run_ablation,
                                 run_case_study, run_eval, run_robustness, run_sweep,
@@ -37,9 +38,7 @@ def fast_spec(edge_files, out_dir, **kw):
     spec = ExperimentSpec(config=fast_cfg(), interactions_path=inter_path,
                           social_path=soc_path, split_seed=1,
                           out_dir=str(out_dir), eval_seed=0)
-    for key, val in kw.items():
-        setattr(spec, key, val)
-    return spec
+    return dataclasses.replace(spec, **kw)
 
 
 class TestConfigParsing:
@@ -124,9 +123,8 @@ class TestRunTrain:
                          config=fast_cfg(layers=0, epochs=3))
         _, report, run_dir = run_train(spec)
         # the eval config keeps layers=1; the checkpoint's stored layers=0 must win
-        ev = fast_spec(edge_files, tmp_path / "runs", run_name="l0-eval",
-                       checkpoint=os.path.join(run_dir, "checkpoint"))
-        back, _ = run_eval(ev)
+        ev = fast_spec(edge_files, tmp_path / "runs", run_name="l0-eval")
+        back, _ = run_eval(ev, os.path.join(run_dir, "checkpoint"))
         assert back.hr == report.hr
         assert back.ndcg == report.ndcg
 
@@ -140,33 +138,34 @@ class TestRunTrain:
                                   run_robustness, run_sweep, run_case_study],
                          ids=lambda f: f.__name__)
 def test_every_task_needs_a_data_source(task, tmp_path):
-    spec = ExperimentSpec(config=fast_cfg(), out_dir=str(tmp_path / "runs"),
-                          checkpoint=str(tmp_path / "ckpt"),
-                          sweep_axes={"layers": [1]})
+    spec = ExperimentSpec(config=fast_cfg(), out_dir=str(tmp_path / "runs"))
+    kw = {run_eval: {"checkpoint": str(tmp_path / "ckpt")},
+          run_case_study: {"checkpoint": str(tmp_path / "ckpt")},
+          run_sweep: {"axes": {"layers": [1]}}}.get(task, {})
     with pytest.raises(ValueError, match="dataset_dir or interactions_path"):
-        task(spec)
+        task(spec, **kw)
     assert not os.path.exists(tmp_path / "runs")
 
 
-@pytest.mark.parametrize("task,knob,value,match", [
-    (run_sweep, "sweep_axes", {"variant": ["full", "bogus"]}, "unknown variant 'bogus'"),
-    (run_robustness, "noise_ratios", (0.0, 1.5), "noise ratio must lie in"),
-    (run_case_study, "checkpoint", "no-such-checkpoint", "has no config file"),
+@pytest.mark.parametrize("task,value,match", [
+    (run_sweep, {"variant": ["full", "bogus"]}, "unknown variant 'bogus'"),
+    (run_robustness, (0.0, 1.5), "noise ratio must lie in"),
+    (run_case_study, "no-such-checkpoint", "has no config file"),
     # cells whose directory names are equal
-    (run_robustness, "noise_ratios", (0.0, 0.1, 0.1000001),
+    (run_robustness, (0.0, 0.1, 0.1000001),
      r"cells 0\.1 and 0\.1000001 share the directory 'ratio_0\.1'"),
-    (run_robustness, "noise_ratios", (0.2, 0.0, 0.2), "cells 0.2 and 0.2 share"),
-    (run_sweep, "sweep_axes", {"lr": [0.001, 0.0010000001]},
+    (run_robustness, (0.2, 0.0, 0.2), "cells 0.2 and 0.2 share"),
+    (run_sweep, {"lr": [0.001, 0.0010000001]},
      r"0\.001\} and \{'lr': 0\.0010000001\} share the directory 'lr=0\.001'"),
-    (run_sweep, "sweep_axes", {"layers": [1, 2], "variant": ["full", "full"]},
+    (run_sweep, {"layers": [1, 2], "variant": ["full", "full"]},
      "share the directory 'layers=1_variant=full'"),
 ], ids=["sweep", "robust", "case-study", "robust-close-ratios", "robust-same-ratio",
         "sweep-close-values", "sweep-same-value"])
-def test_every_cell_is_checked_before_the_run_directory(task, knob, value, match,
+def test_every_cell_is_checked_before_the_run_directory(task, value, match,
                                                         edge_files, tmp_path):
-    spec = fast_spec(edge_files, tmp_path / "runs", **{knob: value})
+    spec = fast_spec(edge_files, tmp_path / "runs")
     with pytest.raises(ValueError, match=match):
-        task(spec)
+        task(spec, value)
     assert not os.path.exists(tmp_path / "runs")
 
 
@@ -184,7 +183,25 @@ def test_non_finite_checkpoint_refused_before_the_run_directory(task, name, edge
     values.tofile(path)
     with pytest.raises(ValueError, match=re.escape(
             f"checkpoint file {path} holds a non-finite value")):
-        task(fast_spec(edge_files, tmp_path / "runs", checkpoint=ckpt))
+        task(fast_spec(edge_files, tmp_path / "runs"), ckpt)
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("task", [run_eval, run_case_study], ids=lambda f: f.__name__)
+def test_checkpoint_of_another_dataset_refused_by_name(task, edge_files, tmp_path):
+    """The refusal names the checkpoint and both sizes, before encode
+    would fail on a graph of the wrong size."""
+    _, _, run_dir = run_train(fast_spec(edge_files, tmp_path / "train", run_name="t"))
+    ckpt = os.path.join(run_dir, "checkpoint")
+    trained = load_checkpoint(ckpt)
+    ds, _ = planted_clusters(num_users=40, num_items=120, seed=0)
+    save_dataset(ds, str(tmp_path / "planted"))
+    spec = ExperimentSpec(config=fast_cfg(), dataset_dir=str(tmp_path / "planted"),
+                          out_dir=str(tmp_path / "runs"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"checkpoint {ckpt} was trained on {trained.num_users} users x "
+            f"{trained.num_items} items, the dataset has 40 x 120")):
+        task(spec, ckpt)
     assert not os.path.exists(tmp_path / "runs")
 
 
@@ -205,7 +222,7 @@ def test_reused_run_name_refused(edge_files, tmp_path):
 @pytest.mark.parametrize("task,task_dir,kw", [
     (run_train, "train", {}), (run_ablation, "ablation", {}),
     (run_robustness, "robustness", {}),
-    (run_sweep, "sweep", {"sweep_axes": {"layers": [1]}}),
+    (run_sweep, "sweep", {"axes": {"layers": [1]}}),
     (run_case_study, "case_study", {})], ids=lambda v: getattr(v, "__name__", None))
 def test_every_training_task_refuses_an_existing_run_directory(
         task, task_dir, kw, edge_files, tmp_path, monkeypatch):
@@ -216,7 +233,7 @@ def test_every_training_task_refuses_an_existing_run_directory(
         raise AssertionError("trained before refusing the run directory")
     monkeypatch.setattr(experiments, "train_model", no_training)
     with pytest.raises(ValueError, match="already exists"):
-        task(fast_spec(edge_files, tmp_path / "runs", run_name="used", **kw))
+        task(fast_spec(edge_files, tmp_path / "runs", run_name="used"), **kw)
     assert os.listdir(tmp_path / "runs" / task_dir / "used") == []
 
 
@@ -232,14 +249,13 @@ def test_checkpoint_replays_its_run(variant, layers, agg, edge_files, tmp_path):
     result, _, run_dir = run_train(fast_spec(edge_files, tmp_path, run_name="run",
                                              config=trained))
     ckpt = os.path.join(run_dir, "checkpoint")
-    _, eval_dir = run_eval(fast_spec(edge_files, tmp_path, run_name="ev", checkpoint=ckpt))
+    _, eval_dir = run_eval(fast_spec(edge_files, tmp_path, run_name="ev"), ckpt)
     in_run = open(os.path.join(run_dir, "report.dat"), "rb").read()
     assert b"# seed=5\n" in in_run
     for name in ("report.dat", "report.txt"):
         assert (open(os.path.join(eval_dir, name), "rb").read()
                 == open(os.path.join(run_dir, name), "rb").read())
-    export, _ = run_case_study(fast_spec(edge_files, tmp_path, run_name="case",
-                                         checkpoint=ckpt))
+    export, _ = run_case_study(fast_spec(edge_files, tmp_path, run_name="case"), ckpt)
     ds = load_spec_dataset(fast_spec(edge_files, tmp_path))
     assert export.rows == export_relevance_weights(result.model, ds).rows
 
@@ -274,8 +290,7 @@ class TestAblation:
 class TestRobustness:
     def test_ratio_rows_and_bit_identity(self, edge_files, tmp_path):
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="rob")
-        spec.noise_ratios = (0.0, 0.1)
-        reports, run_dir = run_robustness(spec)
+        reports, run_dir = run_robustness(spec, (0.0, 0.1))
         assert set(reports) == {0.0, 0.1}
         lines = open(os.path.join(run_dir, "robustness.dat")).read().splitlines()
         data = [l for l in lines if not l.startswith("#")]
@@ -295,8 +310,7 @@ class TestRobustness:
 class TestSweep:
     def test_grid_rows(self, edge_files, tmp_path):
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="sw")
-        spec.sweep_axes = {"layers": [1, 2]}
-        cells, run_dir = run_sweep(spec)
+        cells, run_dir = run_sweep(spec, {"layers": [1, 2]})
         assert len(cells) == 2
         lines = open(os.path.join(run_dir, "sweep.dat")).read().splitlines()
         data = [l for l in lines if not l.startswith("#")]
@@ -304,15 +318,13 @@ class TestSweep:
 
     def test_alignment_weight_grid(self, edge_files, tmp_path):
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="swl2")
-        spec.sweep_axes = {"lambda2": [1e-6, 1e-5, 1e-4, 1e-3]}
-        cells, run_dir = run_sweep(spec)
+        cells, run_dir = run_sweep(spec, {"lambda2": [1e-6, 1e-5, 1e-4, 1e-3]})
         assert len(cells) == 4
         assert sorted(c[0]["lambda2"] for c in cells) == [1e-6, 1e-5, 1e-4, 1e-3]
 
     def test_single_point_grid_equals_train(self, edge_files, tmp_path):
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="sw1")
-        spec.sweep_axes = {"layers": [1]}
-        cells, _ = run_sweep(spec)
+        cells, _ = run_sweep(spec, {"layers": [1]})
         train_spec = fast_spec(edge_files, tmp_path / "plain", run_name="t")
         _, train_report, _ = run_train(train_spec)
         assert cells[0][1].hr == train_report.hr
@@ -320,9 +332,8 @@ class TestSweep:
 
     def test_empty_grid_fatal(self, edge_files, tmp_path):
         spec = fast_spec(edge_files, tmp_path / "runs")
-        spec.sweep_axes = {}
         with pytest.raises(ValueError):
-            run_sweep(spec)
+            run_sweep(spec, {})
         assert not os.path.exists(tmp_path / "runs")
 
 
@@ -341,17 +352,15 @@ class TestCaseStudy:
         train_spec = fast_spec(edge_files, tmp_path / "t", run_name="t")
         _, _, train_dir = run_train(train_spec)
         spec = fast_spec(edge_files, tmp_path / "runs", run_name="cs2")
-        spec.checkpoint = os.path.join(train_dir, "checkpoint")
-        spec.sample = 3
-        export, _ = run_case_study(spec)
+        export, _ = run_case_study(spec, os.path.join(train_dir, "checkpoint"), 3)
         assert len(export.rows) == 3
 
 
     @pytest.mark.parametrize("sample", ["x", "-1", "2.5"])
     def test_bad_sample_fatal_before_any_work(self, edge_files, tmp_path, sample):
-        spec = fast_spec(edge_files, tmp_path / "runs", run_name="cs", sample=sample)
+        spec = fast_spec(edge_files, tmp_path / "runs", run_name="cs")
         with pytest.raises(ValueError, match=f"sample: cannot read {sample!r}"):
-            run_case_study(spec)
+            run_case_study(spec, sample=sample)
         inter_path, soc_path = edge_files
         with pytest.raises(ValueError, match=f"sample: cannot read {sample!r}"):
             main(["case-study", "--interactions", inter_path, "--social", soc_path,
@@ -431,6 +440,23 @@ class TestMainEntry:
                 "--grid", "lambda2=0", *extra[channel]]
         with pytest.raises(ValueError, match=f"{key}.*{value!r}"):
             main(args)
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("command,flag,match", [
+        ("robust", "--ratios", "config key ratios: cannot read ''"),
+        ("case-study", "--sample", "sample: cannot read ''"),
+        ("case-study", "--checkpoint", "checkpoint: expected a directory, got ''"),
+        ("eval", "--checkpoint", "checkpoint: expected a directory, got ''")])
+    def test_empty_task_flag_fatal_before_any_work(self, edge_files, tmp_path, monkeypatch,
+                                                   command, flag, match):
+        """An empty value is refused, not read as the flag's default."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on an empty flag")
+        monkeypatch.setattr(experiments, "train_model", no_training)
+        inter_path, soc_path = edge_files
+        with pytest.raises(ValueError, match=re.escape(match)):
+            main([command, "--interactions", inter_path, "--social", soc_path,
+                  "--out", str(tmp_path / "runs"), flag, ""])
         assert not os.path.exists(tmp_path / "runs")
 
     def test_task_value_names_key(self, edge_files, tmp_path):

@@ -32,7 +32,7 @@ from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
                          held_out_rank)
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
-from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu_, _slope,
+from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu_,
                           aggregate_backward, encode, init_model, pair_rows, user_vectors)
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
                               GradientSet, TrainConfig, _hinge_term,
@@ -381,8 +381,6 @@ def test_leaky_relu_matches_where_form(values):
     positive = _leaky_relu_(h)
     np.testing.assert_array_equal(_bits(h), _bits(np.where(pre > 0, pre, LEAKY_SLOPE * pre)))
     np.testing.assert_array_equal(positive, pre > 0)
-    np.testing.assert_array_equal(_bits(_slope(positive)),
-                                  _bits(np.where(pre > 0, 1.0, LEAKY_SLOPE)))
 
 
 # The loss and gradient code before each term ran once per step, frozen as
