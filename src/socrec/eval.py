@@ -334,9 +334,12 @@ class RelevanceWeightExport:
 def export_relevance_weights(ms, ds, sample="all", seed=0):
     """z and zhat for each (optionally sampled) undirected social tie.
 
-    z comes from one projection pass over all ties; zhat, and the pair
-    rows `pair_rows` gathers, are made in row slices, so that the pass's
-    temporaries are about three tie x d blocks."""
+    Both are made in row slices of at least CHUNK // d ties, the last
+    taking the remainder, so the temporaries are about three slice x d
+    blocks. A short last slice could change z's last bits, as the
+    projection GEMM may round a few rows differently from many; slices
+    this long keep the bits of one GEMM over every tie
+    (tests/test_equivalence.py)."""
     _require_encoded(ms)
     ties = ds.social_edges[ds.social_edges[:, 0] < ds.social_edges[:, 1]]
     if sample != "all":
@@ -346,11 +349,12 @@ def export_relevance_weights(ms, ds, sample="all", seed=0):
     if len(ties) == 0:
         return RelevanceWeightExport(rows=[])
     i, j = ties[:, 0], ties[:, 1]
-    z = projection_forward(ms.params, pair_rows(ms.agg_r, i, j))[0]
-    zhat = np.empty(len(ties))
+    z, zhat = np.empty(len(ties)), np.empty(len(ties))
     step = max(1, CHUNK // ms.dim)
-    for lo in range(0, len(ties), step):
-        s = slice(lo, lo + step)
+    slices = max(1, len(ties) // step)
+    for k in range(slices):
+        s = slice(k * step, (k + 1) * step if k < slices - 1 else len(ties))
+        z[s] = projection_forward(ms.params, pair_rows(ms.agg_r, i[s], j[s]))[0]
         zhat[s] = (ms.agg_s[i[s]] * ms.agg_s[j[s]]).sum(axis=1)
     order = np.argsort(z, kind="stable")
     rows = list(zip(i[order].tolist(), j[order].tolist(), z[order].tolist(),

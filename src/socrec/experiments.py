@@ -170,6 +170,8 @@ def run_ablation(spec):
 
 def run_robustness(spec, ratios=DEFAULT_NOISE_RATIOS):
     """Retrain per noise ratio; report metrics and relative degradation."""
+    if len(ratios) == 0:
+        raise ValueError("robustness needs a non-empty ratios list")
     cell_dirs = _cell_dirs(ratios, lambda ratio: f"ratio_{ratio:g}")
     ds = load_spec_dataset(spec)
     noisy = {ratio: inject_noise(ds, ratio, NOISE_SEED) for ratio in ratios}

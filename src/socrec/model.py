@@ -77,13 +77,14 @@ class ModelState:
 
     The embedding tables and the layout read through to `params`. After
     `encode` ran, `agg_r`/`agg_s` hold the aggregated embeddings of the
-    interaction and social view. The graphs and aggregation mode used for
-    the pass are remembered so gradients can be pulled back through the
-    same operator: A+I is symmetric, so `aggregate_backward` serves both
-    passes. Every array the model and its training step reuse lives in
-    `buffers`, which later calls overwrite: the aggregations, the work
-    arrays of each graph view, the social-view gradient and the per-CPU
-    slices that the gradient assembly and then Adam work in.
+    interaction and social view; the next `encode` overwrites them in
+    place. The graphs and aggregation mode used for the pass are
+    remembered so gradients can be pulled back through the same operator:
+    A+I is symmetric, so `aggregate_backward` serves both passes.
+    `buffers` holds only scratch, which later calls overwrite and
+    `buffers.clear()` releases: the work arrays of each graph view, the
+    social-view gradient and the per-CPU slices that the gradient
+    assembly and then Adam work in.
     """
 
     params: ParamBlock
@@ -139,8 +140,9 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
     plus self-loop. Aggregation sums the L+1 layers ("mean" divides by L+1).
     Each view's table is run through `aggregate_backward`, the operator the
     backward pass uses too, which checks `num_layers` and `agg`, into the
-    view's aggregation buffer. Pure function of (parameters, graphs,
-    num_layers), computed into buffers the model keeps.
+    view's aggregation, `ms.agg_r` or `ms.agg_s` when its shape fits and
+    a new array otherwise. Pure function of (parameters, graphs,
+    num_layers), computed into arrays the model keeps.
     """
     I, J = ms.num_users, ms.num_items
     if g_r.num_nodes != I + J:
@@ -148,8 +150,9 @@ def encode(ms, g_r, g_s, num_layers, agg="sum"):
     if g_s.num_nodes != I:
         raise ValueError(f"social graph has {g_s.num_nodes} nodes, expected {I}")
 
+    held = {"agg_r": ms.agg_r, "agg_s": ms.agg_s}  # recorded once both passes ran
     ms.agg_r, ms.agg_s = (
-        aggregate_backward(g, reuse(ms.buffers, f"agg_{view}", table.shape),
+        aggregate_backward(g, reuse(held, f"agg_{view}", table.shape),
                            num_layers, agg, ms.buffers, start=table)
         for view, g, table in (("r", g_r, ms.E), ("s", g_s, ms.E_u)))
     ms.g_r, ms.g_s = g_r, g_s

@@ -63,6 +63,13 @@ def train_model(ds, cfg, eval_seed=0):
     config); the best-validation parameters are kept, or on a non-finite
     loss the last good snapshot. Each parameter version is encoded once:
     the model always holds the aggregations of its current parameters.
+
+    Memory: the first improving epoch makes the one snapshot and later
+    ones overwrite it, so before it exists, a restore rebuilds the seeded
+    initial parameters instead. Each epoch's steps end by releasing the
+    step's scratch (`ms.buffers`) before validation and the snapshot; the
+    next step makes it again. So a 1-epoch run never holds the snapshot
+    and the scratch at once; from the second epoch on, both are live.
     """
     g_r = build_interaction_laplacian(ds)
     g_s = build_social_laplacian(ds)
@@ -75,7 +82,7 @@ def train_model(ds, cfg, eval_seed=0):
     has_val = len(ds.val_edges) > 0
 
     result = TrainResult(model=ms)
-    best_params = ms.copy_params()  # the one snapshot, rewritten in place
+    best_params = None  # the one snapshot, made by the first improving epoch
     best_val = -np.inf
     bad_epochs = 0
     grads = None  # one gradient block, rewritten every step
@@ -105,6 +112,7 @@ def train_model(ds, cfg, eval_seed=0):
             result.aborted = f"epoch {epoch}: {err}"
             log.error("aborted at %s", result.aborted)
             break
+        ms.buffers.clear()  # the step's scratch; the next step makes it again
 
         val_hr = float("nan")
         t0 = time.perf_counter()
@@ -125,7 +133,7 @@ def train_model(ds, cfg, eval_seed=0):
 
         if not has_val or val_hr > best_val:  # without validation, keep the last
             result.best_val_hr = best_val = val_hr  # nan without validation
-            ms.copy_params(out=best_params)
+            best_params = ms.copy_params(out=best_params)
             result.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -135,7 +143,10 @@ def train_model(ds, cfg, eval_seed=0):
                 break
 
     if result.aborted or result.best_epoch != result.epochs_run - 1:
+        if best_params is None:  # no improving epoch: the initial parameters
+            best_params = init_model(ds.num_users, ds.num_items, cfg.dim,
+                                     seed=cfg.seed).params.as_dict()
         ms.set_params(best_params)
         encode(ms, g_r, g_s, cfg.layers, cfg.agg)
-    ms.buffers.clear()  # drops the work arrays; ms.agg_r and ms.agg_s keep theirs
+    ms.buffers.clear()  # what scratch is left; ms.agg_r and ms.agg_s stay
     return result

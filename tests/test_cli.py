@@ -306,6 +306,13 @@ class TestRobustness:
             assert (open(os.path.join(cell, "checkpoint", name), "rb").read()
                     == open(os.path.join(train_dir, "checkpoint", name), "rb").read())
 
+    def test_empty_ratio_list_refused_before_the_run_directory(self, edge_files,
+                                                                tmp_path):
+        spec = fast_spec(edge_files, tmp_path / "runs", run_name="rob")
+        with pytest.raises(ValueError, match="non-empty ratios"):
+            run_robustness(spec, ())
+        assert not (tmp_path / "runs").exists()
+
 
 class TestSweep:
     def test_grid_rows(self, edge_files, tmp_path):

@@ -124,3 +124,19 @@ def test_bench_summary_groups_by_workload_and_sha(tmp_path):
     only_traced = workloads["v"]["change"]
     assert only_traced["traced"]["per_layer"]["objective.sample_batch_s"]["median"] == 0.5
     assert "end_to_end" not in only_traced and only_traced["provenance"]["nproc"] == 2
+
+
+def test_peak_by_stage_names_every_stage():
+    """The per-stage memory tool runs one tiny benchmark operation, prints
+    a row for every stage and writes nothing under bench/."""
+    before = sorted((ROOT / "bench").rglob("*"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "peak_by_stage.py"),
+                           "--size", "tiny", "--seed", "3"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    stages = [line[:16].strip() for line in proc.stdout.splitlines()[2:-1]]
+    assert stages == ["set-up", "sample", "gradients", "Adam", "encode", "validation",
+                      "test evaluation", "export", "read passes", "load_checkpoint",
+                      "other"]
+    assert proc.stdout.splitlines()[-1].startswith("process peak (ru_maxrss): ")
+    assert sorted((ROOT / "bench").rglob("*")) == before

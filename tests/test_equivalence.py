@@ -1,10 +1,11 @@
 """Bit-for-bit equivalence of the blocked, in-place kernels, the neighbour
 lists, the bulk-drawn BPR triples, the bulk-seeded evaluation streams, the
 block-drawn evaluation candidates and ranks, the one-pass loss and
-gradient step, the columnar edge-file ingestion, the edge-line tokenizer
-on dataset pair files, bulk noise injection, the first-occurrence sort and
-the Laplacians built from neighbour lists with the plain code they
-replace.
+gradient step, the sliced tie-weight export, the restore of the seeded
+initial parameters, the columnar edge-file ingestion, the edge-line
+tokenizer on dataset pair files, bulk noise injection, the
+first-occurrence sort and the Laplacians built from neighbour lists with
+the plain code they replace.
 
 Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
@@ -15,6 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from socrec.data import (InteractionTable, NeighbourLists, SocialTable, _edge_to
                          build_dataset, first_fresh, inject_noise, load_dataset,
                          save_dataset)
 from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
-                         held_out_rank)
+                         export_relevance_weights, held_out_rank)
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
 from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu_,
@@ -39,6 +41,7 @@ from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch
                               _infonce_grads, adam_step, compute_gradients,
                               joint_loss, sample_batch)
 from socrec.synthetic import random_dataset
+from socrec.train import train_model
 
 from conftest import make_encoded
 
@@ -615,6 +618,47 @@ def test_non_finite_loss_raised_where_frozen_loss_raises(ds, variant):
                 run(batch, ms, cfg)
             assert got.value.component == want.value.component == name
             assert str(got.value) == str(want.value)
+
+
+def frozen_export_rows(ms, ties):
+    """The tie-weight export's rows before it worked in slices: z from one
+    projection GEMM over every tie."""
+    i, j = ties.T
+    z = frozen_projection_forward(ms.params, ms.agg_r[i], ms.agg_r[j])[0]
+    zhat = (ms.agg_s[i] * ms.agg_s[j]).sum(axis=1)
+    order = np.argsort(z, kind="stable")
+    return list(zip(i[order].tolist(), j[order].tolist(), z[order].tolist(),
+                    zhat[order].tolist()))
+
+
+@pytest.mark.parametrize("d", [4, 16, 128])
+def test_sliced_export_matches_one_gemm(d):
+    """Slices of at least CHUNK // d ties, the last taking the remainder,
+    give the one GEMM's bits; plain slices, with a short last one, do not
+    at every tie count, as the projection GEMM rounds a few rows
+    differently."""
+    rng = np.random.default_rng(d)
+    ms = init_model(40, 60, d, seed=d)
+    ms.agg_r, ms.agg_s = rng.normal(size=(100, d)), rng.normal(size=(40, d))
+    step = CHUNK // d
+    for count in [*range(step - 3, step + 71), *range(2 * step, 2 * step + 70)]:
+        ties = np.sort(rng.integers(39, size=(count, 2)), axis=1)
+        ties[:, 1] += 1  # i < j: the export keeps each undirected tie once
+        rows = export_relevance_weights(ms, SimpleNamespace(social_edges=ties)).rows
+        same = rows == frozen_export_rows(ms, ties)  # z in (0, 1), zhat nonzero
+        assert same, f"{count} ties"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_abort_in_epoch_zero_restores_initial_parameters(ds):
+    """Before any epoch has improved there is no snapshot: the restore
+    rebuilds the seeded initial parameters, bit for bit."""
+    cfg = TrainConfig(dim=4, layers=2, batch=16, epochs=5, lr=1e200, lr_decay=1.0,
+                      lambda3=1e-6, negatives=3, cutoffs=(5,), seed=6)
+    result = train_model(ds, cfg)
+    assert result.aborted.startswith("epoch 0:")
+    init = init_model(ds.num_users, ds.num_items, cfg.dim, seed=cfg.seed)
+    np.testing.assert_array_equal(_bits(result.model.params.flat), _bits(init.params.flat))
 
 
 def seed_gradients(batch, ms, cfg):

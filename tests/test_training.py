@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import strategies as st
 
 from socrec import train as train_mod
 from socrec.data import InteractionTable, SocialTable, build_dataset
-from socrec.eval import evaluate
+from socrec.eval import evaluate, export_relevance_weights
 from socrec.experiments import ExperimentSpec, _train_and_report
 
-from socrec.graph import build_interaction_laplacian, build_social_laplacian
+from socrec.graph import CHUNK, build_interaction_laplacian, build_social_laplacian
 from socrec.model import encode, init_model, load_checkpoint
 from socrec.objective import (VARIANTS, AdamState, NonFiniteLossError, TrainConfig,
                               adam_step, compute_gradients, joint_loss, sample_batch)
 from socrec.synthetic import planted_clusters, random_dataset
 from socrec.train import TrainResult, train_model
+
+from conftest import make_encoded
 
 
 def test_loss_drops_by_half_in_200_steps():
@@ -65,6 +68,51 @@ def test_trained_model_keeps_no_work_arrays():
     encode(fresh, build_interaction_laplacian(ds), build_social_laplacian(ds), cfg.layers)
     np.testing.assert_array_equal(ms.agg_r, fresh.agg_r)
     np.testing.assert_array_equal(ms.agg_s, fresh.agg_s)
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc (which sees numpy's
+    allocations) counted above the start of the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A model of 3,300 rows at d = 256, whose parameter blocks (7.8 MB)
+    dwarf the evaluation's and the graphs' allocations."""
+    ds, _ = planted_clusters(num_users=300, num_items=3000, seed=1)
+    return ds, TrainConfig(dim=256, batch=64, negatives=20, epochs=1,
+                           cutoffs=(10,), seed=1)
+
+
+def test_one_epoch_peaks_below_seven_parameter_blocks(wide):
+    """Parameters, gradients, both Adam moments, the interaction-view
+    aggregation and the step's work array are six blocks; the best-epoch
+    snapshot is made only after the steps' scratch is released (7.6
+    blocks when it was made before the first step)."""
+    ds, cfg = wide
+    result, peak = _traced_peak(lambda: train_model(ds, cfg))
+    assert result.best_epoch == 0
+    assert peak < 7 * result.model.params.flat.nbytes
+
+
+def test_export_peak_is_bounded_by_its_slices(wide):
+    """The tie-weight export gathers and projects its pairs in row slices
+    of CHUNK // d, so its peak is a few slice blocks, whatever the tie
+    count (8.0 MB for these 1,197 ties when the export gathered them all
+    at once)."""
+    ds, cfg = wide
+    ms, _, _ = make_encoded(ds, dim=cfg.dim)
+    export, peak = _traced_peak(lambda: export_relevance_weights(ms, ds))
+    slice_block = (CHUNK // cfg.dim) * 2 * cfg.dim * 8  # one slice's pair rows
+    assert len(export.rows) > 8 * (CHUNK // cfg.dim)
+    assert peak < 3 * slice_block
 
 
 def _fail_at_step(step):
