@@ -207,7 +207,8 @@ def _block_ranks(ms, users, cand, social_fusion):
     """Rank of each row's held-out item cand[r, 0] among its candidates
     for user users[r], scored by stacked matrix products in sub-blocks of
     at most 4*CHUNK gathered elements. Runs on the shared pool, so it
-    calls nothing that uses the pool."""
+    calls nothing that uses the pool; BLAS runs on the worker's own thread
+    (see `graph`)."""
     vec = user_vectors(ms, users, social_fusion)
     scores = np.empty(cand.shape, ms.agg_r.dtype)
     step = max(1, 4 * CHUNK // (cand.shape[1] * vec.shape[1]))

@@ -18,8 +18,21 @@ while the calling thread draws the next block's candidates
 (`eval._user_ranks`). A task on the pool must not call `run_parallel` or
 `for_each_chunk`: it would submit to the pool and wait, and once every
 worker waits so, no worker is left to run what they wait for.
+
+The pool is the process's only compute parallelism. Importing this module
+sets the OpenBLAS numpy loaded (every OpenBLAS mapped by then) to one
+thread, whatever OPENBLAS_NUM_THREADS says, so numpy's GEMMs run on the
+thread that calls them. With BLAS threaded too, its workers competed
+with the pool for the CPUs: on 2 CPUs, `ciao-train`'s interaction-view
+propagations (the backward after the hinge GEMMs among them) took 30%
+longer (BENCH_pr27.json), and the hinge's `dpre.T @ x[active]` changed in
+its last bits with the BLAS thread count. An OpenBLAS that scipy loads
+later keeps its threads; socrec calls none of its routines. Where numpy's
+BLAS is not OpenBLAS (MKL, say), or on a host without /proc/self/maps,
+nothing is set.
 """
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +50,36 @@ def _cpu_count():
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
+
+def _openblas_calls(names):
+    """{path: function} for each OpenBLAS mapped into this process that
+    has a function among `names`, the first it has. Libraries are found in
+    /proc/self/maps, so there are none on a host without that file (not
+    Linux) or whose BLAS is not OpenBLAS (MKL, say)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return {}
+    calls = {}
+    for path in sorted(paths):
+        if "openblas" in os.path.basename(path) and ".so" in path:
+            lib = ctypes.CDLL(path)  # already loaded: this only finds its handle
+            found = [name for name in names if hasattr(lib, name)]
+            if found:
+                calls[path] = getattr(lib, found[0])
+    return calls
+
+
+def _hold_blas_at_one_thread():
+    for set_threads in _openblas_calls(("scipy_openblas_set_num_threads64_",
+                                        "scipy_openblas_set_num_threads",
+                                        "openblas_set_num_threads64_",
+                                        "openblas_set_num_threads")).values():
+        set_threads(1)  # the C entry point, void f(int)
+
+
+_hold_blas_at_one_thread()  # at import, before socrec's first BLAS call
 
 CPUS = _cpu_count()
 CHUNK = 1 << 15  # elements per slice of a chunked elementwise pass (fits in L2)

@@ -210,10 +210,22 @@ def _require_encoded(ms):
 def _leaky_relu_(pre):
     """Turn `pre` into its LeakyReLU in place, bit for bit as
     np.where(pre > 0, pre, LEAKY_SLOPE * pre) gives it, and return the
-    mask of its positive entries."""
+    mask of its positive entries.
+
+    With 0 < LEAKY_SLOPE < 1 the larger of LEAKY_SLOPE * pre and pre is
+    that value, zeros keep their sign, and a NaN comes out as the product
+    quiets it, since np.maximum returns its first NaN operand.
+    """
     positive = pre > 0
-    np.multiply(pre, LEAKY_SLOPE, out=pre, where=~positive)
+    np.maximum(LEAKY_SLOPE * pre, pre, out=pre)
     return positive
+
+
+def leaky_slope(positive):
+    """The LeakyReLU's derivative over the mask of positive inputs: 1.0 or
+    LEAKY_SLOPE, bit for bit as np.where(positive, 1.0, LEAKY_SLOPE);
+    (1 - LEAKY_SLOPE) + LEAKY_SLOPE rounds to exactly 1.0 for 0.01."""
+    return positive * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
 
 
 def pair_rows(table, i, j):

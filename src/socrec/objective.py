@@ -21,7 +21,7 @@ from scipy.special import expit
 
 from .config import LEAKY_SLOPE, VARIANTS, TrainConfig  # noqa: F401 (re-exported)
 from .graph import CHUNK, CPUS, for_each_chunk
-from .model import (ParamBlock, _require_encoded, aggregate_backward,
+from .model import (ParamBlock, _require_encoded, aggregate_backward, leaky_slope,
                     pair_rows, projection_forward, reuse, user_vectors)
 
 ADAM_BETA1 = 0.9
@@ -184,7 +184,7 @@ def _hinge_term(params, x, b_i, b_j):
     db_j = -za[:, None] * b_i[active]
     # z side, through sigmoid -> w -> leaky -> T/c and the identity paths
     dact = -zha * za * (1.0 - za)
-    dpre = dact[:, None] * params.w[None, :] * np.where(positive[active], 1.0, LEAKY_SLOPE)
+    dpre = dact[:, None] * params.w[None, :] * leaky_slope(positive[active])
     dx = dpre @ params.T
     d = dpre.shape[1]
     rows = (dx[:, :d] + dpre, dx[:, d:] + dpre, db_i, db_j)

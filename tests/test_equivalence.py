@@ -11,6 +11,9 @@ Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
 """
 
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -34,8 +37,8 @@ from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
                          export_relevance_weights, held_out_rank)
 from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
                           build_social_laplacian, propagate, row_blocks)
-from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu_,
-                          aggregate_backward, encode, init_model, pair_rows, user_vectors)
+from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu_, aggregate_backward,
+                          encode, init_model, leaky_slope, pair_rows, user_vectors)
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
                               GradientSet, TrainConfig, _hinge_term,
                               _infonce_grads, adam_step, compute_gradients,
@@ -386,6 +389,35 @@ def test_leaky_relu_matches_where_form(values):
     np.testing.assert_array_equal(positive, pre > 0)
 
 
+@pytest.mark.parametrize("d", [32, 128])
+def test_branch_free_leaky_matches_frozen_masked_forms(d):
+    """`_leaky_relu_` and `leaky_slope` against the masked multiply and the
+    np.where slope they replace, bit for bit, on blocks of the hinge's
+    shapes: random values of every scale and, scattered among them, signed
+    zeros, infinities, quiet and signalling NaNs and subnormals."""
+    rng = np.random.default_rng(d)
+    special = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+         2.2250738585072009e-308, -1e-310, -2e-322, 1.0, -1.0],
+        np.array([0x7FF0000000000001, 0xFFF0000000000123], np.uint64).view(np.float64)])
+    pre = rng.standard_normal((2048, d)) * rng.choice([1e-310, 1e-3, 1.0, 1e300],
+                                                      size=(2048, d))
+    flat = pre.ravel()
+    flat[rng.choice(flat.size, size=flat.size // 8, replace=False)] = rng.choice(
+        special, size=flat.size // 8)
+    flat[:len(special)] = special
+    with np.errstate(invalid="ignore"):
+        old = pre.copy()
+        old_positive = old > 0
+        np.multiply(old, LEAKY_SLOPE, out=old, where=~old_positive)
+        new = pre.copy()
+        positive = _leaky_relu_(new)
+    np.testing.assert_array_equal(_bits(new), _bits(old))
+    np.testing.assert_array_equal(positive, old_positive)
+    np.testing.assert_array_equal(_bits(leaky_slope(positive)),
+                                  _bits(np.where(positive, 1.0, LEAKY_SLOPE)))
+
+
 # The loss and gradient code before each term ran once per step, frozen as
 # the oracle for the one-pass step.
 
@@ -593,6 +625,44 @@ def test_hinge_loss_runs_once_per_step(ds, monkeypatch):
     grads = compute_gradients(batch, ms, cfg)
     joint_loss(batch, ms, cfg, grads)
     assert calls == [len(batch.ssl_pairs)]
+
+
+GRADIENT_DIGEST = """
+import hashlib
+import numpy as np
+from socrec.graph import build_interaction_laplacian, build_social_laplacian
+from socrec.model import encode, init_model, pair_rows
+from socrec.objective import TrainConfig, _hinge_term, compute_gradients, sample_batch
+from socrec.synthetic import planted_clusters
+
+ds, _ = planted_clusters(num_users=400, num_items=800, seed=1)
+cfg = TrainConfig(dim=32, batch=2048, lambda2=1e-3, lambda3=1e-5)
+ms = init_model(ds.num_users, ds.num_items, cfg.dim, seed=2)
+encode(ms, build_interaction_laplacian(ds), build_social_laplacian(ds), cfg.layers)
+batch = sample_batch(ds, cfg, np.random.default_rng(3))
+i, j = batch.ssl_pairs.T
+active = _hinge_term(ms.params, pair_rows(ms.agg_r, i, j), ms.agg_s[i], ms.agg_s[j])[1]
+grads = compute_gradients(batch, ms, cfg)
+print(len(active), hashlib.sha256(grads.flat.tobytes()).hexdigest())
+"""
+
+
+def test_gradients_do_not_depend_on_blas_threads():
+    """A step at planted-converge's shapes (d = 32, batch 2,048, nearly
+    every hinge pair active) gives the same gradient bits whatever
+    OPENBLAS_NUM_THREADS says: socrec holds OpenBLAS at one thread."""
+    src = str(pathlib.Path(objective.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", GRADIENT_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        active, digest = proc.stdout.split()
+        assert int(active) >= 2000
+        digests.add(digest)
+    assert len(digests) == 1
 
 
 def test_recorded_loss_belongs_to_its_batch(ds):

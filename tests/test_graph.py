@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from socrec import graph
 from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.graph import (build_interaction_laplacian, build_social_laplacian,
                           propagate)
@@ -167,3 +172,32 @@ class TestPropagate:
         E = rng.normal(size=(g.num_nodes, 5))
         dense_op = g.matrix.toarray() + np.eye(g.num_nodes)
         np.testing.assert_allclose(propagate(g, E), dense_op @ E, atol=1e-10)
+
+
+BLAS_THREADS = """
+import numpy
+with open("/proc/self/maps") as fh:
+    numpy_libs = {line.split()[-1] for line in fh}
+from socrec.graph import _openblas_calls
+getters = _openblas_calls(("scipy_openblas_get_num_threads64_",
+                           "scipy_openblas_get_num_threads",
+                           "openblas_get_num_threads64_", "openblas_get_num_threads"))
+print(*[get() for path, get in getters.items() if path in numpy_libs])
+"""
+
+
+def test_import_holds_openblas_at_one_thread():
+    """Importing socrec.graph sets the OpenBLAS numpy loaded to one thread,
+    even when the environment asks for more."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find OpenBLAS in")
+    src = str(pathlib.Path(graph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    threads = proc.stdout.split()
+    if not threads:
+        pytest.skip("no OpenBLAS is loaded")
+    assert threads == ["1"] * len(threads)
