@@ -6,8 +6,8 @@ from .data import (DEFAULT_STRATA, Dataset, DegreeStrata, InteractionTable,
                    load_edges, save_dataset, stratify_by_degree)
 from .eval import (EvalReport, RelevanceWeightExport, evaluate,
                    evaluate_stratified, export_relevance_weights)
-from .graph import (NormalizedGraph, build_interaction_laplacian,
-                    build_social_laplacian, propagate)
+from .graph import (NormalizedGraph, _hold_blas_at_one_thread,
+                    build_interaction_laplacian, build_social_laplacian, propagate)
 from .model import (ModelState, ParamBlock, encode, init_model, load_checkpoint,
                     save_checkpoint, user_vectors)
 from .objective import (AdamState, Batch, GradientSet, NonFiniteLossError,
@@ -36,3 +36,5 @@ __all__ = [
     "planted_clusters", "random_dataset",
     "TrainResult", "train_model",
 ]
+
+_hold_blas_at_one_thread()  # after every import: scipy.special maps an OpenBLAS too

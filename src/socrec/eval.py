@@ -1,16 +1,14 @@
 """Leave-one-out ranking evaluation: HR@N / NDCG@N, strata, weight exports."""
 
-import collections
 import logging
 import math
 import operator
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import first_fresh
-from .graph import CHUNK, CPUS, pool
+from .graph import CHUNK, run_parallel
 from .model import _require_encoded, pair_rows, projection_forward, user_vectors
 
 log = logging.getLogger(__name__)
@@ -227,10 +225,9 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     comparable across models. Users with too few unknown items are
     skipped, with one warning per dataset, split and negatives count:
     these alone decide who is skipped. Users go in blocks of about CHUNK
-    candidates. This thread draws each block's candidates, in block
-    order, with its one generator, while the shared pool scores the
-    blocks before it (`_block_ranks`), at most one block per CPU waiting.
-    An error waits for every submitted block before it propagates.
+    candidates. This thread draws every block's candidates first, in block
+    order, with its one generator; then the shared pool scores the blocks
+    (`_block_ranks`) through `run_parallel`.
     """
     if split not in ("val", "test"):
         raise ValueError(f"unknown split {split!r}")
@@ -238,34 +235,32 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     known = ds.known_item_lists()
     states, incs = _stream_states(seed, edges[:, 0])
     rng = np.random.default_rng(0)  # set to each user's stream in turn
-    users, ranks = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    users, cands = [], []  # of each block, in order
     rows = max(1, CHUNK // (num_negatives + 1))
-    pending = collections.deque()  # scoring tasks of the drawn blocks, in order
-    try:
-        for lo in range(0, len(edges), rows):
-            block = edges[lo:lo + rows]
-            negs, filled = _sample_negatives(rng, (states[lo:lo + rows], incs[lo:lo + rows]),
-                                             block[:, 0], known, ds.num_items, num_negatives)
-            for u in block[~filled, 0].tolist():
-                log.debug("user %d skipped: fewer than %d negative candidates",
-                          u, num_negatives)
-            users.append(block[filled, 0])
-            cand = np.concatenate([block[filled, 1:], negs[filled]], axis=1)
-            if len(pending) >= CPUS:
-                ranks.append(pending.popleft().result())
-            pending.append(pool().submit(_block_ranks, ms, users[-1], cand, social_fusion))
-        while pending:
-            ranks.append(pending.popleft().result())
-    finally:
-        futures.wait(pending)
-    users = np.concatenate(users)
+    for lo in range(0, len(edges), rows):
+        block = edges[lo:lo + rows]
+        negs, filled = _sample_negatives(rng, (states[lo:lo + rows], incs[lo:lo + rows]),
+                                         block[:, 0], known, ds.num_items, num_negatives)
+        for u in block[~filled, 0].tolist():
+            log.debug("user %d skipped: fewer than %d negative candidates",
+                      u, num_negatives)
+        users.append(block[filled, 0])
+        cands.append(np.concatenate([block[filled, 1:], negs[filled]], axis=1))
+    ranks = [None] * len(cands)
+
+    def score(k):
+        ranks[k] = _block_ranks(ms, users[k], cands[k], social_fusion)
+
+    run_parallel(score, len(cands))
+    empty = np.zeros(0, np.int64)
+    users = np.concatenate([empty, *users])
     skipped = len(edges) - len(users)
     logged = ds._derived("skips_logged", set)
     if skipped and (split, num_negatives) not in logged:
         logged.add((split, num_negatives))
         log.warning("%d user(s) skipped on split %r: fewer than %d negative "
                     "candidates", skipped, split, num_negatives)
-    return users, np.concatenate(ranks), skipped
+    return users, np.concatenate([empty, *ranks]), skipped
 
 
 def _summary(ranks, cutoffs):

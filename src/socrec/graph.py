@@ -13,29 +13,25 @@ Each block runs in row slices of about CHUNK elements, so the self-loop
 and one more array, the sum of powers' start in Horner form (see
 `model.aggregate_backward`), are added while the slice is still in cache.
 
-The pool has a second user: evaluation scores each block of users on it
-while the calling thread draws the next block's candidates
-(`eval._user_ranks`). A task on the pool must not call `run_parallel` or
-`for_each_chunk`: it would submit to the pool and wait, and once every
-worker waits so, no worker is left to run what they wait for.
+A task on the pool must not call `run_parallel` or `for_each_chunk`: once
+every worker waits on a nested submit, no worker is left to run it.
 
-The pool is the process's only compute parallelism. Importing this module
-sets the OpenBLAS numpy loaded (every OpenBLAS mapped by then) to one
-thread, whatever OPENBLAS_NUM_THREADS says, so numpy's GEMMs run on the
-thread that calls them. With BLAS threaded too, its workers competed
-with the pool for the CPUs: on 2 CPUs, `ciao-train`'s interaction-view
-propagations (the backward after the hinge GEMMs among them) took 30%
-longer (BENCH_pr27.json), and the hinge's `dpre.T @ x[active]` changed in
-its last bits with the BLAS thread count. An OpenBLAS that scipy loads
-later keeps its threads; socrec calls none of its routines. Where numpy's
-BLAS is not OpenBLAS (MKL, say), or on a host without /proc/self/maps,
-nothing is set.
+The pool is the process's only compute parallelism. Importing socrec
+sets every OpenBLAS mapped by the end of its import (numpy's, and the one
+scipy.special maps) to one thread, whatever OPENBLAS_NUM_THREADS says, so
+numpy's GEMMs run on the thread that calls them. With BLAS threaded too,
+its workers competed with the pool for the CPUs: on 2 CPUs, `ciao-train`'s
+interaction-view propagations (the backward after the hinge GEMMs among
+them) took 30% longer (BENCH_pr27.json), and the hinge's
+`dpre.T @ x[active]` changed in its last bits with the BLAS thread count.
+Where the BLAS is not OpenBLAS (MKL, say), or on a host without
+/proc/self/maps, nothing is set.
 """
 
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,14 +68,14 @@ def _openblas_calls(names):
 
 
 def _hold_blas_at_one_thread():
+    """Set every OpenBLAS mapped so far to one thread. `socrec` calls it
+    once, at the end of its import."""
     for set_threads in _openblas_calls(("scipy_openblas_set_num_threads64_",
                                         "scipy_openblas_set_num_threads",
                                         "openblas_set_num_threads64_",
                                         "openblas_set_num_threads")).values():
         set_threads(1)  # the C entry point, void f(int)
 
-
-_hold_blas_at_one_thread()  # at import, before socrec's first BLAS call
 
 CPUS = _cpu_count()
 CHUNK = 1 << 15  # elements per slice of a chunked elementwise pass (fits in L2)
@@ -88,23 +84,23 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def pool():
-    """The shared thread pool, one worker per CPU, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=CPUS, thread_name_prefix="socrec")
-        return _pool
-
-
 def run_parallel(fn, n):
-    """Call fn(0), ..., fn(n - 1), on the shared pool when n > 1."""
+    """Call fn(0), ..., fn(n - 1), on the shared pool (one worker per CPU,
+    made on first use) when n > 1. When a call raises, the first such
+    error in k order reaches the caller only after every call is done, so
+    no task still writes into the caller's arrays."""
+    global _pool
     if n <= 1:
         for k in range(n):
             fn(k)
         return
-    for _ in pool().map(fn, range(n)):
-        pass
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=CPUS, thread_name_prefix="socrec")
+    tasks = [_pool.submit(fn, k) for k in range(n)]
+    wait(tasks)
+    for task in tasks:
+        task.result()
 
 
 def for_each_chunk(n, fn):

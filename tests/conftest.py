@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ def encoded(tiny_ds):
     g_s = build_social_laplacian(tiny_ds)
     encode(ms, g_r, g_s, 2)
     return tiny_ds, ms, g_r, g_s
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A stand-in for the shared pool (set as `graph._pool`) that keeps
+    every future it hands out."""
+
+    def __init__(self, workers):
+        super().__init__(workers, thread_name_prefix="recording")
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.futures.append(super().submit(fn, *args, **kwargs))
+        return self.futures[-1]
 
 
 def make_encoded(ds, dim=4, layers=2, seed=7, agg="sum"):

@@ -17,7 +17,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -46,7 +45,7 @@ from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch
 from socrec.synthetic import random_dataset
 from socrec.train import train_model
 
-from conftest import make_encoded
+from conftest import RecordingPool, make_encoded
 
 
 @pytest.fixture(scope="module")
@@ -1297,21 +1296,6 @@ def test_user_ranks_mix_branches_in_one_block():
         _match_scalar_ranks(ms, ds, "test", 30, 4, social_fusion)
 
 
-class RecordingPool(ThreadPoolExecutor):
-    """A stand-in for the shared pool that keeps every future it hands out
-    and the most of them unfinished at once, the new one included."""
-
-    def __init__(self, workers):
-        super().__init__(workers, thread_name_prefix="recording")
-        self.futures, self.most_pending = [], 0
-
-    def submit(self, fn, /, *args, **kwargs):
-        pending = sum(not f.done() for f in self.futures) + 1
-        self.most_pending = max(self.most_pending, pending)
-        self.futures.append(super().submit(fn, *args, **kwargs))
-        return self.futures[-1]
-
-
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Seven users a block at 30 negatives: the branch-mixing dataset's 90
@@ -1327,14 +1311,13 @@ def small_blocks(monkeypatch):
                          ids=["one_worker", "three_workers", "switch_interval"])
 def test_pipelined_ranks_match_scalar_loop(small_blocks, monkeypatch, workers, switch,
                                            social_fusion):
-    """Blocks scored on the pool while the next is drawn rank as the
-    scalar loop does, whatever the worker count or thread switching, with
-    at most one block per CPU unfinished. A pause between a block's
-    scores and its ranks lets the next blocks' tasks run in between."""
+    """Blocks drawn first and then scored on the pool rank as the scalar
+    loop does, whatever the worker count or thread switching, and every
+    block is scored on the pool. A pause between a block's scores and its
+    ranks lets the other blocks' tasks run in between."""
     ds, ms = small_blocks
     pool = RecordingPool(workers)
     monkeypatch.setattr(graph, "_pool", pool)
-    monkeypatch.setattr(eval_mod, "CPUS", workers)
     rank = eval_mod.held_out_rank
 
     def paused(scores, cand):
@@ -1352,37 +1335,7 @@ def test_pipelined_ranks_match_scalar_loop(small_blocks, monkeypatch, workers, s
     finally:
         sys.setswitchinterval(old)
         pool.shutdown()
-    assert len(pool.futures) == 3 * 13 and pool.most_pending <= workers  # 13 blocks a call
-
-
-def test_drawing_error_waits_for_scoring(small_blocks, monkeypatch):
-    """An error while a block is drawn reaches the caller only after every
-    block already submitted is scored."""
-    ds, ms = small_blocks
-    pool = RecordingPool(2)
-    monkeypatch.setattr(graph, "_pool", pool)
-    monkeypatch.setattr(eval_mod, "CPUS", 2)
-    calls, draw, score = [], eval_mod._sample_negatives, eval_mod._block_ranks
-
-    def failing(*args):
-        calls.append(len(calls))
-        if len(calls) == 3:
-            raise RuntimeError("third draw failed")
-        return draw(*args)
-
-    def slow(*args):
-        time.sleep(0.2)
-        return score(*args)
-
-    monkeypatch.setattr(eval_mod, "_sample_negatives", failing)
-    monkeypatch.setattr(eval_mod, "_block_ranks", slow)
-    try:
-        with pytest.raises(RuntimeError, match="third draw failed"):
-            eval_mod.evaluate(ms, ds, "test", 30)
-        assert len(pool.futures) == 2
-        assert all(f.done() for f in pool.futures)
-    finally:
-        pool.shutdown()
+    assert len(pool.futures) == 3 * 13  # 13 blocks a call
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from socrec.data import InteractionTable, SocialTable, build_dataset
 from socrec.graph import (build_interaction_laplacian, build_social_laplacian,
                           propagate)
 from socrec.synthetic import random_dataset
+
+from conftest import RecordingPool
 
 
 def dense_reference(edges, deg_a, deg_b, n):
@@ -175,20 +178,18 @@ class TestPropagate:
 
 
 BLAS_THREADS = """
-import numpy
-with open("/proc/self/maps") as fh:
-    numpy_libs = {line.split()[-1] for line in fh}
+import socrec.graph
 from socrec.graph import _openblas_calls
 getters = _openblas_calls(("scipy_openblas_get_num_threads64_",
                            "scipy_openblas_get_num_threads",
                            "openblas_get_num_threads64_", "openblas_get_num_threads"))
-print(*[get() for path, get in getters.items() if path in numpy_libs])
+print(*[get() for get in getters.values()])
 """
 
 
 def test_import_holds_openblas_at_one_thread():
-    """Importing socrec.graph sets the OpenBLAS numpy loaded to one thread,
-    even when the environment asks for more."""
+    """Importing socrec.graph sets every OpenBLAS mapped by then (numpy's
+    and scipy's) to one thread, even when the environment asks for more."""
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("no /proc/self/maps to find OpenBLAS in")
     src = str(pathlib.Path(graph.__file__).resolve().parents[1])
@@ -201,3 +202,25 @@ def test_import_holds_openblas_at_one_thread():
     if not threads:
         pytest.skip("no OpenBLAS is loaded")
     assert threads == ["1"] * len(threads)
+
+
+def test_run_parallel_error_waits_for_every_task(monkeypatch):
+    """A task's error reaches run_parallel's caller only after every task
+    is done: the running ones finish and the queued ones still run."""
+    finished = []
+
+    def task(k):
+        if k == 0:
+            raise RuntimeError("task 0 failed")
+        time.sleep(0.2)
+        finished.append(k)
+
+    pool = RecordingPool(2)
+    monkeypatch.setattr(graph, "_pool", pool)
+    try:
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            graph.run_parallel(task, 3)
+        assert len(pool.futures) == 3 and all(f.done() for f in pool.futures)
+        assert sorted(finished) == [1, 2]
+    finally:
+        pool.shutdown()
