@@ -204,9 +204,8 @@ def held_out_rank(scores, cand):
 def _block_ranks(ms, users, cand, social_fusion):
     """Rank of each row's held-out item cand[r, 0] among its candidates
     for user users[r], scored by stacked matrix products in sub-blocks of
-    at most 4*CHUNK gathered elements. Runs on the shared pool, so it
-    calls nothing that uses the pool; BLAS runs on the worker's own thread
-    (see `graph`)."""
+    at most 4*CHUNK gathered elements. Runs on the calling thread or a
+    pool worker (`run_parallel`); BLAS runs on that thread (see `graph`)."""
     vec = user_vectors(ms, users, social_fusion)
     scores = np.empty(cand.shape, ms.agg_r.dtype)
     step = max(1, 4 * CHUNK // (cand.shape[1] * vec.shape[1]))
@@ -226,8 +225,8 @@ def _user_ranks(ms, ds, split, num_negatives, seed, social_fusion):
     skipped, with one warning per dataset, split and negatives count:
     these alone decide who is skipped. Users go in blocks of about CHUNK
     candidates. This thread draws every block's candidates first, in block
-    order, with its one generator; then the shared pool scores the blocks
-    (`_block_ranks`) through `run_parallel`.
+    order, with its one generator; then it and the shared pool score the
+    blocks (`_block_ranks`) through `run_parallel`.
     """
     if split not in ("val", "test"):
         raise ValueError(f"unknown split {split!r}")

@@ -6,15 +6,17 @@ and the self-loop is applied as `+ E` during propagation instead of being
 materialized on the diagonal.
 
 Propagation splits the CSR rows into one block per CPU the process may
-run on and runs the blocks on a shared thread pool (scipy's CSR kernel
+run on and runs the blocks through `run_parallel`: the calling thread
+takes block 0 and the shared pool's CPUS - 1 workers the rest, each
+thread claiming the next block when it is done (scipy's CSR kernel
 releases the GIL). Every output row is the same sum in the same order
 whatever the block count, so results do not depend on the CPU count.
 Each block runs in row slices of about CHUNK elements, so the self-loop
 and one more array, the sum of powers' start in Horner form (see
 `model.aggregate_backward`), are added while the slice is still in cache.
 
-A task on the pool must not call `run_parallel` or `for_each_chunk`: once
-every worker waits on a nested submit, no worker is left to run it.
+A training step's loss phase runs the loss terms on the calling thread
+and the regularizer on a pool worker (`objective._evaluate_terms`).
 
 The pool is the process's only compute parallelism. Importing socrec
 sets every OpenBLAS mapped by the end of its import (numpy's, and the one
@@ -29,6 +31,7 @@ Where the BLAS is not OpenBLAS (MKL, say), or on a host without
 """
 
 import ctypes
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -85,28 +88,40 @@ _pool_lock = threading.Lock()
 
 
 def run_parallel(fn, n):
-    """Call fn(0), ..., fn(n - 1), on the shared pool (one worker per CPU,
-    made on first use) when n > 1. When a call raises, the first such
-    error in k order reaches the caller only after every call is done, so
-    no task still writes into the caller's arrays."""
+    """Call fn(0), ..., fn(n - 1), each once: fn(0) on the calling thread,
+    which then claims unclaimed k until none is left, as do up to CPUS - 1
+    helpers on the shared pool (made on first use; none when CPUS == 1).
+    A helper that has not started when the k run out is cancelled, so a
+    task may call `run_parallel` itself. When calls raise, the first error
+    in k order reaches the caller only after every claimed call is done,
+    so no task still writes into the caller's arrays."""
     global _pool
-    if n <= 1:
-        for k in range(n):
-            fn(k)
-        return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=CPUS, thread_name_prefix="socrec")
-    tasks = [_pool.submit(fn, k) for k in range(n)]
-    wait(tasks)
-    for task in tasks:
-        task.result()
+    if n > 1 and CPUS > 1:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(max_workers=CPUS - 1, thread_name_prefix="socrec")
+    errors = {}  # k: the error fn(k) raised
+    claims = iter(range(1, n))  # shared: next() on it is atomic under the GIL
+
+    def drain(first=()):
+        for k in itertools.chain(first, claims):
+            try:
+                fn(k)
+            except BaseException as error:
+                errors[k] = error
+
+    helpers = [_pool.submit(drain) for _ in range(min(n, CPUS) - 1)]
+    drain(range(min(n, 1)))  # k = 0, if any, on this thread
+    wait([helper for helper in helpers if not helper.cancel()])
+    if errors:
+        raise errors[min(errors)]
 
 
 def for_each_chunk(n, fn):
     """Call fn(start, stop, worker) over [0, n) in slices of at most CHUNK
     elements, one contiguous run of slices per CPU (worker < CPUS), so
-    each slice's passes stay in cache."""
+    each slice's passes stay in cache. One thread runs each worker's run,
+    so scratch indexed by `worker` is never shared."""
     workers = max(1, min(CPUS, n // CHUNK))
 
     def run(k):

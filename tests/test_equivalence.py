@@ -626,6 +626,22 @@ def test_hinge_loss_runs_once_per_step(ds, monkeypatch):
     assert calls == [len(batch.ssl_pairs)]
 
 
+@pytest.mark.parametrize("variant", ["full", "contrastive"])
+def test_loss_terms_run_on_the_calling_thread(ds, monkeypatch, variant):
+    """The BPR and alignment terms run on the thread that computes the
+    gradients, whose malloc arena holds their temporaries; only the
+    regularizer may run on a pool worker."""
+    ms, cfg, batch = _one_pass_case(ds, variant, 1, "sum", "sampled")
+    threads = []
+    for name in ("_bpr_term", "_hinge_term", "_infonce_grads"):
+        real = getattr(objective, name)
+        monkeypatch.setattr(objective, name, lambda *a, real=real, **kw: threads.append(
+            threading.get_ident()) or real(*a, **kw))
+    compute_gradients(batch, ms, cfg)
+    joint_loss(batch, ms, cfg)
+    assert threads == [threading.get_ident()] * 6
+
+
 GRADIENT_DIGEST = """
 import hashlib
 import numpy as np
@@ -1318,7 +1334,13 @@ def test_pipelined_ranks_match_scalar_loop(small_blocks, monkeypatch, workers, s
     ds, ms = small_blocks
     pool = RecordingPool(workers)
     monkeypatch.setattr(graph, "_pool", pool)
-    rank = eval_mod.held_out_rank
+    rank, run_parallel, ran = eval_mod.held_out_rank, eval_mod.run_parallel, []
+
+    def recorded(fn, n):
+        ran.append([])
+        run_parallel(lambda k, ks=ran[-1]: ks.append(k) or fn(k), n)
+
+    monkeypatch.setattr(eval_mod, "run_parallel", recorded)
 
     def paused(scores, cand):
         time.sleep(0.002)
@@ -1335,7 +1357,7 @@ def test_pipelined_ranks_match_scalar_loop(small_blocks, monkeypatch, workers, s
     finally:
         sys.setswitchinterval(old)
         pool.shutdown()
-    assert len(pool.futures) == 3 * 13  # 13 blocks a call
+    assert [sorted(ks) for ks in ran] == [list(range(13))] * 3  # each block once a call
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -215,12 +216,59 @@ def test_run_parallel_error_waits_for_every_task(monkeypatch):
         time.sleep(0.2)
         finished.append(k)
 
+    started = []
     pool = RecordingPool(2)
     monkeypatch.setattr(graph, "_pool", pool)
     try:
         with pytest.raises(RuntimeError, match="task 0 failed"):
-            graph.run_parallel(task, 3)
-        assert len(pool.futures) == 3 and all(f.done() for f in pool.futures)
+            graph.run_parallel(lambda k: started.append(k) or task(k), 3)
+        assert sorted(started) == [0, 1, 2] and all(f.done() for f in pool.futures)
         assert sorted(finished) == [1, 2]
     finally:
         pool.shutdown()
+
+
+def test_run_parallel_runs_task_zero_on_the_calling_thread(monkeypatch):
+    """fn(0) runs on the calling thread, every k runs once, and with one
+    CPU no pool is made: the caller runs every k in order."""
+    for cpus, pool in ((2, RecordingPool(1)), (1, None)):
+        monkeypatch.setattr(graph, "CPUS", cpus)
+        monkeypatch.setattr(graph, "_pool", pool)
+        ran = []
+        graph.run_parallel(lambda k: ran.append((k, threading.get_ident())), 5)
+        assert sorted(k for k, _ in ran) == list(range(5))
+        assert dict(ran)[0] == threading.get_ident()
+        assert graph._pool is pool
+        if pool is None:
+            assert ran == [(k, threading.get_ident()) for k in range(5)]
+        else:
+            pool.shutdown()
+
+
+def test_nested_run_parallel_does_not_deadlock(monkeypatch):
+    """A task on a one-worker pool may call run_parallel and
+    for_each_chunk: each call's own thread drains its k, and helpers that
+    never started are cancelled. A deadlock fails the join's timeout
+    instead of hanging the suite."""
+    pool = RecordingPool(1)
+    monkeypatch.setattr(graph, "_pool", pool)
+    monkeypatch.setattr(graph, "CPUS", 2)  # one helper a call, whatever the host
+    monkeypatch.setattr(graph, "CHUNK", 4)
+    got = np.zeros((3, 4, 16))
+
+    def outer(i):
+        graph.run_parallel(lambda j: graph.for_each_chunk(
+            16, lambda lo, hi, _: got[i, j, lo:hi].fill(i + j + 1)), 4)
+
+    thread = threading.Thread(target=graph.run_parallel, args=(outer, 3), daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    deadlocked = thread.is_alive()
+    if deadlocked:  # more workers run the queued tasks, so the suite can exit
+        pool._max_workers = 64
+        pool.submit(int).result()
+        thread.join()
+    pool.shutdown()
+    assert not deadlocked, "nested run_parallel deadlocked"
+    want = np.add.outer(np.arange(3), np.arange(4)) + 1.0
+    np.testing.assert_array_equal(got, np.repeat(want[..., None], 16, axis=2))
