@@ -87,6 +87,10 @@ def build_spec(args):
     eval_seed = read_int(file_values, "eval_seed", args.config, 0)
     if eval_seed < 0:
         raise ValueError(f"config key eval_seed must be >= 0, got {eval_seed}")
+    for key in ("dataset_dir", "interactions", "social"):  # empty is not "not given"
+        if "" in (getattr(args, key), file_values.get(key)):
+            where = key if getattr(args, key) == "" else f"config key {key}"
+            raise ValueError(f"{where}: expected a path, got ''")
 
     return ExperimentSpec(
         config=cfg,

@@ -5,15 +5,15 @@ Both views use the same normalization: each stored entry is
 and the self-loop is applied as `+ E` during propagation instead of being
 materialized on the diagonal.
 
-Propagation splits the CSR rows into one block per CPU the process may
-run on and runs the blocks through `run_parallel`: the calling thread
-takes block 0 and the shared pool's CPUS - 1 workers the rest, each
-thread claiming the next block when it is done (scipy's CSR kernel
-releases the GIL). Every output row is the same sum in the same order
-whatever the block count, so results do not depend on the CPU count.
-Each block runs in row slices of about CHUNK elements, so the self-loop
-and one more array, the sum of powers' start in Horner form (see
-`model.aggregate_backward`), are added while the slice is still in cache.
+Parallel passes split their work one way, `for_each_chunk`: slices of
+about CHUNK elements that the calling thread and the shared pool's
+CPUS - 1 workers claim as they free up (scipy's CSR kernel and numpy's
+loops release the GIL), so the claiming balances the load. Propagation
+claims slices of CHUNK // d rows, so the self-loop and one more array,
+the sum of powers' start in Horner form (see `model.aggregate_backward`),
+are added while the slice is still in cache. Every output row is the
+same sum in the same order whichever thread runs it, so results do not
+depend on the CPU count.
 
 A training step's loss phase runs the loss terms on the calling thread
 and the regularizer on a pool worker (`objective._evaluate_terms`).
@@ -35,19 +35,13 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs  # Y += A @ X on raw CSR arrays
 
 from .data import NeighbourLists
-
-
-def _cpu_count():
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _openblas_calls(names):
@@ -80,7 +74,8 @@ def _hold_blas_at_one_thread():
         set_threads(1)  # the C entry point, void f(int)
 
 
-CPUS = _cpu_count()
+# the CPUs this process may run on: its affinity mask, where the OS has one
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 CHUNK = 1 << 15  # elements per slice of a chunked elementwise pass (fits in L2)
 
 _pool = None
@@ -117,45 +112,30 @@ def run_parallel(fn, n):
         raise errors[min(errors)]
 
 
-def for_each_chunk(n, fn):
-    """Call fn(start, stop, worker) over [0, n) in slices of at most CHUNK
-    elements, one contiguous run of slices per CPU (worker < CPUS), so
-    each slice's passes stay in cache. One thread runs each worker's run,
-    so scratch indexed by `worker` is never shared."""
-    workers = max(1, min(CPUS, n // CHUNK))
+def for_each_chunk(n, fn, step=None):
+    """Call fn(start, stop, worker) once per slice [start, start + step) of
+    [0, n), cut at n; `step` (CHUNK elements by default) keeps a slice's
+    passes in cache. Up to CPUS threads, one `run_parallel` task each,
+    claim the next slice until none is left, so a stalled thread leaves
+    the rest to the others; `worker` (< CPUS) is the task's k, so scratch
+    indexed by it is never shared."""
+    step = step or CHUNK
+    starts = range(0, n, step)
+    claims = iter(starts)  # shared: next() on it is atomic under the GIL
 
-    def run(k):
-        lo, hi = n * k // workers, n * (k + 1) // workers
-        for start in range(lo, hi, CHUNK):
-            fn(start, min(start + CHUNK, hi), k)
+    def run(worker):
+        for start in claims:
+            fn(start, min(start + step, n), worker)
 
-    run_parallel(run, workers)
-
-
-def row_blocks(indptr, count):
-    """Row boundaries of `count` blocks of about equal cost (stored entries
-    plus rows, so the `+ E` pass counts too)."""
-    rows = len(indptr) - 1
-    cost = indptr + np.arange(rows + 1)
-    cuts = np.searchsorted(cost, cost[-1] * np.arange(1, count) / count)
-    return tuple(int(b) for b in np.unique(np.concatenate([[0], cuts, [rows]])))
+    run_parallel(run, min(CPUS, len(starts)))
 
 
 @dataclass(eq=False)
 class NormalizedGraph:
-    """Symmetric-normalized adjacency in CSR form plus its view tag.
-
-    `_blocks` holds the row boundaries propagation splits the rows at;
-    by default one block per CPU.
-    """
+    """Symmetric-normalized adjacency in CSR form plus its view tag."""
 
     matrix: sp.csr_matrix
     view: str  # "interaction" | "social"
-    _blocks: tuple = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._blocks is None:
-            self._blocks = row_blocks(self.matrix.indptr, CPUS)
 
     @property
     def num_nodes(self):
@@ -193,12 +173,13 @@ def build_social_laplacian(ds):
 
 def propagate(g, E, out=None, add=None):
     """One propagation layer with implicit self-loop, plus `add` when given:
-    (A_norm @ E + E) + add, each row block in slices of CHUNK // d rows.
+    (A_norm @ E + E) + add, in `for_each_chunk` slices of CHUNK // d rows.
 
     Writes into `out` (a new array when None) and returns it; `out` and
     `add` are float64, C-contiguous and shaped like E. The layer reads
     every row of E while it writes, so `out` may not overlap E; `add` is
-    read slice by slice, so it may be `out` itself or apart from it.
+    read slice by slice, so it may be `out` itself (the layer then goes
+    through the worker's scratch slice) or apart from it.
     """
     E = np.asarray(E)
     if E.shape[0] != g.num_nodes:
@@ -220,19 +201,16 @@ def propagate(g, E, out=None, add=None):
     step = max(1, CHUNK // max(width, 1))
     Y2 = out.reshape(X2.shape)
     A2 = None if add is None else add.reshape(X2.shape)
-    bounds = g._blocks
+    scratch = np.empty((CPUS, step, width)) if add is out else None
 
-    def block(k):
-        scratch = np.empty((step, width)) if add is out else None
-        for r0 in range(bounds[k], bounds[k + 1], step):
-            r1 = min(r0 + step, bounds[k + 1])
-            y = Y2[r0:r1] if scratch is None else scratch[:r1 - r0]
-            y.fill(0.0)
-            csr_matvecs(r1 - r0, m.shape[1], width, m.indptr[r0:r1 + 1],
-                        m.indices, m.data, x, y.ravel())
-            np.add(y, X2[r0:r1], out=y)
-            if A2 is not None:
-                np.add(y, A2[r0:r1], out=Y2[r0:r1])
+    def rows(r0, r1, worker):
+        y = Y2[r0:r1] if scratch is None else scratch[worker, :r1 - r0]
+        y.fill(0.0)
+        csr_matvecs(r1 - r0, m.shape[1], width, m.indptr[r0:r1 + 1],
+                    m.indices, m.data, x, y.ravel())
+        np.add(y, X2[r0:r1], out=y)
+        if A2 is not None:
+            np.add(y, A2[r0:r1], out=Y2[r0:r1])
 
-    run_parallel(block, len(bounds) - 1)
+    for_each_chunk(len(X2), rows, step)
     return out

@@ -466,6 +466,36 @@ class TestMainEntry:
                   "--out", str(tmp_path / "runs"), flag, ""])
         assert not os.path.exists(tmp_path / "runs")
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("empty,name", [
+        ("--social", "social"), ("--interactions", "interactions"),
+        ("--dataset-dir", "dataset_dir"), ("social=", "config key social"),
+        ("interactions=", "config key interactions"),
+        ("dataset_dir=", "config key dataset_dir")])
+    def test_empty_data_source_fatal_before_any_work(self, edge_files, tmp_path, monkeypatch,
+                                                     command, empty, name):
+        """An empty data source, as a flag or a config-file key, is refused
+        by name, not read as "not given", which would train without ties
+        or on another source."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran on an empty data source")
+        monkeypatch.setattr(experiments, "train_model", no_work)
+        monkeypatch.setattr(experiments, "load_edges", no_work)
+        inter_path, soc_path = edge_files
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(empty + "\n" if empty.endswith("=") else "")
+        source = {"--interactions": inter_path, "--social": soc_path}
+        if empty.startswith("--"):
+            source[empty] = ""
+        args = [command, *(x for item in source.items() for x in item),
+                "--config", str(cfg_path), "--out", str(tmp_path / "runs")]
+        if command == "eval":
+            args += ["--checkpoint", str(tmp_path / "ckpt")]
+        match = f"{name}: expected a path, got ''"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            main(args)
+        assert not os.path.exists(tmp_path / "runs")
+
     def test_task_value_names_key(self, edge_files, tmp_path):
         inter_path, soc_path = edge_files
         cfg_path = tmp_path / "exp.cfg"

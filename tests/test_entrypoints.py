@@ -128,12 +128,16 @@ def test_bench_summary_groups_by_workload_and_sha(tmp_path):
 
 def test_peak_by_stage_names_every_stage():
     """The per-stage memory tool runs one tiny benchmark operation, prints
-    a row for every stage and writes nothing under bench/."""
+    the BLAS threads in effect (one, as socrec holds OpenBLAS there; None
+    without OpenBLAS), a row for every stage and writes nothing under
+    bench/."""
     before = sorted((ROOT / "bench").rglob("*"))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "peak_by_stage.py"),
                            "--size", "tiny", "--seed", "3"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    header = proc.stdout.splitlines()[0]
+    assert header.rsplit("BLAS threads in effect: ", 1)[1] in ("1", "None"), header
     stages = [line[:16].strip() for line in proc.stdout.splitlines()[2:-1]]
     assert stages == ["set-up", "sample", "gradients", "Adam", "encode", "validation",
                       "test evaluation", "export", "read passes", "load_checkpoint",

@@ -11,6 +11,7 @@ Sizes are chosen above the chunk size of the elementwise passes, so on a
 machine with two or more CPUs the multi-worker paths run too.
 """
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -34,8 +35,8 @@ from socrec.data import (InteractionTable, NeighbourLists, SocialTable, _edge_to
                          save_dataset)
 from socrec.eval import (_pcg64, _sample_negatives, _stream_states, _user_ranks,
                          export_relevance_weights, held_out_rank)
-from socrec.graph import (CHUNK, NormalizedGraph, build_interaction_laplacian,
-                          build_social_laplacian, propagate, row_blocks)
+from socrec.graph import (CHUNK, build_interaction_laplacian, build_social_laplacian,
+                          propagate)
 from socrec.model import (LEAKY_SLOPE, ParamBlock, _leaky_relu_, aggregate_backward,
                           encode, init_model, leaky_slope, pair_rows, user_vectors)
 from socrec.objective import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Batch,
@@ -55,55 +56,62 @@ def ds():
                           seed=4)
 
 
-def _blocked(g):
-    """The same matrix split into 1, 2 and 3 balanced blocks, and skewed:
-    one row against the rest, an empty block and a two-row block."""
-    n = g.num_nodes
-    layouts = [row_blocks(g.matrix.indptr, count) for count in (1, 2, 3)]
-    layouts += [(0, 1, n), (0, n - 1, n), (0, 0, 5, n - 2, n)]
-    return [NormalizedGraph(g.matrix, g.view, _blocks=b) for b in layouts]
+@pytest.fixture
+def splits(monkeypatch):
+    """splits(n, width) yields once as the host splits propagation, then
+    once per patched split of n rows of `width` columns: slices of 1, 2,
+    3, n - 1 and n rows (graph.CHUNK), each claimed by the calling thread
+    and a pool of 1, 2 or 3 workers (graph._pool, graph.CPUS to match)."""
+    pools = [RecordingPool(workers) for workers in (1, 2, 3)]
+
+    def each(n, width):
+        yield
+        for workers, pool in enumerate(pools, 1):
+            monkeypatch.setattr(graph, "_pool", pool)
+            monkeypatch.setattr(graph, "CPUS", workers + 1)
+            for rows in (1, 2, 3, n - 1, n):
+                monkeypatch.setattr(graph, "CHUNK", max(rows, 1) * width)
+                yield
+
+    yield each
+    for pool in pools:
+        pool.shutdown()
 
 
 class TestPropagateBlocks:
     @pytest.mark.parametrize("view", ["interaction", "social"])
-    def test_any_blocks_equal_unsplit_product(self, ds, view):
+    def test_any_blocks_equal_unsplit_product(self, ds, view, splits):
         g = (build_interaction_laplacian if view == "interaction"
              else build_social_laplacian)(ds)
         assert np.diff(g.matrix.indptr).min() == 0  # zero-degree rows present
         E = np.random.default_rng(0).normal(size=(g.num_nodes, 80))
         want = g.matrix @ E + E
-        for gb in [g] + _blocked(g):
-            np.testing.assert_array_equal(propagate(gb, E), want)
+        for _ in splits(g.num_nodes, 80):
+            np.testing.assert_array_equal(propagate(g, E), want)
             out = np.full_like(E, np.nan)
-            assert propagate(gb, E, out=out) is out
+            assert propagate(g, E, out=out) is out
             np.testing.assert_array_equal(out, want)
 
-    def test_empty_graph(self):
+    def test_empty_graph(self, splits):
         ds = replace(random_dataset(30, 40, tie_prob=0.0, seed=1),
                      social_edges=np.zeros((0, 2), dtype=np.int64))
         g = build_social_laplacian(ds)
         E = np.random.default_rng(1).normal(size=(g.num_nodes, 5))
-        for gb in [g] + _blocked(g):
-            np.testing.assert_array_equal(propagate(gb, E), g.matrix @ E + E)
-
-    def test_balanced_blocks_cover_all_rows(self, ds):
-        g = build_interaction_laplacian(ds)
-        for count in (1, 2, 3, 7):
-            blocks = row_blocks(g.matrix.indptr, count)
-            assert blocks[0] == 0 and blocks[-1] == g.num_nodes
-            assert list(blocks) == sorted(set(blocks))
+        for _ in splits(g.num_nodes, 5):
+            np.testing.assert_array_equal(propagate(g, E), g.matrix @ E + E)
 
     def test_concurrent_callers_share_one_pool(self, ds, monkeypatch):
         g = build_interaction_laplacian(ds)
-        g3 = NormalizedGraph(g.matrix, g.view, _blocks=row_blocks(g.matrix.indptr, 3))
         inputs = [np.random.default_rng(k).normal(size=(g.num_nodes, 96)) for k in range(6)]
         got = [None] * len(inputs)
 
         def work(k):
             for _ in range(3):
-                got[k] = propagate(g3, inputs[k])
+                got[k] = propagate(g, inputs[k])
 
         monkeypatch.setattr(graph, "_pool", None)  # threads race to create it
+        monkeypatch.setattr(graph, "CPUS", 3)
+        monkeypatch.setattr(graph, "CHUNK", 7 * 96)  # 7-row slices
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -115,6 +123,8 @@ class TestPropagateBlocks:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(old)
+            if graph._pool is not None:  # the pool the threads made
+                graph._pool.shutdown()
         for E, out in zip(inputs, got):
             np.testing.assert_array_equal(out, g.matrix @ E + E)
 
@@ -257,13 +267,13 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def _sliced_graphs(ds, view, d):
-    """A view's graph, whole and in _blocked's layouts; its row count is no
-    multiple of the CHUNK // d rows of a slice, so slices end inside blocks."""
+def _sliced_graph(ds, view, d):
+    """A view's graph; its row count is no multiple of the CHUNK // d rows
+    of a slice, so the last slice is short."""
     g = (build_interaction_laplacian if view == "interaction"
          else build_social_laplacian)(ds)
     assert g.num_nodes % (CHUNK // d) and g.num_nodes > CHUNK // d
-    return [g] + _blocked(g)
+    return g
 
 
 class TestSlicedPropagation:
@@ -271,11 +281,11 @@ class TestSlicedPropagation:
 
     @pytest.mark.parametrize("d", [300, 1000])
     @pytest.mark.parametrize("view", ["interaction", "social"])
-    def test_every_mode_matches_frozen_layer(self, ds, view, d):
-        graphs = _sliced_graphs(ds, view, d)
+    def test_every_mode_matches_frozen_layer(self, ds, view, d, splits):
+        g = _sliced_graph(ds, view, d)
         rng = np.random.default_rng(11)
-        E, X, T0 = rng.normal(size=(3, graphs[0].num_nodes, d))
-        for g in graphs:
+        E, X, T0 = rng.normal(size=(3, g.num_nodes, d))
+        for _ in splits(g.num_nodes, d):
             want = g.matrix @ E + E
             np.testing.assert_array_equal(_bits(propagate(g, E)), _bits(want))
             out = np.full_like(E, np.nan)
@@ -295,9 +305,10 @@ class TestSlicedPropagation:
     @pytest.mark.parametrize("agg", ["sum", "mean"])
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("view", ["interaction", "social"])
-    def test_sum_of_powers_matches_frozen(self, ds, view, L, agg):
+    def test_sum_of_powers_matches_frozen(self, ds, view, L, agg, splits):
         rng = np.random.default_rng(L)
-        for g in _sliced_graphs(ds, view, 300)[::2]:
+        g = _sliced_graph(ds, view, 300)
+        for _ in itertools.islice(splits(g.num_nodes, 300), 0, None, 2):  # every other
             X = rng.normal(size=(g.num_nodes, 300))
             want = horner_sum(g, X, L, agg)
             got = X.copy()  # backward, in place

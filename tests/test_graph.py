@@ -272,3 +272,61 @@ def test_nested_run_parallel_does_not_deadlock(monkeypatch):
     assert not deadlocked, "nested run_parallel deadlocked"
     want = np.add.outer(np.arange(3), np.arange(4)) + 1.0
     np.testing.assert_array_equal(got, np.repeat(want[..., None], 16, axis=2))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_for_each_chunk_visits_every_index_once(monkeypatch, workers):
+    """Each index in [0, n) is in exactly one slice, each slice is at most
+    `step` long and starts at a multiple of it, and `worker` stays below
+    CPUS; the default step is graph.CHUNK, read at call time."""
+    step = 5
+    pool = RecordingPool(workers)
+    monkeypatch.setattr(graph, "_pool", pool)
+    monkeypatch.setattr(graph, "CPUS", workers + 1)
+    try:
+        for n in (0, 1, step - 1, step, step + 1, 5 * step + 3):
+            for kwargs, chunk in (({"step": step}, 1 << 15), ({}, step)):
+                monkeypatch.setattr(graph, "CHUNK", chunk)
+                visits = np.zeros(n, dtype=int)
+                calls = []
+
+                def visit(lo, hi, worker):
+                    calls.append((lo, hi, worker))
+                    visits[lo:hi] += 1
+
+                graph.for_each_chunk(n, visit, **kwargs)
+                np.testing.assert_array_equal(visits, np.ones(n, dtype=int))
+                assert sorted(lo for lo, _, _ in calls) == list(range(0, n, step))
+                assert all(hi == min(lo + step, n) and 0 <= worker <= workers
+                           for lo, hi, worker in calls)
+    finally:
+        pool.shutdown()
+
+
+def test_for_each_chunk_caller_takes_what_a_stalled_helper_leaves(monkeypatch):
+    """Slices are claimed, not dealt out: with a one-worker pool whose
+    helper stalls 0.2 s on its first slice, the calling thread processes
+    every other slice."""
+    pool = RecordingPool(1)
+    monkeypatch.setattr(graph, "_pool", pool)
+    monkeypatch.setattr(graph, "CPUS", 2)
+    monkeypatch.setattr(graph, "CHUNK", 4)
+    caller = threading.get_ident()
+    helper_started = threading.Event()
+    ran = []
+
+    def fn(lo, hi, worker):
+        if threading.get_ident() == caller:
+            assert helper_started.wait(timeout=30), "the helper never started"
+        else:
+            helper_started.set()
+            time.sleep(0.2)
+        ran.append((lo, threading.get_ident()))
+
+    try:
+        graph.for_each_chunk(40, fn)
+    finally:
+        pool.shutdown()
+    assert sorted(lo for lo, _ in ran) == list(range(0, 40, 4))
+    by_helper = [lo for lo, ident in ran if ident != caller]
+    assert len(by_helper) == 1, f"the stalled helper ran slices {by_helper}"

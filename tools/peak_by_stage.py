@@ -4,7 +4,8 @@
 
 Sets up a `bench/` run as `bench/run.py` does (BLAS pinned to the CPUs the
 process may use, the run's three set-ups), runs its operation once,
-untraced, and prints per stage:
+untraced, and prints a header with the BLAS threads in effect (socrec
+holds OpenBLAS at one thread whatever the pin says), then per stage:
 
 - `sampled_mb`: the highest resident set size read from
   /proc/self/statm, by a thread every millisecond and at every stage
@@ -35,13 +36,10 @@ import sys
 import tempfile
 import threading
 
-BLAS_THREADS = str(len(os.sched_getaffinity(0)))
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = BLAS_THREADS
-
 REPO = pathlib.Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
+from run import blas_threads_in_effect  # noqa: E402  (pins BLAS before numpy loads)
 import workloads  # noqa: E402
 from socrec import eval as eval_mod  # noqa: E402
 from socrec import experiments  # noqa: E402
@@ -169,7 +167,7 @@ def main(argv=None):
             with workloads.capped_steps(run.workload.steps_per_epoch), memory.patched():
                 op = run.operation(0, traced=False)
     print(f"# {args.workload} seed {args.seed} ({args.size}), one operation, "
-          f"{BLAS_THREADS} BLAS threads")
+          f"BLAS threads in effect: {blas_threads_in_effect()}")
     print(memory.table())
     for failure in op["failures"]:
         print(f"check failed: {failure}", file=sys.stderr)
